@@ -58,9 +58,11 @@ class LongFirDesign(Design):
 class CountingFlow(RefinementFlow):
     n_simulations = 0
 
-    def _simulate(self, annotations, label):
-        self.n_simulations += 1
-        return super()._simulate(annotations, label)
+    def _simulate(self, annotations, label, config=None):
+        # Count refinement iterations only, not the inputs-only baseline.
+        if label != "baseline":
+            self.n_simulations += 1
+        return super()._simulate(annotations, label, config=config)
 
 
 def run_all():

@@ -25,10 +25,13 @@ class CountingFlow(RefinementFlow):
         self.n_simulations = 0
         self.ledger = []
 
-    def _simulate(self, annotations, label):
-        self.n_simulations += 1
-        self.ledger.append(label)
-        return super()._simulate(annotations, label)
+    def _simulate(self, annotations, label, config=None):
+        # The inputs-only baseline run is a reference, not a refinement
+        # iteration of the Fig. 4 loop.
+        if label != "baseline":
+            self.n_simulations += 1
+            self.ledger.append(label)
+        return super()._simulate(annotations, label, config=config)
 
 
 def run_flow():

@@ -17,6 +17,9 @@ Entry points
   (:mod:`repro.parallel.runner`) — the normal route: eligible configs
   are grouped and batched here, everything else (and every group the
   compiler refuses) falls back to the interpreted path automatically.
+  ``engine="auto"`` does the same but lowers only groups of at least
+  ``COMPILE_MIN_LANES`` lanes per interpreted worker process; smaller
+  groups run interpreted, where they are faster.
 * :func:`compile_design` — a direct handle used by tools and
   benchmarks: ``compile_design(factory).run(configs)``.
 
@@ -66,14 +69,21 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.signal.context import DesignContext
 
-__all__ = ["COMPILER_VERSION", "CompileFallback", "CompiledSim",
-           "compile_design", "config_eligible", "group_key",
+__all__ = ["COMPILER_VERSION", "COMPILE_MIN_LANES", "CompileFallback",
+           "CompiledSim", "compile_design", "config_eligible", "group_key",
            "run_compiled_pending"]
 
 #: Version of the lowering scheme; part of the cache/journal fingerprint
 #: of compiled runs, so a future compiler change can never serve stale
 #: cached outcomes.  Bump on any change to tape/executor semantics.
 COMPILER_VERSION = 1
+
+#: Lane crossover of ``engine="auto"``: a group is lowered only when it
+#: has at least this many lanes per worker process the interpreted path
+#: would use.  A compiled group costs about as much as 12 interpreted
+#: runs whatever its width (measured in "Choosing the engine",
+#: ``docs/compilation.md``).
+COMPILE_MIN_LANES = 12
 
 
 def config_eligible(cfg):
@@ -174,18 +184,23 @@ def _run_group(design_factory, seeded_factory, cfgs):
 
 
 def run_compiled_pending(design_factory, seeded_factory, pending,
-                         on_complete, diagnostics, execute_fn):
+                         on_complete, diagnostics, execute_fn, min_lanes=1):
     """Batch-execute the eligible jobs of a pending list.
 
     ``pending`` is the runner's ``[(idx, key, cfg), ...]`` work list;
     completed jobs are delivered through ``on_complete(idx, key, cfg,
-    outcome)`` exactly like the interpreted paths.  Returns the jobs
-    that must still run interpreted (ineligible ones — fallen-back
-    groups are re-run here via ``execute_fn`` and do not return).
+    outcome)`` exactly like the interpreted paths.  Groups with fewer
+    than ``min_lanes`` lanes are not lowered.
+
+    Returns ``(leftover, compiled_groups, small_groups)``: the jobs
+    that must still run interpreted, in pending order (ineligible ones
+    and the lanes of small groups — fallen-back groups are re-run here
+    via ``execute_fn`` and do not return), the number of groups sent to
+    the compiler and the number of groups kept back as too small.
     """
     if obs_metrics.enabled():
         obs_counters.inc("compile.ineligible", len(pending))
-        return pending
+        return pending, 0, 0
 
     leftover = []
     groups = {}
@@ -197,6 +212,11 @@ def run_compiled_pending(design_factory, seeded_factory, pending,
             leftover.append(job)
     if leftover:
         obs_counters.inc("compile.ineligible", len(leftover))
+    small = [key for key, jobs in groups.items() if len(jobs) < min_lanes]
+    if small:
+        lanes = [job for key in small for job in groups.pop(key)]
+        obs_counters.inc("compile.small_groups", len(lanes))
+        leftover = sorted(leftover + lanes, key=lambda job: job[0])
 
     for key, jobs in groups.items():
         cfgs = [cfg for _idx, _key, cfg in jobs]
@@ -223,7 +243,7 @@ def run_compiled_pending(design_factory, seeded_factory, pending,
             sp.set(instructions=n_instr)
             for (idx, jkey, cfg), outcome in zip(jobs, outcomes):
                 on_complete(idx, jkey, cfg, outcome)
-    return leftover
+    return leftover, len(groups), len(small)
 
 
 class CompiledSim:

@@ -2,7 +2,7 @@
 
 ``run_matrix`` fans every cell of the requested grid through
 :func:`repro.parallel.run_simulations` — one batch per (design,
-channel) group so the compiled engine can batch eligible cells and a
+channel) group so ``engine="auto"`` can batch eligible cells and a
 shared write-ahead :class:`~repro.robust.recovery.Journal` makes the
 whole matrix resumable bit-exactly (kill it mid-run, call again with
 the same journal: completed cells replay, the rest execute).  Each
@@ -256,7 +256,7 @@ def run_matrix(designs=None, channels=None, campaigns=None, seeds=None,
                             guard_action="record",
                             faults=faults, factory_seed=seed,
                             catch_errors=True))
-                    engine = "compiled" if entry.compiled_ok else None
+                    engine = "auto" if entry.compiled_ok else None
                     if service is not None:
                         outs = service.run_batch(
                             factory(entry, spec), configs,
@@ -271,8 +271,7 @@ def run_matrix(designs=None, channels=None, campaigns=None, seeds=None,
                     for (camp, seed), cfg, out in zip(grid, configs,
                                                       outs):
                         cells.append(_cell_record(
-                            entry, ch_name, camp, seed, n,
-                            engine or "interpreted", out))
+                            entry, ch_name, camp, seed, n, out))
                         outcomes.append(out)
                     obs_counters.inc("gallery.cells", len(configs))
         span.set(cells=len(cells))
@@ -292,7 +291,7 @@ def run_matrix(designs=None, channels=None, campaigns=None, seeds=None,
                         cells, outcomes, design_reports)
 
 
-def _cell_record(entry, ch_name, camp, seed, n, engine, out):
+def _cell_record(entry, ch_name, camp, seed, n, out):
     sqnr = None
     overflows = None
     if out.completed:
@@ -309,7 +308,9 @@ def _cell_record(entry, ch_name, camp, seed, n, engine, out):
         "campaign": camp,
         "seed": seed,
         "n_samples": n,
-        "engine": engine,
+        # The registry's engine class, not the path a cell ran on: under
+        # engine="auto" small groups and fault cells run interpreted.
+        "engine": "compiled" if entry.compiled_ok else "interpreted",
         "completed": out.completed,
         "error_kind": out.error_kind,
         "fault_fired": bool(out.fault_fired) and any(out.fault_fired),

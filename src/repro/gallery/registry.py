@@ -304,7 +304,7 @@ def single_run(entry, seed=None, channel=None, n_samples=None,
         faults=tuple(faults), factory_seed=seed,
         catch_errors=bool(faults))
     if engine is None and entry.compiled_ok and not faults:
-        engine = "compiled"
+        engine = "auto"
     outs = run_simulations(factory(entry, channel), [cfg],
                            seeded_factory=seeded_factory(entry, channel),
                            journal=journal, workers=workers, engine=engine)

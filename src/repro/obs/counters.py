@@ -63,6 +63,10 @@ Well-known names (all under ``parallel.`` / ``journal.`` /
     groups re-run interpreted after a :class:`CompileFallback` /
     configs that never qualified for batching (faults, error()
     annotations, deadlines, metrics enabled, n > 53 dtypes).
+``compile.small_groups``
+    configs of eligible groups that ``engine="auto"`` ran interpreted
+    because the group was narrower than the lane crossover
+    (``repro.compile.COMPILE_MIN_LANES`` per worker process).
 ``verify.checks`` / ``verify.proved`` / ``verify.counterexample`` /
 ``verify.unknown``
     bounded-model-checking property checks discharged and their

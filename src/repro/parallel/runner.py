@@ -393,11 +393,13 @@ def fingerprint(design_factory, config, seeded_factory=None,
     outcomes stay replayable when the deadline is tuned between
     sessions.
 
-    ``engine="compiled"`` folds the engine identity *and* the compiler
-    version into the key: compiled outcomes are bit-identical to
-    interpreted ones by contract, but a lowering bug fixed by a compiler
-    bump must never replay stale journaled results produced by the old
-    lowering.  Interpreted keys are unchanged from before the engine
+    ``engine="compiled"`` (and ``"auto"``, which may lower the job)
+    folds the engine identity *and* the compiler version into the key:
+    compiled outcomes are bit-identical to interpreted ones by contract,
+    but a lowering bug fixed by a compiler bump must never replay stale
+    journaled results produced by the old lowering.  ``"auto"`` and
+    ``"compiled"`` share keys, so journals written under either replay
+    under both.  Interpreted keys are unchanged from before the engine
     existed, so old journals keep replaying.
 
     >>> def factory():
@@ -428,7 +430,7 @@ def fingerprint(design_factory, config, seeded_factory=None,
     feed("overflow", config.overflow_action)
     feed("guard", config.guard_action)
     feed("faults", tuple(repr(f) for f in config.faults))
-    if engine == "compiled":
+    if engine in ("compiled", "auto"):
         from repro.compile import COMPILER_VERSION
         feed("engine", "compiled:%d" % COMPILER_VERSION)
     return h.hexdigest()
@@ -834,6 +836,12 @@ class _BatchExecutor:
                 message, deadline=cfg.deadline_seconds, label=cfg.label)))
 
 
+def _pool_width(workers, n_jobs):
+    """Worker processes the pool path would use for ``n_jobs`` (1: serial)."""
+    n = min(workers, n_jobs)
+    return n if n >= 2 and _fork_available() else 1
+
+
 def _run_serial(pending, on_complete):
     for idx, key, cfg in pending:
         on_complete(idx, key, cfg, _execute(cfg))
@@ -857,7 +865,10 @@ def run_simulations(design_factory, configs, workers=None, cache=None,
     fallback — and only the remainder (ineligible jobs, e.g. fault
     campaigns) goes through the pool/serial machinery below, so the
     compiled batch axis *composes* with process-level parallelism
-    instead of replacing it.
+    instead of replacing it.  ``"auto"`` lowers only the groups with at
+    least :data:`repro.compile.COMPILE_MIN_LANES` lanes per worker
+    process of the interpreted path; smaller groups join the remainder,
+    where they run faster.
 
     ``journal`` (a :class:`repro.robust.recovery.Journal` or a path)
     makes the batch resumable: completed outcomes are appended to the
@@ -992,19 +1003,25 @@ def run_simulations(design_factory, configs, workers=None, cache=None,
         _WORKER_STATE["parent_pid"] = os.getpid()
         mode = "serial"
         fatal = []
+        max_workers = default_workers() if workers is None else int(workers)
         try:
-            if engine == "compiled" and pending:
-                from repro.compile import run_compiled_pending
-                pending = run_compiled_pending(design_factory,
-                                               seeded_factory, pending,
-                                               on_complete, diagnostics,
-                                               _execute)
+            if engine != "interpreted":
+                from repro.compile import (COMPILE_MIN_LANES,
+                                           run_compiled_pending)
+                min_lanes = 1
+                if engine == "auto":
+                    min_lanes = COMPILE_MIN_LANES * _pool_width(
+                        max_workers, len(pending))
+                pending, compiled_groups, small_groups = \
+                    run_compiled_pending(design_factory, seeded_factory,
+                                         pending, on_complete, diagnostics,
+                                         _execute, min_lanes=min_lanes)
+                batch_span.set(compiled_groups=compiled_groups,
+                               small_groups=small_groups)
                 if not pending:
                     mode = "compiled"
-            n_workers = default_workers() if workers is None \
-                else int(workers)
-            n_workers = min(n_workers, len(pending))
-            if pending and n_workers >= 2 and _fork_available():
+            n_workers = min(max_workers, len(pending))
+            if _pool_width(max_workers, len(pending)) >= 2:
                 exe = _BatchExecutor(n_workers, pool_policy, on_complete,
                                      diagnostics, batch_span)
                 try:

@@ -11,10 +11,12 @@ batch runner (:func:`repro.parallel.runner.run_simulations`) and the
 layers above it (sensitivity analysis, wordlength optimization, fault
 campaigns): ``"interpreted"`` walks every sample through the scalar
 ``Sig`` hot path, ``"compiled"`` lowers the design to batched NumPy
-kernels (:mod:`repro.compile`) with automatic per-group fallback.  The
-process default is ``"interpreted"`` unless the ``REPRO_ENGINE``
-environment variable or :func:`set_default_engine` says otherwise; an
-explicit ``engine=`` argument always wins.
+kernels (:mod:`repro.compile`) with automatic per-group fallback, and
+``"auto"`` lowers only the groups wide enough to beat the interpreted
+path (``repro.compile.COMPILE_MIN_LANES``).  The process default is
+``"interpreted"`` unless the ``REPRO_ENGINE`` environment variable or
+:func:`set_default_engine` says otherwise; an explicit ``engine=``
+argument always wins.
 """
 
 from __future__ import annotations
@@ -25,11 +27,15 @@ from repro.core.errors import DeadlockError, SimulationError
 from repro.obs import trace as obs_trace
 from repro.sim.channel import Channel
 
-__all__ = ["Engine", "ENGINES", "default_engine", "set_default_engine",
-           "resolve_engine"]
+__all__ = ["Engine", "ENGINES", "ENGINE_CHOICES", "default_engine",
+           "set_default_engine", "resolve_engine"]
 
-#: Recognized execution engines for batch simulation.
+#: The execution engines a simulation actually runs on.
 ENGINES = ("interpreted", "compiled")
+
+#: Every accepted ``engine=`` value: the engines above plus ``"auto"``,
+#: which picks one of them per compiled group.
+ENGINE_CHOICES = ENGINES + ("auto",)
 
 _DEFAULT_ENGINE = None   # None -> consult REPRO_ENGINE, else "interpreted"
 
@@ -46,7 +52,7 @@ def default_engine():
     if _DEFAULT_ENGINE is not None:
         return _DEFAULT_ENGINE
     env = os.environ.get("REPRO_ENGINE", "").strip().lower()
-    if env in ENGINES:
+    if env in ENGINE_CHOICES:
         return env
     return "interpreted"
 
@@ -57,9 +63,8 @@ def set_default_engine(engine):
     Returns the previous override so callers can restore it.
     """
     global _DEFAULT_ENGINE
-    if engine is not None and engine not in ENGINES:
-        raise ValueError("engine must be one of %s, got %r"
-                         % (", ".join(ENGINES), engine))
+    if engine is not None:
+        resolve_engine(engine)
     prev = _DEFAULT_ENGINE
     _DEFAULT_ENGINE = engine
     return prev
@@ -70,14 +75,14 @@ def resolve_engine(engine):
 
     >>> resolve_engine(None)
     'interpreted'
-    >>> resolve_engine("compiled")
-    'compiled'
+    >>> resolve_engine("auto")
+    'auto'
     """
     if engine is None:
         return default_engine()
-    if engine not in ENGINES:
+    if engine not in ENGINE_CHOICES:
         raise ValueError("engine must be one of %s, got %r"
-                         % (", ".join(ENGINES), engine))
+                         % (", ".join(ENGINE_CHOICES), engine))
     return engine
 
 

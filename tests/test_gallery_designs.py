@@ -17,9 +17,12 @@ from repro.core.dtype import DType
 from repro.gallery import (gallery, get_design, lint_entry,
                            reference_check, single_run, verify_entry)
 from repro.gallery.matrix import CHANNEL_MODELS
+from repro.obs import counters
+from tests.test_property_compile import assert_records_equal
 
 ENTRIES = gallery()
 NAMES = sorted(ENTRIES)
+COMPILED = [name for name in NAMES if ENTRIES[name].compiled_ok]
 
 
 class TestRegistry:
@@ -102,11 +105,20 @@ class TestChannelStimulus:
 
 
 class TestEngines:
-    def test_compiled_matches_interpreted(self):
-        e = ENTRIES["iir-lattice"]
+    @pytest.mark.parametrize("name", COMPILED)
+    def test_compiled_matches_interpreted(self, name):
+        # Forced lowering: the gallery matrix itself runs these designs
+        # one lane per group, below the "auto" crossover, so this is
+        # where their compiled path stays covered.
+        e = ENTRIES[name]
+        counters.reset()
         a = single_run(e, n_samples=256, engine="compiled")
+        assert counters.get("compile.fallbacks") == 0
+        assert counters.get("compile.batches") == 1
         b = single_run(e, n_samples=256, engine="interpreted")
+        assert a.completed and b.completed
         np.testing.assert_array_equal(a.output, b.output)
+        assert_records_equal(a.records, b.records)
 
 
 class TestLintTrigger:
