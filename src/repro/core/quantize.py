@@ -225,15 +225,16 @@ def quantize_array(values, n, f, signed=True, overflow="saturate",
         if overflow == "saturate":
             np.clip(codes, lo, hi, out=codes)
         else:  # wrap
-            # Reduce modulo the span *before* applying the signed offset:
-            # fmod of a float is exact, but offset + a code near 2**60
-            # is not (the sum rounds to a multiple of the ulp, which can
-            # exceed the span).  The remainder is small, so the offset
-            # arithmetic below stays exact.
+            # Reduce modulo the span, then fold the upper half down by
+            # one span.  Both steps are exact in float64 for n <= 53:
+            # fmod of a float is exact, and a remainder in
+            # [2**(n-1), 2**n) minus 2**n lands in [-2**(n-1), 0).
+            # Adding the signed offset to the remainder instead is not
+            # exact at n = 53 (2**53 - 1 + 2**52 needs 54 bits).
             np.mod(codes, vc.span, out=codes)
-            codes += vc.offset
-            np.mod(codes, vc.span, out=codes)
-            codes -= vc.offset
+            if signed:
+                np.subtract(codes, vc.span, out=codes,
+                            where=codes >= vc.offset)
     if out_overflow is not None:
         out_overflow.append(n_bad)
     codes *= vc.inv

@@ -113,6 +113,16 @@ class SimConfig:
     error outcome under ``catch_errors``, a raised exception
     otherwise).  The alarm needs the job to run on a main thread —
     pool workers and the serial runner both qualify.
+
+    ``snapshot_errors`` splits the run at ``max(1, n_samples // 2)``
+    and stores :meth:`DesignContext.snapshot_error_stats` taken there in
+    ``SimOutcome.error_snapshot`` (the refinement flow's divergence
+    growth test).  ``guard_replacement`` is the sanitization rule of
+    the non-finite guard.  ``max_watchdog_cycles`` /
+    ``max_wall_seconds`` arm a :class:`~repro.robust.guards.Watchdog`
+    on the context; like the deadline, they decide whether a run
+    completes, never what it computes, so they stay out of the cache
+    key.
     """
 
     label: str = "sim"
@@ -128,6 +138,12 @@ class SimConfig:
     catch_errors: bool = False
     #: wall-clock budget of this one job, in seconds (None = unbounded).
     deadline_seconds: object = None
+    #: take an error-statistics snapshot after the first half of the run.
+    snapshot_errors: bool = False
+    guard_replacement: str = "hold"
+    #: watchdog budgets (None disables the respective check).
+    max_watchdog_cycles: object = None
+    max_wall_seconds: object = None
 
 
 @dataclass(frozen=True)
@@ -155,6 +171,11 @@ class SimOutcome:
     #: to the parent recorder (empty for serial runs — those record
     #: directly into the live recorder).
     obs_events: tuple = ()
+    #: mid-run ``snapshot_error_stats()`` (``SimConfig.snapshot_errors``).
+    error_snapshot: object = None
+    #: the context's guard log (capped like ``DesignContext.guard_log``;
+    #: ``guard_trips`` is the uncapped count).
+    guard_events: tuple = ()
 
     @property
     def completed(self):
@@ -197,10 +218,12 @@ class PoolPolicy:
 # -- worker state ------------------------------------------------------------
 
 # Factories are installed here before the pool forks, so child processes
-# inherit them through copy-on-write instead of pickling.  The serial
-# fallback uses the same slot for symmetry.  ``parent_pid`` lets code
-# running inside a job (e.g. the worker_crash fault) tell a pool worker
-# from an in-process run.
+# inherit them through copy-on-write instead of pickling.  Only the pool
+# path uses the slot: in-process jobs get their factories as arguments,
+# so a serial batch (every refinement-flow simulation is one) never
+# reads or clears state another batch in the process relies on.
+# ``parent_pid`` lets code running inside a job (e.g. the worker_crash
+# fault) tell a pool worker from an in-process run.
 _WORKER_STATE = {"factory": None, "seeded_factory": None,
                  "parent_pid": None}
 
@@ -248,16 +271,14 @@ class _DeadlineGuard:
         return False
 
 
-def _execute(config):
-    """Run one job against the installed factory (worker entry point)."""
+def _execute(config, factory, seeded):
+    """Run one job against ``factory`` (or ``seeded(factory_seed)``)."""
     # Imported lazily: repro.refine's own modules (sensitivity, the
     # optimizer) import this runner at module scope, so importing the
     # refine package back at *our* module scope would be circular.
     from repro.refine.flow import Annotations
     from repro.refine.monitors import collect
 
-    factory = _WORKER_STATE["factory"]
-    seeded = _WORKER_STATE["seeded_factory"]
     faults = config.faults
     with obs_trace.span("parallel.job", label=config.label,
                         samples=config.n_samples, seed=config.seed) as sp:
@@ -265,7 +286,15 @@ def _execute(config):
             with _DeadlineGuard(config.deadline_seconds, config.label):
                 ctx = DesignContext(config.label, seed=config.seed,
                                     overflow_action=config.overflow_action,
-                                    guard_action=config.guard_action)
+                                    guard_action=config.guard_action,
+                                    guard_replacement=config.guard_replacement)
+                if (config.max_watchdog_cycles is not None
+                        or config.max_wall_seconds is not None):
+                    from repro.robust.guards import Watchdog
+                    ctx.watchdog = Watchdog(
+                        max_cycles=config.max_watchdog_cycles,
+                        max_seconds=config.max_wall_seconds)
+                snapshot = None
                 with ctx:
                     if config.factory_seed is not None and seeded is not None:
                         design = seeded(config.factory_seed)
@@ -276,14 +305,22 @@ def _execute(config):
                                 errors=config.errors).apply(ctx)
                     for fault in faults:
                         fault.install(ctx, design)
-                    design.run(ctx, config.n_samples)
+                    if config.snapshot_errors:
+                        half = max(1, config.n_samples // 2)
+                        design.run(ctx, half)
+                        snapshot = ctx.snapshot_error_stats()
+                        design.run(ctx, config.n_samples - half)
+                    else:
+                        design.run(ctx, config.n_samples)
                 records = collect(ctx)
             output = getattr(design, "output", None)
             sp.set(signals=len(records), guard_trips=ctx.guard_trip_count)
             obs_metrics.emit(ctx, label=config.label)
             return SimOutcome(config.label, records, output,
                               ctx.guard_trip_count,
-                              tuple(f.n_fired for f in faults), None)
+                              tuple(f.n_fired for f in faults), None,
+                              error_snapshot=snapshot,
+                              guard_events=tuple(ctx.guard_log))
         except ReproError as exc:
             if not config.catch_errors:
                 raise
@@ -306,11 +343,13 @@ def _execute_remote(config):
     before the job and attaches everything recorded since to the
     outcome, which is the only thing that crosses the pipe.
     """
+    factory = _WORKER_STATE["factory"]
+    seeded = _WORKER_STATE["seeded_factory"]
     rec = obs_trace.current_recorder()
     if rec is None:
-        return _execute(config)
+        return _execute(config, factory, seeded)
     mark = rec.mark()
-    outcome = _execute(config)
+    outcome = _execute(config, factory, seeded)
     events = tuple(rec.events_since(mark))
     if events:
         outcome = replace(outcome, obs_events=events)
@@ -379,6 +418,8 @@ def _callable_fingerprint(fn):
 
 
 def _dtype_key(dt):
+    if dt is None:
+        return None
     return (dt.n, dt.f, dt.vtype, dt.msbspec, dt.lsbspec)
 
 
@@ -388,10 +429,13 @@ def fingerprint(design_factory, config, seeded_factory=None,
 
     Identical jobs collide (that is the point of the cache); any knob
     that could change the numbers separates them.  ``deadline_seconds``
-    is deliberately excluded: a deadline decides whether a run
-    completes, never what a completed run computes, so journaled
-    outcomes stay replayable when the deadline is tuned between
-    sessions.
+    and the watchdog budgets are deliberately excluded: a budget
+    decides whether a run completes, never what a completed run
+    computes, so journaled outcomes stay replayable when a budget is
+    tuned between sessions.  ``snapshot_errors`` and
+    ``guard_replacement`` enter the key only when they differ from
+    their defaults, so keys of configs that leave them alone are
+    unchanged from before the fields existed.
 
     ``engine="compiled"`` (and ``"auto"``, which may lower the job)
     folds the engine identity *and* the compiler version into the key:
@@ -430,6 +474,10 @@ def fingerprint(design_factory, config, seeded_factory=None,
     feed("overflow", config.overflow_action)
     feed("guard", config.guard_action)
     feed("faults", tuple(repr(f) for f in config.faults))
+    if config.snapshot_errors:
+        feed("snapshot", True)
+    if config.guard_replacement != "hold":
+        feed("guard_replacement", config.guard_replacement)
     if engine in ("compiled", "auto"):
         from repro.compile import COMPILER_VERSION
         feed("engine", "compiled:%d" % COMPILER_VERSION)
@@ -842,11 +890,6 @@ def _pool_width(workers, n_jobs):
     return n if n >= 2 and _fork_available() else 1
 
 
-def _run_serial(pending, on_complete):
-    for idx, key, cfg in pending:
-        on_complete(idx, key, cfg, _execute(cfg))
-
-
 def run_simulations(design_factory, configs, workers=None, cache=None,
                     seeded_factory=None, journal=None, diagnostics=None,
                     pool_policy=None, engine=None):
@@ -998,62 +1041,67 @@ def run_simulations(design_factory, configs, workers=None, cache=None,
                             % (journal.path, journal.io_error),
                             path=journal.path, error=str(journal.io_error))
 
-        _WORKER_STATE["factory"] = design_factory
-        _WORKER_STATE["seeded_factory"] = seeded_factory
-        _WORKER_STATE["parent_pid"] = os.getpid()
+        def execute(cfg):
+            return _execute(cfg, design_factory, seeded_factory)
+
+        def run_serial(jobs):
+            for idx, key, cfg in jobs:
+                on_complete(idx, key, cfg, execute(cfg))
+
         mode = "serial"
         fatal = []
         max_workers = default_workers() if workers is None else int(workers)
-        try:
-            if engine != "interpreted":
-                from repro.compile import (COMPILE_MIN_LANES,
-                                           run_compiled_pending)
-                min_lanes = 1
-                if engine == "auto":
-                    min_lanes = COMPILE_MIN_LANES * _pool_width(
-                        max_workers, len(pending))
-                pending, compiled_groups, small_groups = \
-                    run_compiled_pending(design_factory, seeded_factory,
-                                         pending, on_complete, diagnostics,
-                                         _execute, min_lanes=min_lanes)
-                batch_span.set(compiled_groups=compiled_groups,
-                               small_groups=small_groups)
-                if not pending:
-                    mode = "compiled"
-            n_workers = min(max_workers, len(pending))
-            if _pool_width(max_workers, len(pending)) >= 2:
-                exe = _BatchExecutor(n_workers, pool_policy, on_complete,
-                                     diagnostics, batch_span)
-                try:
-                    mode = "pool"
-                    leftovers = exe.run_shared(pending)
-                    if leftovers:
-                        exe._note_respawn()
-                        exe.run_isolated(leftovers)
-                    if exe.serial_jobs:
-                        exe.serial_jobs.sort(key=lambda job: job[0])
-                        _run_serial(exe.serial_jobs, on_complete)
-                    if exe.recovered:
-                        mode = "pool-recovered"
-                    fatal = exe.fatal
-                    batch_span.set(retries=exe.n_retries,
-                                   quarantined=exe.n_quarantined,
-                                   respawns=exe.n_respawns)
-                except OSError:
-                    # Pool infrastructure unavailable (fork failure):
-                    # jobs are pure, so running the remainder serially
-                    # is safe — and everything already completed stays
-                    # completed.
-                    mode = "serial-fallback"
-                    remaining = [job for job in pending
-                                 if results[job[0]] is None]
-                    _run_serial(remaining, on_complete)
-            else:
-                _run_serial(pending, on_complete)
-        finally:
-            _WORKER_STATE["factory"] = None
-            _WORKER_STATE["seeded_factory"] = None
-            _WORKER_STATE["parent_pid"] = None
+        if engine != "interpreted":
+            from repro.compile import COMPILE_MIN_LANES, run_compiled_pending
+            min_lanes = 1
+            if engine == "auto":
+                min_lanes = COMPILE_MIN_LANES * _pool_width(
+                    max_workers, len(pending))
+            pending, compiled_groups, small_groups = \
+                run_compiled_pending(design_factory, seeded_factory,
+                                     pending, on_complete, diagnostics,
+                                     execute, min_lanes=min_lanes)
+            batch_span.set(compiled_groups=compiled_groups,
+                           small_groups=small_groups)
+            if not pending:
+                mode = "compiled"
+        n_workers = min(max_workers, len(pending))
+        if _pool_width(max_workers, len(pending)) >= 2:
+            exe = _BatchExecutor(n_workers, pool_policy, on_complete,
+                                 diagnostics, batch_span)
+            _WORKER_STATE["factory"] = design_factory
+            _WORKER_STATE["seeded_factory"] = seeded_factory
+            _WORKER_STATE["parent_pid"] = os.getpid()
+            try:
+                mode = "pool"
+                leftovers = exe.run_shared(pending)
+                if leftovers:
+                    exe._note_respawn()
+                    exe.run_isolated(leftovers)
+                if exe.serial_jobs:
+                    exe.serial_jobs.sort(key=lambda job: job[0])
+                    run_serial(exe.serial_jobs)
+                if exe.recovered:
+                    mode = "pool-recovered"
+                fatal = exe.fatal
+                batch_span.set(retries=exe.n_retries,
+                               quarantined=exe.n_quarantined,
+                               respawns=exe.n_respawns)
+            except OSError:
+                # Pool infrastructure unavailable (fork failure):
+                # jobs are pure, so running the remainder serially
+                # is safe — and everything already completed stays
+                # completed.
+                mode = "serial-fallback"
+                remaining = [job for job in pending
+                             if results[job[0]] is None]
+                run_serial(remaining)
+            finally:
+                _WORKER_STATE["factory"] = None
+                _WORKER_STATE["seeded_factory"] = None
+                _WORKER_STATE["parent_pid"] = None
+        else:
+            run_serial(pending)
         batch_span.set(mode=mode, workers=n_workers,
                        executed=len(executed))
 

@@ -31,10 +31,9 @@ from dataclasses import dataclass, field
 
 from repro.core.dtype import DType
 from repro.core.errors import DesignError, RefinementError
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.parallel.runner import SimCache, SimConfig, run_simulations
 from repro.refine.lsbrules import LsbPolicy, decide_lsb, detect_divergence
-from repro.refine.monitors import collect
 from repro.refine.msbrules import MsbPolicy, decide_msb
 from repro.refine.report import (format_lsb_table, format_msb_table,
                                  format_types_table)
@@ -284,37 +283,46 @@ class RefinementFlow:
         self.user_errors = dict(user_errors or {})
         self.preset_types = dict(preset_types or {})
         self.cfg = config if config is not None else FlowConfig()
+        #: result cache of the run() in progress (None outside run()).
+        self._cache = None
 
     # -- simulation helper -------------------------------------------------
 
     def _simulate(self, annotations, label, config=None):
+        """One monitored simulation, as a one-job :func:`run_simulations`
+        batch; returns its :class:`~repro.parallel.SimOutcome`.
+
+        Every flow simulation takes the error-statistics snapshot at
+        ``n_samples // 2`` (the divergence growth test), so an LSB
+        iteration that repeats the last MSB iteration's annotations is
+        the same job, served from the run's cache.
+        """
         cfg = config if config is not None else self.cfg
-        ctx = DesignContext(label, seed=cfg.seed, overflow_action="record",
-                            guard_action=cfg.guard_action,
-                            guard_replacement=cfg.guard_replacement)
-        if cfg.max_watchdog_cycles or cfg.max_wall_seconds:
-            from repro.robust.guards import Watchdog
-            ctx.watchdog = Watchdog(max_cycles=cfg.max_watchdog_cycles,
-                                    max_seconds=cfg.max_wall_seconds)
+        job = SimConfig(label=label, dtypes=annotations.dtypes,
+                        ranges=annotations.ranges, errors=annotations.errors,
+                        n_samples=cfg.n_samples, seed=cfg.seed,
+                        guard_action=cfg.guard_action,
+                        guard_replacement=cfg.guard_replacement,
+                        snapshot_errors=True,
+                        max_watchdog_cycles=cfg.max_watchdog_cycles,
+                        max_wall_seconds=cfg.max_wall_seconds)
+        cache = self._cache
+        hits = cache.hits if cache is not None else 0
         with obs_trace.span("refine.simulate", label=label,
                             samples=cfg.n_samples) as sp:
-            with ctx:
-                design = self.factory()
-                design.build(ctx)
-                annotations.apply(ctx)
-                half = max(1, cfg.n_samples // 2)
-                design.run(ctx, half)
-                snapshot = ctx.snapshot_error_stats()
-                design.run(ctx, cfg.n_samples - half)
-            sp.set(signals=len(ctx), guard_trips=ctx.guard_trip_count,
-                   overflows=len(ctx.overflow_log))
-            obs_metrics.emit(ctx, label=label)
-        return ctx, design, collect(ctx), snapshot
+            outcome, = run_simulations(self.factory, [job], workers=1,
+                                       cache=cache)
+            sp.set(signals=len(outcome.records),
+                   guard_trips=outcome.guard_trips,
+                   overflows=sum(r.overflow_count
+                                 for r in outcome.records.values()),
+                   cached=cache is not None and cache.hits > hits)
+        return outcome
 
     @staticmethod
-    def _absorb_guards(diagnostics, ctx, label):
+    def _absorb_guards(diagnostics, outcome, label):
         if diagnostics is not None:
-            diagnostics.absorb_guards(ctx, label)
+            diagnostics.absorb_guards(outcome, label)
 
     def _fixed_names(self, all_names):
         """Signals whose types are user-given (never refined)."""
@@ -347,9 +355,10 @@ class RefinementFlow:
             ann = Annotations(
                 dtypes={**self.input_types, **self.preset_types},
                 ranges=ranges)
-            ctx, _, records, _ = self._simulate(ann, "msb-iter-%d" % it,
-                                                config=cfg)
-            self._absorb_guards(diagnostics, ctx, "msb-iter-%d" % it)
+            label = "msb-iter-%d" % it
+            outcome = self._simulate(ann, label, config=cfg)
+            self._absorb_guards(diagnostics, outcome, label)
+            records = outcome.records
             decisions = {name: decide_msb(rec, cfg.msb_policy)
                          for name, rec in records.items()}
             exploded = [name for name, d in decisions.items()
@@ -434,9 +443,10 @@ class RefinementFlow:
             ann = Annotations(
                 dtypes={**self.input_types, **self.preset_types},
                 ranges=ranges, errors=errors)
-            ctx, design, records, snap = self._simulate(
-                ann, "lsb-iter-%d" % it, config=cfg)
-            self._absorb_guards(diagnostics, ctx, "lsb-iter-%d" % it)
+            label = "lsb-iter-%d" % it
+            outcome = self._simulate(ann, label, config=cfg)
+            self._absorb_guards(diagnostics, outcome, label)
+            records, snap = outcome.records, outcome.error_snapshot
             # Inputs cannot diverge (their error IS the input
             # quantization), but preset-typed signals can — e.g. a
             # wrap-typed NCO phase whose float reference runs off.
@@ -466,7 +476,7 @@ class RefinementFlow:
                         added[name] = self._auto_error_q(cfg)
             iterations.append(LsbIteration(it, records, decisions,
                                            dict(divergent), dict(added)))
-            out = getattr(design, "output", None)
+            out = outcome.output
             sqnr = (records[out].sqnr_db()
                     if out and out in records else float("nan"))
             sp.set(divergent=len(divergent), annotated=len(added))
@@ -547,9 +557,9 @@ class RefinementFlow:
             dtypes={**types, **self.input_types, **self.preset_types},
             errors=errors)
         with obs_trace.span("refine.verify", types=len(types)) as sp:
-            ctx, design, records, _ = self._simulate(ann, "verify")
-            self._absorb_guards(diagnostics, ctx, "verify")
-            output = getattr(design, "output", None)
+            outcome = self._simulate(ann, "verify")
+            self._absorb_guards(diagnostics, outcome, "verify")
+            records, output = outcome.records, outcome.output
             sqnr = records[output].sqnr_db() if output else float("nan")
             overflow_signals = {}
             wrap_events = {}
@@ -584,9 +594,9 @@ class RefinementFlow:
         ann = Annotations(
             dtypes={**self.input_types, **self.preset_types}, errors=errors)
         with obs_trace.span("refine.baseline") as sp:
-            ctx, design, records, _ = self._simulate(ann, "baseline")
-            self._absorb_guards(diagnostics, ctx, "baseline")
-            output = getattr(design, "output", None)
+            outcome = self._simulate(ann, "baseline")
+            self._absorb_guards(diagnostics, outcome, "baseline")
+            records, output = outcome.records, outcome.output
             if not output or output not in records:
                 if diagnostics is not None:
                     diagnostics.add("baseline", "info", None,
@@ -746,6 +756,12 @@ class RefinementFlow:
         checkpoint written by a different flow setup (other factory,
         config, annotations or strictness) is ignored, with a warning
         diagnostic, rather than half-resumed.
+
+        Every simulation of the run goes through one
+        :class:`~repro.parallel.SimCache`, created for this call, so a
+        stage that repeats an earlier stage's job (the first LSB
+        iteration after a resolved MSB phase) is served from it.
+        Nothing is cached between runs.
         """
         from repro.obs import counters as obs_counters
         from repro.robust.diagnostics import Diagnostics
@@ -791,42 +807,46 @@ class RefinementFlow:
         run_span = obs_trace.span(
             "refine.run", strict=strict,
             design=getattr(self.factory, "__name__", str(self.factory)))
-        with run_span:
-            if self.cfg.lint_design:
-                stage("lint", lambda: bool(self._lint_into(diag)))
-            if self.cfg.verify_design:
-                stage("verify_static",
-                      lambda: bool(self._verify_into(diag)))
-            baseline = stage("baseline",
-                             lambda: self.baseline_sqnr(diagnostics=diag))
-            if strict:
-                msb = stage("msb",
-                            lambda: self.run_msb_phase(diagnostics=diag))
-                lsb = stage("lsb", lambda: self.run_lsb_phase(
-                    msb.annotations, diagnostics=diag))
-                types = stage("types",
-                              lambda: self.synthesize_types(msb, lsb))
-                fallbacks = {}
-            else:
-                from repro.robust.retry import run_graceful
+        self._cache = SimCache()
+        try:
+            with run_span:
+                if self.cfg.lint_design:
+                    stage("lint", lambda: bool(self._lint_into(diag)))
+                if self.cfg.verify_design:
+                    stage("verify_static",
+                          lambda: bool(self._verify_into(diag)))
+                baseline = stage("baseline",
+                                 lambda: self.baseline_sqnr(diagnostics=diag))
+                if strict:
+                    msb = stage("msb",
+                                lambda: self.run_msb_phase(diagnostics=diag))
+                    lsb = stage("lsb", lambda: self.run_lsb_phase(
+                        msb.annotations, diagnostics=diag))
+                    types = stage("types",
+                                  lambda: self.synthesize_types(msb, lsb))
+                    fallbacks = {}
+                else:
+                    from repro.robust.retry import run_graceful
 
-                msb, lsb, types, fallbacks = stage(
-                    "graceful", lambda: run_graceful(
-                        self, diag, self.cfg.escalation))
+                    msb, lsb, types, fallbacks = stage(
+                        "graceful", lambda: run_graceful(
+                            self, diag, self.cfg.escalation))
 
-            def verify_stage():
-                verification = self.verify(types, lsb, diagnostics=diag)
-                if verification.total_overflows:
-                    diag.add("verification", "warning", None,
-                             "%d overflow(s) on non-wrap types during "
-                             "verification" % verification.total_overflows,
-                             overflows=verification.total_overflows)
-                return verification
+                def verify_stage():
+                    verification = self.verify(types, lsb, diagnostics=diag)
+                    if verification.total_overflows:
+                        diag.add("verification", "warning", None,
+                                 "%d overflow(s) on non-wrap types during "
+                                 "verification" % verification.total_overflows,
+                                 overflows=verification.total_overflows)
+                    return verification
 
-            verification = stage("verification", verify_stage)
-            run_span.set(types=len(types), fallbacks=len(fallbacks),
-                         sqnr_db=verification.output_sqnr_db,
-                         diagnostics=len(diag))
+                verification = stage("verification", verify_stage)
+                run_span.set(types=len(types), fallbacks=len(fallbacks),
+                             sqnr_db=verification.output_sqnr_db,
+                             diagnostics=len(diag))
+        finally:
+            self._cache = None
         return RefinementResult(msb, lsb, types, verification, baseline,
                                 diagnostics=diag, fallbacks=fallbacks)
 

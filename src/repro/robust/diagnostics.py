@@ -106,12 +106,18 @@ class Diagnostics:
         self.events.append(ev)
         return ev
 
-    def absorb_guards(self, ctx, phase):
-        """Fold a context's guard log into per-signal guard events."""
-        if ctx.guard_trip_count == 0:
+    def absorb_guards(self, outcome, phase):
+        """Fold a simulation outcome's guard log into per-signal guard
+        events (``outcome`` is a :class:`~repro.parallel.SimOutcome`).
+
+        The events are labelled with ``phase``, not with the outcome's
+        own label, so an outcome served from the cache reports under the
+        stage that asked for it.
+        """
+        if outcome.guard_trips == 0:
             return
         per_signal = {}
-        for ev in ctx.guard_log:
+        for ev in outcome.guard_events:
             per_signal.setdefault(ev.signal, []).append(ev)
         for name, evs in per_signal.items():
             first = evs[0]
@@ -120,7 +126,7 @@ class Diagnostics:
                      "(first at cycle %d: fx=%r)"
                      % (len(evs), phase, first.cycle, first.fx),
                      phase=phase, count=len(evs), first_cycle=first.cycle)
-        untracked = ctx.guard_trip_count - len(ctx.guard_log)
+        untracked = outcome.guard_trips - len(outcome.guard_events)
         if untracked > 0:
             self.add("guard", "warning", None,
                      "%d further guard trip(s) during %s beyond the "

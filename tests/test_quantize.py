@@ -128,6 +128,17 @@ class TestQuantizeArray:
                            rounding=rounding) for v in values]
         np.testing.assert_array_equal(got, np.asarray(want))
 
+    def test_wrap_exact_at_53_bits(self):
+        # A negative code wraps to a remainder just below 2**53; folding
+        # it back must not round through a 54-bit intermediate.
+        values = np.array([536870912.0, -1e-38, -3.0, 2.0 ** 30 + 0.5])
+        got = q.quantize_array(values, 53, 23, signed=True,
+                               overflow="wrap", rounding="floor")
+        want = [q.quantize_info(float(v), 53, 23, signed=True,
+                                overflow="wrap", rounding="floor").value
+                for v in values]
+        np.testing.assert_array_equal(got, np.asarray(want))
+
     def test_overflow_count_reported(self):
         out = []
         q.quantize_array(np.array([0.0, 10.0, -10.0, 1.0]), 8, 5,

@@ -269,6 +269,16 @@ class TestGuardedFlow:
         assert res.diagnostics.guard_trips >= 4
         assert np.isfinite(res.verification.output_sqnr_db)
 
+    def test_cache_served_stage_reports_its_own_guards(self):
+        # NanBurst's MSB phase resolves in one iteration, so lsb-iter-1
+        # repeats msb-iter-1's job and is served from the run's cache;
+        # its guard trips must still be reported under its own label.
+        cfg = FlowConfig(n_samples=1000, seed=9, guard_action="record")
+        res = _flow(NanBurstDesign, config=cfg).run()
+        phases = [e.data["phase"]
+                  for e in res.diagnostics.by_category("guard")]
+        assert phases == ["baseline", "msb-iter-1", "lsb-iter-1", "verify"]
+
     def test_watchdog_bounds_flow_simulation(self):
         cfg = FlowConfig(n_samples=5000, seed=9, max_watchdog_cycles=200)
         with pytest.raises(WatchdogTimeout):
