@@ -435,7 +435,10 @@ def fingerprint(design_factory, config, seeded_factory=None,
     tuned between sessions.  ``snapshot_errors`` and
     ``guard_replacement`` enter the key only when they differ from
     their defaults, so keys of configs that leave them alone are
-    unchanged from before the fields existed.
+    unchanged from before the fields existed.  Range bounds and error
+    amplitudes are keyed as floats, the values the simulation applies,
+    so ``(-1, 1)``, ``[-1, 1]`` and ``(-1.0, 1.0)`` share a key (and
+    float-tuple keys are unchanged from before the normalization).
 
     ``engine="compiled"`` (and ``"auto"``, which may lower the job)
     folds the engine identity *and* the compiler version into the key:
@@ -467,8 +470,9 @@ def fingerprint(design_factory, config, seeded_factory=None,
         feed("factory_seed", config.factory_seed)
     feed("dtypes", sorted((k, _dtype_key(v))
                           for k, v in config.dtypes.items()))
-    feed("ranges", sorted(config.ranges.items()))
-    feed("errors", sorted(config.errors.items()))
+    feed("ranges", sorted((k, (float(lo), float(hi)))
+                          for k, (lo, hi) in config.ranges.items()))
+    feed("errors", sorted((k, float(q)) for k, q in config.errors.items()))
     feed("n_samples", config.n_samples)
     feed("seed", config.seed)
     feed("overflow", config.overflow_action)

@@ -231,7 +231,9 @@ class RefinementResult:
     lsb: PhaseResult
     types: dict
     verification: VerificationResult
-    baseline_sqnr_db: float    # inputs-only quantization (pre-refinement)
+    #: inputs-only quantization (pre-refinement), input ranges applied;
+    #: without user errors on given signals it is msb-iter-1's job.
+    baseline_sqnr_db: float
     #: structured per-run events (repro.robust.diagnostics.Diagnostics);
     #: populated by run(), None when phases were driven by hand.
     diagnostics: object = None
@@ -583,16 +585,21 @@ class RefinementFlow:
     def baseline_sqnr(self, diagnostics=None):
         """Output SQNR with only the given types applied (pre-refinement).
 
-        Runs a dedicated inputs-only simulation: input and preset types
-        are applied, plus the *user-given* ``error()`` annotations of
-        those same signals (part of the a-priori partial type
-        definition) — but none of the annotations the flow derived.
+        Runs an inputs-only simulation: input and preset types and the
+        input ranges are applied, plus the *user-given* ``error()``
+        annotations of those same signals (all part of the a-priori
+        partial type definition) — but none of the annotations the flow
+        derived.  Ranges only seed interval propagation, so they leave
+        the SQNR unchanged; with them, the job is the first MSB
+        iteration's whenever no such user errors apply, and ``run()``
+        serves that iteration from its cache.
         """
         given = expand_names(set(self.input_types) | set(self.preset_types),
                              set(self.user_errors))
         errors = {k: v for k, v in self.user_errors.items() if k in given}
         ann = Annotations(
-            dtypes={**self.input_types, **self.preset_types}, errors=errors)
+            dtypes={**self.input_types, **self.preset_types},
+            ranges=self.input_ranges, errors=errors)
         with obs_trace.span("refine.baseline") as sp:
             outcome = self._simulate(ann, "baseline")
             self._absorb_guards(diagnostics, outcome, "baseline")

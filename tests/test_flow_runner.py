@@ -2,9 +2,10 @@
 
 Every ``RefinementFlow`` simulation is a one-job ``run_simulations``
 batch with the mid-run error snapshot requested, through a cache scoped
-to the ``run()`` call.  On the paper's LMS flow (E8) the first LSB
-iteration repeats the last MSB iteration's job and is served from that
-cache.
+to the ``run()`` call.  On the paper's LMS flow (E8) the first MSB
+iteration repeats the baseline's job (both apply only the input types
+and ranges) and the first LSB iteration repeats the last MSB
+iteration's job; both are served from that cache.
 """
 
 import numpy as np
@@ -67,21 +68,20 @@ def e8():
 
 
 class TestE8Flow:
-    def test_four_executions_one_cache_hit(self, e8):
+    def test_three_executions_two_cache_hits(self, e8):
         stats = e8["stats"]
-        assert stats["misses"] == 4
-        assert stats["hits"] == 1
+        assert stats["misses"] == 3
+        assert stats["hits"] == 2
         executed = [e["label"] for e in e8["events"]
                     if e["kind"] == "span_start"
                     and e["name"] == "parallel.job"]
-        assert executed == ["baseline", "msb-iter-1", "msb-iter-2",
-                            "verify"]
+        assert executed == ["baseline", "msb-iter-2", "verify"]
 
     def test_simulate_span_marks_the_cached_stage(self, e8):
         spans = {e["label"]: e["cached"] for e in e8["events"]
                  if e["kind"] == "span_end"
                  and e["name"] == "refine.simulate"}
-        assert spans == {"baseline": False, "msb-iter-1": False,
+        assert spans == {"baseline": False, "msb-iter-1": True,
                          "msb-iter-2": False, "lsb-iter-1": True,
                          "verify": False}
 
@@ -91,6 +91,13 @@ class TestE8Flow:
         res = e8["res"]
         assert (res.msb.n_iterations, res.lsb.n_iterations) == (2, 1)
         assert round(res.verification.output_sqnr_db, 3) == 39.398
+
+    def test_baseline_shares_msb_iter_1s_job(self, e8):
+        outcomes = e8["flow"].outcomes
+        assert _same(outcomes["baseline"].records,
+                     outcomes["msb-iter-1"].records)
+        # Bit-identical to the baseline run without the input ranges.
+        assert repr(e8["res"].baseline_sqnr_db) == "40.82264299647023"
 
     def test_cached_lsb_stage_equals_a_fresh_execution(self, e8):
         served = e8["flow"].outcomes["lsb-iter-1"]
@@ -117,8 +124,9 @@ class TestE8Flow:
         cached = [e["cached"] for e in rec.events
                   if e["kind"] == "span_end"
                   and e["name"] == "refine.simulate"]
-        # baseline, msb-iter-1, lsb-iter-1 (cached), verify — per run.
-        assert cached == [False, False, True, False] * 2
+        # baseline, msb-iter-1 (cached), lsb-iter-1 (cached), verify —
+        # per run.
+        assert cached == [False, True, True, False] * 2
         assert flow._cache is None
 
 
@@ -138,6 +146,23 @@ class ScaleDesign(Design):
             self.x.assign(next(self._stim))
             self.y.assign(self.x * 0.5 + 0.25)
             ctx.tick()
+
+
+class TestBaselineJob:
+    def test_user_error_on_an_input_keeps_the_baseline_separate(self):
+        # The baseline applies the user's error() on x, msb-iter-1 does
+        # not: the jobs differ and both execute.
+        flow = RecordingFlow(
+            ScaleDesign, input_types={"x": T_IN},
+            input_ranges={"x": (-1, 1)}, user_errors={"x": 2.0 ** -6},
+            config=FlowConfig(n_samples=200, seed=9, lint_design=False))
+        res = flow.run()
+        assert flow.run_cache.stats()["misses"] == 3
+        assert flow.run_cache.stats()["hits"] == 1
+        assert not _same(flow.outcomes["baseline"].records,
+                         flow.outcomes["msb-iter-1"].records)
+        # Same value as the baseline run without the input ranges.
+        assert repr(res.baseline_sqnr_db) == "44.55329740661305"
 
 
 class TestWatchdogBudgets:
@@ -183,6 +208,28 @@ class TestFingerprintPins:
         snap = fingerprint(_pinned, SimConfig(snapshot_errors=True))
         zero = fingerprint(_pinned, SimConfig(guard_replacement="zero"))
         assert len({base, snap, zero}) == 3
+
+    def test_float_range_and_error_keys_are_unchanged(self):
+        # Digest from before ranges and errors were normalized to floats.
+        cfg = SimConfig(ranges={"x": (-1.5, 1.5), "b": (-0.2, 0.2)},
+                        errors={"y": 0.25})
+        assert fingerprint(_pinned, cfg) == (
+            "81ef58bff56814ef569297badac185e6"
+            "91d639e6b375853ad713087e93f87df0")
+
+    def test_equal_range_spellings_share_a_key(self):
+        spellings = [(-1, 1), [-1, 1], (-1.0, 1.0),
+                     (np.float64(-1), np.float64(1))]
+        keys = {fingerprint(_pinned, SimConfig(ranges={"x": r}))
+                for r in spellings}
+        assert len(keys) == 1
+        other = fingerprint(_pinned, SimConfig(ranges={"x": (-1, 2)}))
+        assert other not in keys
+
+    def test_equal_error_spellings_share_a_key(self):
+        keys = {fingerprint(_pinned, SimConfig(errors={"y": q}))
+                for q in (1, 1.0, np.float64(1))}
+        assert len(keys) == 1
 
     def test_float_preset_type_is_fingerprinted(self):
         # preset_types={"y": None} keeps y floating point; the flow's
