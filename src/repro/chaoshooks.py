@@ -100,14 +100,6 @@ class ChaosHooks:
         make it vanish (a simulated concurrent eviction)."""
         return False
 
-    # -- refinement service ------------------------------------------------
-
-    def on_service_dispatch(self, jobs):
-        """The service scheduler took ``jobs`` off the queue (their
-        accepted records are journaled) and is about to hand them to
-        the batch runner; may raise :class:`ChaosCrash` to simulate a
-        scheduler death between accept and dispatch."""
-
     # -- checkpoints -------------------------------------------------------
 
     def on_checkpoint_save(self, checkpoint):

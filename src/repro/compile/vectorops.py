@@ -94,7 +94,8 @@ def vrange_update(rs, v, s1, mb):
     # Grid pre-check: a value already on the lane's 2^-fb grid cannot
     # raise frac_bits.  np.ldexp silently overflows to inf where
     # math.ldexp raises OverflowError; inf % 1.0 is nan != 0, so such
-    # lanes land in the exact scalar replay below, which re-raises.
+    # lanes land in the exact scalar replay below, which skips them as
+    # ``RangeStat.update`` does (a value that large is an integer).
     np.ldexp(v, rs.fb, out=s1)
     np.mod(s1, 1.0, out=s1)
     np.not_equal(s1, 0.0, out=mb)
@@ -107,9 +108,7 @@ def vrange_update(rs, v, s1, mb):
             try:
                 scaled = math.ldexp(value, fb)
             except OverflowError:
-                raise CompileFallback(
-                    "frac-bits probe overflow (the interpreted engine "
-                    "raises here)")
+                continue
             if scaled % 1.0 != 0.0:
                 nfb = word.needed_frac_bits(value, cap=_FRAC_CAP)
                 if nfb > fb:

@@ -173,60 +173,3 @@ class DeadlockError(SimulationError):
 
 class RefinementError(ReproError):
     """The refinement flow could not converge or was misconfigured."""
-
-
-class ServiceError(ReproError):
-    """Base class for :mod:`repro.service` failures."""
-
-
-class AdmissionError(ServiceError):
-    """A submission was rejected at the service's admission boundary.
-
-    Rejections are *deterministic load shedding*, not transient chaos:
-    the service tells the caller exactly why it refused the job and —
-    through :attr:`retry_after` — when a retry has a chance of being
-    admitted.  Subclasses name the specific boundary that rejected.
-    """
-
-    def __init__(self, message, tenant=None, retry_after=None):
-        super().__init__(message)
-        #: tenant whose submission was rejected.
-        self.tenant = tenant
-        #: seconds until a retry can plausibly be admitted (None when
-        #: unknown, e.g. waiting on another tenant's queue to drain).
-        self.retry_after = retry_after
-
-
-class QuotaExceeded(AdmissionError):
-    """The tenant's token-bucket quota is exhausted.
-
-    ``retry_after`` is the bucket's own estimate of when one token will
-    have refilled — honoring it makes a well-behaved client converge on
-    exactly its provisioned rate.
-    """
-
-
-class QueueFull(AdmissionError):
-    """The service's bounded queue (tenant or global) is at capacity.
-
-    Raised instead of accepting-and-degrading: a full queue sheds the
-    *new* submission deterministically so already-accepted jobs keep
-    their latency, and an unaffected tenant's lane stays unaffected.
-    """
-
-
-class CircuitOpen(AdmissionError):
-    """The tenant's circuit breaker is open after repeated poison jobs.
-
-    A tenant whose jobs keep crashing workers is isolated instead of
-    being allowed to grind the shared pool; ``retry_after`` reports when
-    the breaker half-opens for a probe job.
-    """
-
-
-class JobNotFound(ServiceError):
-    """An unknown (or already evicted) job id was queried."""
-
-
-class JobCancelled(ServiceError):
-    """The queried job was cancelled before producing a result."""

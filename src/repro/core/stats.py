@@ -50,8 +50,13 @@ class RangeStat:
         fb = self.frac_bits
         if fb < self.FRAC_CAP:
             # Values already on the current 2**-fb grid (the common case
-            # once a signal is quantized) cannot raise frac_bits.
-            scaled = math.ldexp(value, fb)
+            # once a signal is quantized) cannot raise frac_bits.  A value
+            # too large to scale is a float beyond 2**53: an integer, on
+            # every grid.
+            try:
+                scaled = math.ldexp(value, fb)
+            except OverflowError:
+                return
             if scaled % 1.0 != 0.0:
                 nfb = word.needed_frac_bits(value, cap=self.FRAC_CAP)
                 if nfb > fb:

@@ -68,11 +68,6 @@ def build_parser():
                          "on regression")
     pm.add_argument("--journal", metavar="PATH",
                     help="write-ahead journal for bit-exact resume")
-    pm.add_argument("--service", metavar="DIR", nargs="?", const="",
-                    default=None,
-                    help="run the grid through repro.service as tenant "
-                         "'gallery' (optional DIR = durable service "
-                         "root; default scratch)")
     pm.add_argument("--designs", action="append", default=[],
                     metavar="NAME", help="subset of designs (csv ok)")
     pm.add_argument("--channels", action="append", default=[],
@@ -139,26 +134,13 @@ def _cmd_run(args):
 
 
 def _cmd_matrix(args):
-    smoke = not args.full
-    service = None
-    if args.service is not None:
-        from repro.service import RefinementService
-        service = RefinementService(root=args.service or None,
-                                    workers=args.workers)
-    try:
-        result = run_matrix(
-            designs=_split_csv(args.designs) or None,
-            channels=_split_csv(args.channels) or None,
-            campaigns=_split_csv(args.campaigns) or None,
-            seeds=[int(s) for s in _split_csv(args.seeds)] or None,
-            n_samples=args.samples, smoke=smoke, journal=args.journal,
-            workers=args.workers, service=service)
-    finally:
-        if service is not None:
-            print("service stats: %d job(s), %d dedupe hit(s)"
-                  % (len(service.jobs()),
-                     service.store.dedupe_hits))
-            service.close()
+    result = run_matrix(
+        designs=_split_csv(args.designs) or None,
+        channels=_split_csv(args.channels) or None,
+        campaigns=_split_csv(args.campaigns) or None,
+        seeds=[int(s) for s in _split_csv(args.seeds)] or None,
+        n_samples=args.samples, smoke=not args.full, journal=args.journal,
+        workers=args.workers)
     print(result.summary())
     if args.out:
         write_artifact(result, args.out)

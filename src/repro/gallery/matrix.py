@@ -193,7 +193,7 @@ def matrix_digest(cells, design_reports):
 
 def run_matrix(designs=None, channels=None, campaigns=None, seeds=None,
                n_samples=None, smoke=True, journal=None, workers=None,
-               analyze=True, verify_backend="enumeration", service=None):
+               analyze=True, verify_backend="enumeration"):
     """Run the scenario matrix; returns a :class:`MatrixResult`.
 
     Axes default to :data:`SMOKE_AXES` (``smoke=True``, the pinned CI
@@ -201,14 +201,6 @@ def run_matrix(designs=None, channels=None, campaigns=None, seeds=None,
     the run resumable: completed cells replay bit-exactly on a rerun.
     ``analyze=False`` skips the per-design lint/verify/reference pass
     (the resume tests exercise only the simulation grid).
-
-    ``service`` (a :class:`repro.service.RefinementService`) routes
-    every (design, channel) batch through the service as tenant
-    ``"gallery"`` instead of calling the runner directly — same
-    outcomes, bit-exactly, but with the service's admission control,
-    content-store dedupe and submission-journal durability applied per
-    cell.  The service owns its own result store, so ``journal`` is
-    ignored in that mode.
     """
     axes = SMOKE_AXES if smoke else FULL_AXES
     reg = gallery()
@@ -256,18 +248,11 @@ def run_matrix(designs=None, channels=None, campaigns=None, seeds=None,
                             guard_action="record",
                             faults=faults, factory_seed=seed,
                             catch_errors=True))
-                    engine = "auto" if entry.compiled_ok else None
-                    if service is not None:
-                        outs = service.run_batch(
-                            factory(entry, spec), configs,
-                            seeded_factory=seeded_factory(entry, spec),
-                            engine=engine, tenant="gallery")
-                    else:
-                        outs = run_simulations(
-                            factory(entry, spec), configs,
-                            seeded_factory=seeded_factory(entry, spec),
-                            journal=journal, workers=workers,
-                            engine=engine)
+                    outs = run_simulations(
+                        factory(entry, spec), configs,
+                        seeded_factory=seeded_factory(entry, spec),
+                        journal=journal, workers=workers,
+                        engine="auto" if entry.compiled_ok else None)
                     for (camp, seed), cfg, out in zip(grid, configs,
                                                       outs):
                         cells.append(_cell_record(

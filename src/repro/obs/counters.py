@@ -74,24 +74,6 @@ Well-known names (all under ``parallel.`` / ``journal.`` /
 ``verify.replays``
     counterexamples re-executed bit-exactly through the interpreted
     engine before being reported.
-``service.submitted`` / ``service.accepted``
-    refinement-service submissions offered / admitted past all three
-    admission gates (see :mod:`repro.service`).
-``service.rejected_quota`` / ``service.rejected_queue`` /
-``service.rejected_breaker``
-    deterministic load shedding per boundary: token-bucket quota,
-    bounded queue (tenant or global), open circuit breaker.
-``service.dedupe_hits`` / ``service.coalesced`` / ``service.store_hits``
-    submissions served without a fresh simulation: total dedupe events,
-    the subset that attached to an in-flight computation, and
-    content-store lookups that hit (cache or journal tier).
-``service.completed`` / ``service.failed`` / ``service.cancelled``
-    jobs settled, by terminal state.
-``service.quarantined`` / ``service.breaker_trips``
-    tenant jobs quarantined as poison / circuit breakers tripped open.
-``service.recovered`` / ``service.deadline_hits``
-    accepted-but-unfinished jobs replayed from the submission journal
-    after a restart / jobs that hit their propagated deadline.
 """
 
 from __future__ import annotations

@@ -583,8 +583,8 @@ class SimCache:
         ``hit_rate`` (0.0 when the cache was never consulted).  The
         same tallies stream into the ``cache.hits`` / ``cache.misses``
         / ``cache.corrupt`` process-wide counters
-        (:mod:`repro.obs.counters`); this snapshot is the per-instance
-        view a service exposes per store.
+        (:mod:`repro.obs.counters`); this snapshot is the view of one
+        cache, e.g. the run-scoped cache of one refinement run.
         """
         total = self.hits + self.misses
         return {

@@ -24,8 +24,6 @@ stimuli misbehave:
   checks them over a ``{fault site} x {entry point}`` matrix.  Chaos is
   not imported here (it pulls in the whole refine stack); reach it via
   ``python -m repro.robust.chaos``.
-
-Run ``python -m repro.robust.selfcheck`` for an end-to-end smoke test.
 """
 
 from __future__ import annotations

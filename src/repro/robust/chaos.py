@@ -96,9 +96,6 @@ SITES = (
     "pool.break",              # all workers SIGKILLed mid-drain
     "checkpoint.torn_save",    # death after temp write, before rename
     "checkpoint.truncate",     # checkpoint file truncated on disk
-    "service.submit_torn",     # death mid submission-journal append
-    "service.result_corrupt",  # result-store record garbled on disk
-    "service.dispatch_crash",  # scheduler dies between accept and dispatch
 )
 
 #: Sites where phase 1 legitimately blames the victim job.
@@ -158,8 +155,6 @@ class ChaosInjector(ChaosHooks):
     # -- journal -----------------------------------------------------------
 
     def on_journal_write(self, journal, data):
-        if self.site in ("service.submit_torn", "service.result_corrupt"):
-            return self._on_service_journal_write(journal, data)
         if self.site not in ("journal.torn_write", "journal.enospc",
                              "journal.corrupt_record"):
             return data
@@ -189,48 +184,6 @@ class ChaosInjector(ChaosHooks):
             start = max(1, len(data) // 2)   # header line: tear it up
         garbled = data[:start] + "!!CHAOS!!" + data[start + 9:]
         self._record("journal.write", n, action="corrupt", offset=start)
-        return garbled
-
-    def _on_service_journal_write(self, journal, data):
-        """Service-boundary journal faults, addressed by journal *role*.
-
-        The service owns two journals in one directory; the role tag in
-        the journal header meta says which one a write belongs to, so
-        these sites perturb exactly the boundary they name and leave
-        the sibling journal untouched.
-        """
-        role = journal.meta.get("role") \
-            if isinstance(journal.meta, dict) else None
-        if self.site == "service.submit_torn":
-            if role != "service-submissions":
-                return data
-            n = self._tick("service.submit")
-            if n != self.trigger:
-                return data
-            cut = self.rng.randrange(1, max(2, len(data) - 1))
-            journal._fh.write(data[:cut])
-            journal._fh.flush()
-            self._record("service.submit", n, action="torn", cut=cut,
-                         length=len(data))
-            raise ChaosCrash("service died mid submission-journal "
-                             "append (%d of %d bytes hit disk)"
-                             % (cut, len(data)))
-        # service.result_corrupt: garble the result-store record so it
-        # stays JSON but fails its sha — the restarted store must drop
-        # it (and the tail) and recompute, bit-exactly.
-        if role != "service-results":
-            return data
-        n = self._tick("service.result")
-        if n != self.trigger:
-            return data
-        marker = '"payload": "'
-        pos = data.find(marker)
-        if pos >= 0:
-            start = pos + len(marker) + 8 + self.rng.randrange(8)
-        else:
-            start = max(1, len(data) // 2)
-        garbled = data[:start] + "!!CHAOS!!" + data[start + 9:]
-        self._record("service.result", n, action="corrupt", offset=start)
         return garbled
 
     def on_journal_fsync(self, journal):
@@ -303,18 +256,6 @@ class ChaosInjector(ChaosHooks):
             killed = _kill_pool_workers(pool)
             self._record("pool.drain", n, action="kill_workers",
                          workers=killed, delivered=n_delivered)
-
-    # -- refinement service ------------------------------------------------
-
-    def on_service_dispatch(self, jobs):
-        if self.site != "service.dispatch_crash":
-            return
-        n = self._tick("service.dispatch")
-        if n == self.trigger:
-            self._record("service.dispatch", n, action="crash",
-                         jobs=len(jobs))
-            raise ChaosCrash("scheduler died between accept and "
-                             "dispatch (%d job(s) taken)" % len(jobs))
 
     # -- checkpoints -------------------------------------------------------
 
@@ -490,45 +431,12 @@ def _entry_flow(workdir, workers, diag):
     return digest(result.types)
 
 
-def _entry_service(workdir, workers, diag):
-    """The refinement service, recover-then-resubmit.
-
-    Phase 2 is a faithful restarted service: it first replays the
-    submission journal (completing the predecessor's accepted jobs
-    from the store or re-running them), then re-submits the same batch
-    twice — once to exercise store dedupe against whatever survived,
-    once more to exercise in-memory coalescing.  ``max_batch=2``
-    splits the five jobs over three dispatches so dispatch-crash
-    triggers above 0 are addressable.
-    """
-    from repro.service import RefinementService
-    from repro.service.service import _factory_fp
-
-    svc = RefinementService(root=workdir, workers=workers,
-                            pool_policy=FAST_POLICY, max_batch=2)
-    configs = [SimConfig(label="svc%d" % i, dtypes=PROBE_TYPES,
-                         n_samples=96, seed=200 + i)
-               for i in range(5)]
-    try:
-        svc.recover(factories={_factory_fp(probe_factory):
-                               probe_factory})
-        svc.drain()
-        first = svc.run_batch(probe_factory, configs, tenant="chaos")
-        second = svc.run_batch(probe_factory, configs, tenant="chaos")
-        for ev in svc.diagnostics.events:
-            diag.events.append(ev)
-    finally:
-        svc.close()
-    return digest([batch_digest(first), batch_digest(second)])
-
-
 ENTRIES = {
     "run_simulations": _entry_run_simulations,
     "optimize_wordlengths": _entry_optimize,
     "analyze_sensitivity": _entry_sensitivity,
     "fault_campaign": _entry_campaign,
     "refinement_flow": _entry_flow,
-    "service_submit": _entry_service,
 }
 
 #: Which sites make sense against which entry.  Journal sites run the
@@ -551,9 +459,6 @@ SITE_ENTRIES = {
     "pool.break": ("run_simulations", "fault_campaign"),
     "checkpoint.torn_save": ("refinement_flow",),
     "checkpoint.truncate": ("refinement_flow",),
-    "service.submit_torn": ("service_submit",),
-    "service.result_corrupt": ("service_submit",),
-    "service.dispatch_crash": ("service_submit",),
 }
 
 
@@ -765,9 +670,6 @@ SMOKE_MATRIX = (
     ("fault_campaign", "journal.corrupt_record", 1, 15),
     ("refinement_flow", "checkpoint.torn_save", 2, 16),
     ("refinement_flow", "checkpoint.truncate", 1, 17),
-    ("service_submit", "service.submit_torn", 3, 18),
-    ("service_submit", "service.result_corrupt", 2, 19),
-    ("service_submit", "service.dispatch_crash", 0, 20),
 )
 
 #: Extra cells for the full (slow-marked) matrix: wider trigger and
@@ -790,9 +692,6 @@ FULL_EXTRA = (
     ("refinement_flow", "checkpoint.torn_save", 0, 35),
     ("refinement_flow", "checkpoint.torn_save", 4, 36),
     ("refinement_flow", "checkpoint.truncate", 3, 37),
-    ("service_submit", "service.submit_torn", 1, 38),
-    ("service_submit", "service.result_corrupt", 4, 39),
-    ("service_submit", "service.dispatch_crash", 1, 40),
 )
 
 

@@ -48,13 +48,9 @@ CATEGORY_CODES = {
     "verify-proved": "DG210",
     "verify-counterexample": "DG211",
     "verify-unknown": "DG212",
-    # Refinement-as-a-service (repro.service).
-    "service-reject": "DG213",
-    "service-dedupe": "DG214",
-    "service-breaker": "DG215",
-    "service-recover": "DG216",
-    "service-quarantine": "DG217",
-    "service-cancel": "DG218",
+    # DG213-DG218 are retired (they named the removed refinement
+    # service's events) and must never be reused: the next new
+    # category takes DG219.
 }
 
 

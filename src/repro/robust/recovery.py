@@ -105,14 +105,15 @@ class Journal:
     runner calls at the end of every batch.
     """
 
-    def __init__(self, path, meta=None, sync=True, on_io_error="degrade",
+    def __init__(self, path, sync=True, on_io_error="degrade",
                  compact_threshold=None):
         if on_io_error not in ("degrade", "raise"):
             raise ValueError("on_io_error must be 'degrade' or 'raise', "
                              "got %r" % (on_io_error,))
         self.path = os.fspath(path)
         self.sync = bool(sync)
-        self.meta = dict(meta or {})
+        #: the header's ``meta`` map, carried through compaction.
+        self.meta = {}
         self.on_io_error = on_io_error
         self.compact_threshold = compact_threshold
         self.hits = 0

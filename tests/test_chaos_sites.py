@@ -3,6 +3,7 @@ durability-layer hardening they exercise: SimCache checksums, journal
 degrade-on-ENOSPC, journal compaction, and the chaos hook protocol."""
 
 import errno
+import json
 import os
 import pickle
 
@@ -176,6 +177,38 @@ class TestJournalCompaction:
         assert j.maybe_compact() == 0          # all records are live
         j.close()
 
+    def test_degrade_after_compaction_keeps_the_compacted_file(self,
+                                                               tmp_path):
+        path = str(tmp_path / "j.jsonl")
+        cfg = SimConfig(label="c", dtypes={"x": T8}, n_samples=64, seed=6)
+        out = run_simulations(Tiny, [cfg], workers=1, journal=path)[0]
+        j = Journal(path, compact_threshold=1)
+        key = next(iter(j.entries()))
+        j.append(key, out)                     # superseding duplicate
+        assert j.maybe_compact() == 1
+        os.close(j._fh.fileno())               # the rewritten handle dies
+        assert j.append(key + "-x", out)
+        assert j.degraded and j.get(key + "-x") is not None
+        j.close()
+        assert len(Journal(path)) == 1         # compacted file reloads
+
+    def test_compaction_keeps_an_existing_header_meta(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        j = Journal(str(path))
+        j.append("a", _outcome("a"))
+        j.close()
+        lines = path.read_text().split("\n")
+        header = json.loads(lines[0])
+        assert header["meta"] == {}            # what new journals write
+        header["meta"] = {"role": "results"}   # a journal written elsewhere
+        lines[0] = json.dumps(header, sort_keys=True)
+        path.write_text("\n".join(lines))
+        j = Journal(str(path))
+        j.append("a", _outcome("a", 2.0))
+        assert j.compact() == 1
+        j.close()
+        assert path.read_text().split("\n")[0] == lines[0]
+
     def test_runner_autocompacts_over_threshold(self, tmp_path):
         """A re-run batch with a tiny threshold triggers DG208."""
         from repro.robust.diagnostics import Diagnostics
@@ -308,53 +341,3 @@ class TestCompactContention:
         assert j.n_compact_skipped == 0
         j.close()
 
-
-class TestServiceFaultSites:
-    """The three service-boundary injector sites key on the journal's
-    role tag, so sibling journals in the same root stay untouched."""
-
-    def test_submit_torn_ignores_other_journals(self, tmp_path):
-        inj = ChaosInjector("service.submit_torn", trigger=0, seed=1)
-        plain = Journal(str(tmp_path / "plain.jsonl"))
-        with armed(inj):
-            assert plain.append("k", _outcome())    # untouched
-        assert not inj.events
-        plain.close()
-
-    def test_submit_torn_kills_the_submission_append(self, tmp_path):
-        inj = ChaosInjector("service.submit_torn", trigger=0, seed=1)
-        subs = Journal(str(tmp_path / "subs.jsonl"),
-                       meta={"role": "service-submissions"})
-        with armed(inj):
-            with pytest.raises(ChaosCrash):
-                subs.append("k", _outcome())
-        assert inj.events and inj.events[0]["action"] == "torn"
-
-    def test_result_corrupt_garbles_only_result_writes(self, tmp_path):
-        inj = ChaosInjector("service.result_corrupt", trigger=0, seed=1)
-        subs = Journal(str(tmp_path / "subs.jsonl"),
-                       meta={"role": "service-submissions"})
-        results = Journal(str(tmp_path / "res.jsonl"),
-                          meta={"role": "service-results"})
-        with armed(inj):
-            assert subs.append("s", _outcome("s"))
-            assert results.append("r", _outcome("r"))
-        subs.close()
-        results.close()
-        # The submissions journal replays clean; the damaged result
-        # record fails its sha on reopen and is dropped.
-        assert list(Journal(str(tmp_path / "subs.jsonl")).entries()) \
-            == ["s"]
-        reloaded = Journal(str(tmp_path / "res.jsonl"))
-        assert list(reloaded.entries()) == []
-        assert reloaded.n_dropped == 1
-
-    def test_dispatch_crash_fires_at_its_trigger(self):
-        inj = ChaosInjector("service.dispatch_crash", trigger=1, seed=2)
-        inj.on_service_dispatch(["job0"])           # occurrence 0: armed
-        with pytest.raises(ChaosCrash):
-            inj.on_service_dispatch(["job1", "job2"])
-        assert inj.events[0]["jobs"] == 2
-
-    def test_dispatch_hook_default_is_noop(self):
-        assert ChaosHooks().on_service_dispatch(["j"]) is None

@@ -8,12 +8,11 @@ import pytest
 import repro.compile as rc
 from repro.core.dtype import DType
 from repro.dsp.lms import LmsEqualizerDesign
-from repro.gallery.matrix import check_artifact, run_matrix
+from repro.gallery.matrix import run_matrix
 from repro.obs import counters, trace as obs_trace
 from repro.obs.events import Recorder
 from repro.parallel.runner import (SimConfig, _fork_available, fingerprint,
                                    run_simulations)
-from repro.service import RefinementService
 from repro.sim.engine import (ENGINE_CHOICES, default_engine, resolve_engine,
                               set_default_engine)
 from tests.test_property_compile import assert_records_equal
@@ -152,12 +151,3 @@ class TestGallery:
         assert counters.get("compile.small_groups") == 4
         # The cell keeps the registry's engine class.
         assert {c["engine"] for c in result.cells} == {"compiled"}
-
-    def test_service_matches_direct(self, tmp_path):
-        direct = run_matrix(**self.GRID)
-        with RefinementService(root=str(tmp_path), workers=0) as svc:
-            served = run_matrix(service=svc, **self.GRID)
-        assert served.digest() == direct.digest()
-        assert check_artifact(served.to_artifact(),
-                              direct.to_artifact()) == []
-        assert_same_outcomes(served.outcomes, direct.outcomes)

@@ -14,8 +14,9 @@ import pytest
 
 from repro.core.dtype import DType
 from repro.dsp.lms import LmsEqualizerDesign
-from repro.parallel import (SimCache, SimConfig, default_workers,
-                            fingerprint, run_simulations)
+from repro.obs import counters as obs_counters
+from repro.parallel import (SimCache, SimConfig, SimOutcome,
+                            default_workers, fingerprint, run_simulations)
 from repro.refine.flow import FlowConfig, RefinementFlow
 from repro.refine.sensitivity import analyze_sensitivity
 from repro.robust.faults import FaultCampaign, standard_faults
@@ -160,3 +161,21 @@ class TestCampaignDeterminism:
             assert _outcome_tuple(a) == _outcome_tuple(b)
         assert any(o.kind == "seed-perturb" for o in parallel.outcomes)
         assert all(o.completed for o in parallel.outcomes)
+
+
+class TestSimCacheStats:
+    def test_stats_tracks_hits_misses_and_rate(self):
+        obs_counters.reset()
+        cache = SimCache(max_entries=8)
+        out = SimOutcome(label="a", records={"v": 1.0}, output="v")
+        cache.put("k", out)
+        assert cache.get("k") is not None
+        assert cache.get("nope") is None
+        s = cache.stats()
+        assert s == {"entries": 1, "max_entries": 8, "hits": 1,
+                     "misses": 1, "n_corrupt": 0, "hit_rate": 0.5}
+        assert obs_counters.get("cache.hits") == 1
+        assert obs_counters.get("cache.misses") == 1
+
+    def test_never_consulted_has_zero_rate(self):
+        assert SimCache().stats()["hit_rate"] == 0.0

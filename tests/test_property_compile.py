@@ -16,7 +16,7 @@ or value-dependent control flow mid-run.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.compile import CompileFallback  # noqa: F401  (import check)
@@ -146,12 +146,19 @@ def test_batch_of_one():
 @given(maps=st.lists(dtype_map_st(LMS_SIGNALS), min_size=1, max_size=6),
        seeds=st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=3),
        lengths=st.lists(st.sampled_from([60, 90]), min_size=1, max_size=2))
+@example(maps=[{"y": DType("T", 14, 0, "us", "wrap", "round"),
+                "v[0]": DType("T", 2, 0, "tc", "saturate", "round"),
+                "v[1]": DType("T", 2, 0, "tc", "saturate", "round")}],
+         seeds=[1], lengths=[90])
 def test_ragged_parameter_grid(maps, seeds, lengths):
     # A ragged grid — differing seeds and sample counts — must split
     # into one compile group per (n_samples, seed, ...) key and still
-    # come back bit-identical, in config order.
+    # come back bit-identical, in config order.  Random formats can make
+    # the equalizer diverge (the example above overflows to inf at
+    # cycle 67), so errors are caught per config: a failed lane must
+    # fail identically and still leave the group count intact.
     configs = [SimConfig(label="g%d-%d-%d" % (i, s, n), dtypes=m,
-                         n_samples=n, seed=s)
+                         n_samples=n, seed=s, catch_errors=True)
                for i, m in enumerate(maps)
                for s in seeds for n in lengths]
     counters.reset()

@@ -126,6 +126,16 @@ class TestGuardPolicy:
         assert ctx.guard_replacement == "zero"
         assert ctx.guard_max_events == 7
 
+    def test_applied_policy_governs_assignments(self):
+        with DesignContext("t") as ctx:
+            GuardPolicy(action="sanitize", replacement="zero").apply_to(ctx)
+            s = Sig("s")
+            s.assign(0.5)
+            s.assign(float("inf"))
+        assert s.fx == 0.0
+        assert ctx.guard_trip_count == 1
+        assert ctx.guard_log == []
+
     def test_context_kwargs_roundtrip(self):
         kw = GuardPolicy(action="sanitize").context_kwargs()
         with DesignContext("t", **kw) as ctx:

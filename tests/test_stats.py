@@ -65,6 +65,16 @@ class TestRangeStat:
         rs.update(0.11)  # non-terminating in binary -> cap
         assert rs.frac_bits == RangeStat.FRAC_CAP
 
+    def test_huge_value_is_on_every_grid(self):
+        # ldexp(1e308, 2) overflows; a float that large is an integer, so
+        # it neither raises nor moves frac_bits.
+        rs = RangeStat()
+        rs.update(0.75)
+        rs.update(1e308)
+        assert rs.frac_bits == 2
+        assert rs.max == 1e308
+        assert rs.count == 2
+
 
 class TestErrorStat:
     def test_empty(self):
