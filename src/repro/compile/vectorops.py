@@ -338,11 +338,19 @@ def iv_vabs(a):
     return out_lo, out_hi
 
 
+def _div_end(x, y):
+    # inf / inf takes the infinity of the quotient's sign (_div_end).
+    q = np.divide(x, y)
+    return np.where(np.isnan(q),
+                    np.copysign(math.inf, x) * np.copysign(1.0, y), q)
+
+
 def iv_vdiv(a, b):
     crossing = np.logical_and(np.less_equal(b[0], 0.0),
                               np.less_equal(0.0, b[1]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        qs = (a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        qs = (_div_end(a[0], b[0]), _div_end(a[0], b[1]),
+              _div_end(a[1], b[0]), _div_end(a[1], b[1]))
         lo = hi = qs[0]
         for q in qs[1:]:
             lo = np.where(np.less(q, lo), q, lo)

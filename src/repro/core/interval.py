@@ -30,6 +30,20 @@ def _mul_end(a, b):
     return a * b
 
 
+def _div_end(a, b):
+    """Divide interval end-points, defining inf / inf by its sign.
+
+    Both operands infinite is the only NaN quotient (zero divisors are
+    excluded by the caller).  Its sound value is the infinity carrying
+    the quotient's sign: a numerator that outgrows its denominator
+    drives the quotient to that extreme.
+    """
+    q = a / b
+    if q != q:
+        return math.copysign(math.inf, a) * math.copysign(1.0, b)
+    return q
+
+
 class Interval:
     """A closed real interval ``[lo, hi]``, possibly empty or unbounded."""
 
@@ -203,8 +217,8 @@ class Interval:
             if o.lo <= 0.0 <= o.hi:
                 # Divisor range crosses (or touches) zero: unbounded result.
                 return Interval.full()
-            quotients = (self.lo / o.lo, self.lo / o.hi,
-                         self.hi / o.lo, self.hi / o.hi)
+            quotients = (_div_end(self.lo, o.lo), _div_end(self.lo, o.hi),
+                         _div_end(self.hi, o.lo), _div_end(self.hi, o.hi))
             return Interval(min(quotients), max(quotients))
         return self._binary(other, div)
 

@@ -123,6 +123,14 @@ class SimConfig:
     on the context; like the deadline, they decide whether a run
     completes, never what it computes, so they stay out of the cache
     key.
+
+    ``tape`` is an empty
+    :class:`~repro.signal.interval_tape.IntervalTape` for the run to
+    record its interval program into.  Only the interpreted engine
+    records, and only in the calling process (a pool worker records into
+    its own copy, a compiled batch not at all), which
+    :attr:`IntervalTape.recorded` tells apart.  Recording changes
+    nothing the run computes, so the tape stays out of the cache key.
     """
 
     label: str = "sim"
@@ -144,6 +152,7 @@ class SimConfig:
     #: watchdog budgets (None disables the respective check).
     max_watchdog_cycles: object = None
     max_wall_seconds: object = None
+    tape: object = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -305,6 +314,8 @@ def _execute(config, factory, seeded):
                                 errors=config.errors).apply(ctx)
                     for fault in faults:
                         fault.install(ctx, design)
+                    if config.tape is not None:
+                        config.tape.start(ctx)
                     if config.snapshot_errors:
                         half = max(1, config.n_samples // 2)
                         design.run(ctx, half)
@@ -312,6 +323,8 @@ def _execute(config, factory, seeded):
                         design.run(ctx, config.n_samples - half)
                     else:
                         design.run(ctx, config.n_samples)
+                    if config.tape is not None:
+                        config.tape.finish()
                 records = collect(ctx)
             output = getattr(design, "output", None)
             sp.set(signals=len(records), guard_trips=ctx.guard_trip_count)

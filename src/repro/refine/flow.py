@@ -27,17 +27,20 @@ iterations (stimuli must be internally seeded for reproducibility).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.dtype import DType
 from repro.core.errors import DesignError, RefinementError
+from repro.core.interval import Interval
 from repro.obs import trace as obs_trace
-from repro.parallel.runner import SimCache, SimConfig, run_simulations
+from repro.parallel.runner import (SimCache, SimConfig, fingerprint,
+                                   run_simulations)
 from repro.refine.lsbrules import LsbPolicy, decide_lsb, detect_divergence
 from repro.refine.msbrules import MsbPolicy, decide_msb
 from repro.refine.report import (format_lsb_table, format_msb_table,
                                  format_types_table)
 from repro.signal.context import DesignContext
+from repro.signal.interval_tape import IntervalTape
 
 __all__ = ["Design", "Annotations", "FlowConfig", "RefinementFlow",
            "MsbIteration", "LsbIteration", "PhaseResult",
@@ -287,6 +290,8 @@ class RefinementFlow:
         self.cfg = config if config is not None else FlowConfig()
         #: result cache of the run() in progress (None outside run()).
         self._cache = None
+        #: interval tapes of the run() in progress (None outside run()).
+        self._replay = None
 
     # -- simulation helper -------------------------------------------------
 
@@ -297,7 +302,11 @@ class RefinementFlow:
         Every flow simulation takes the error-statistics snapshot at
         ``n_samples // 2`` (the divergence growth test), so an LSB
         iteration that repeats the last MSB iteration's annotations is
-        the same job, served from the run's cache.
+        the same job, served from the run's cache.  Inside ``run()`` an
+        MSB-phase job records an interval tape when a later MSB
+        iteration may follow, and a job that differs from a recorded one
+        only in its ranges is replayed from that tape instead of
+        simulated (:class:`_RangeReplay`).
         """
         cfg = config if config is not None else self.cfg
         job = SimConfig(label=label, dtypes=annotations.dtypes,
@@ -310,16 +319,34 @@ class RefinementFlow:
                         max_wall_seconds=cfg.max_wall_seconds)
         cache = self._cache
         hits = cache.hits if cache is not None else 0
+        replay = self._replay
         with obs_trace.span("refine.simulate", label=label,
                             samples=cfg.n_samples) as sp:
-            outcome, = run_simulations(self.factory, [job], workers=1,
-                                       cache=cache)
+            outcome = None if replay is None else replay.serve(job, sp)
+            if outcome is None:
+                if replay is not None and self._msb_job(annotations, cfg):
+                    job = replay.with_tape(job)
+                outcome, = run_simulations(self.factory, [job], workers=1,
+                                           cache=cache)
+                if replay is not None:
+                    replay.remember(job, outcome)
             sp.set(signals=len(outcome.records),
                    guard_trips=outcome.guard_trips,
                    overflows=sum(r.overflow_count
                                  for r in outcome.records.values()),
                    cached=cache is not None and cache.hits > hits)
         return outcome
+
+    def _msb_job(self, annotations, cfg):
+        """True for the MSB phase's job (the baseline's, without user
+        errors) when a second MSB iteration can follow it: the user gave
+        range knowledge, or auto-ranging is on and an explosion is
+        predicted (:attr:`_RangeReplay.explosion_predicted`)."""
+        return ((bool(self.user_ranges)
+                 or (cfg.auto_range and self._replay.explosion_predicted))
+                and not annotations.errors
+                and annotations.dtypes == {**self.input_types,
+                                           **self.preset_types})
 
     @staticmethod
     def _absorb_guards(diagnostics, outcome, label):
@@ -815,6 +842,7 @@ class RefinementFlow:
             "refine.run", strict=strict,
             design=getattr(self.factory, "__name__", str(self.factory)))
         self._cache = SimCache()
+        self._replay = _RangeReplay(self.factory, self._cache, diag)
         try:
             with run_span:
                 if self.cfg.lint_design:
@@ -822,6 +850,8 @@ class RefinementFlow:
                 if self.cfg.verify_design:
                     stage("verify_static",
                           lambda: bool(self._verify_into(diag)))
+                self._replay.explosion_predicted = _explosion_predicted(
+                    self.cfg, diag)
                 baseline = stage("baseline",
                                  lambda: self.baseline_sqnr(diagnostics=diag))
                 if strict:
@@ -854,8 +884,114 @@ class RefinementFlow:
                              diagnostics=len(diag))
         finally:
             self._cache = None
+            self._replay = None
         return RefinementResult(msb, lsb, types, verification, baseline,
                                 diagnostics=diag, fallbacks=fallbacks)
+
+
+class _RangeReplay:
+    """Range-only re-simulations of one ``run()``, served by replay.
+
+    A job that differs from an executed, taped job only in ``ranges``
+    runs the same per-tick sequence of operations (the fixed-point
+    values steer control flow) with the same value side; only ``prop``
+    and ``forced_range`` of its records differ.  Its outcome is the taped
+    job's with those two fields replayed
+    (:meth:`~repro.signal.interval_tape.IntervalTape.replay`), stored in
+    the run's cache under the job's own fingerprint.  Whenever the tape
+    cannot be trusted the job is simulated in full and a
+    ``range-replay`` diagnostic (DG219) says why.
+    """
+
+    def __init__(self, factory, cache, diagnostics):
+        from repro.sim.engine import resolve_engine
+        self.factory = factory
+        self.cache = cache
+        self.diagnostics = diagnostics
+        self.engine = resolve_engine(None)
+        #: False once the lint pre-flight ran and found no range
+        #: explosion (FX001): no auto-range annotation, hence no second
+        #: MSB iteration, will follow the first.
+        self.explosion_predicted = True
+        #: family key -> (outcome, tape) of the job that recorded it.
+        self._taped = {}
+
+    def _key(self, job):
+        return fingerprint(self.factory, job, engine=self.engine)
+
+    def _family(self, job):
+        return self._key(replace(job, ranges={}))
+
+    def with_tape(self, job):
+        """``job`` recording a tape, unless its family has one."""
+        if self._family(job) in self._taped:
+            return job
+        return replace(job, tape=IntervalTape())
+
+    def remember(self, job, outcome):
+        if job.tape is not None:
+            self._taped[self._family(job)] = (outcome, job.tape)
+
+    def serve(self, job, span):
+        """``job``'s outcome replayed from its family's tape, or None."""
+        taped = self._taped.get(self._family(job))
+        if taped is None:
+            return None
+        key = self._key(job)
+        if key in self.cache:
+            return None
+        outcome, tape = taped
+        if not tape.recorded:
+            reason = ("the taped job ran on no interpreted engine in this "
+                      "process")
+        else:
+            reason = tape.reason
+        if reason is None:
+            try:
+                outcome = _replayed(outcome, tape, job)
+            except Exception as exc:
+                reason = "the interval replay raised %s: %s" % (
+                    type(exc).__name__, exc)
+        if reason is not None:
+            self.diagnostics.add(
+                "range-replay", "info", None,
+                "%s simulated in full, not replayed: %s" % (job.label,
+                                                            reason),
+                label=job.label, reason=reason)
+            return None
+        self.cache.put(key, outcome)
+        span.set(replayed=True, replay_ticks=tape.executed_ticks,
+                 tape_ticks=tape.n_ticks, tape_shapes=tape.n_shapes)
+        return outcome
+
+
+def _explosion_predicted(cfg, diagnostics):
+    """Whether the lint pre-flight leaves a range explosion possible.
+
+    False only when it ran (``lint_design``), did not fail, and reported
+    no FX001 (feedback cycle whose propagated range widens to infinity).
+    """
+    if not cfg.lint_design:
+        return True
+    findings = diagnostics.by_category("lint")
+    if any("rule" not in e.data for e in findings):   # the pass failed
+        return True
+    return any(e.data["rule"] == "FX001" for e in findings)
+
+
+def _replayed(outcome, tape, job):
+    """``outcome`` with the intervals of ``job``'s ranges replayed."""
+    forced = {}
+    targets = Annotations()._targets
+    for name, (lo, hi) in job.ranges.items():
+        for sig in targets(tape.ctx, name):
+            forced[sig] = Interval(lo, hi)
+    ranges = tape.replay(forced)
+    records = {}
+    for name, rec in outcome.records.items():
+        prop, forced_range = ranges[name]
+        records[name] = replace(rec, prop=prop, forced_range=forced_range)
+    return replace(outcome, label=job.label, records=records, obs_events=())
 
 
 def _base_name(name):

@@ -49,8 +49,10 @@ CATEGORY_CODES = {
     "verify-counterexample": "DG211",
     "verify-unknown": "DG212",
     # DG213-DG218 are retired (they named the removed refinement
-    # service's events) and must never be reused: the next new
-    # category takes DG219.
+    # service's events) and must never be reused.
+    # Range-only MSB re-iteration simulated in full
+    # (repro.signal.interval_tape).
+    "range-replay": "DG219",
 }
 
 

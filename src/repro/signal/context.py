@@ -115,6 +115,9 @@ class DesignContext:
         self.watchdog = None
         self.cycle = 0
         self.tracer = None
+        #: interval tape recording this run
+        #: (:mod:`repro.signal.interval_tape`), or None.
+        self.tape = None
         self._signals = {}
         self._order = []
         self._registers = []

@@ -42,7 +42,8 @@ class Operand:
     #
     # add/sub/mul/neg are the per-sample hot path of every monitored
     # simulation; they inline the interval arithmetic and build the
-    # result Expr without re-validating floats.  Rarer operations
+    # result Expr without re-validating floats; only a listening tracer
+    # or interval tape costs them a call.  Rarer operations
     # (div, shifts) keep the generic _binop/_unop route.
 
     def __add__(self, other):
@@ -53,7 +54,8 @@ class Operand:
         e.fl = ea.fl + eb.fl
         e.ival = iv_add(ea.ival, eb.ival)
         ctx = e.ctx = ea.ctx if ea.ctx is not None else eb.ctx
-        e.node = (None if ctx is None or ctx.tracer is None
+        e.node = (None if ctx is None
+                  or (ctx.tape is None and ctx.tracer is None)
                   else _trace_node(ctx, "add", (ea, eb)))
         return e
 
@@ -68,7 +70,8 @@ class Operand:
         e.fl = ea.fl - eb.fl
         e.ival = iv_sub(ea.ival, eb.ival)
         ctx = e.ctx = ea.ctx if ea.ctx is not None else eb.ctx
-        e.node = (None if ctx is None or ctx.tracer is None
+        e.node = (None if ctx is None
+                  or (ctx.tape is None and ctx.tracer is None)
                   else _trace_node(ctx, "sub", (ea, eb)))
         return e
 
@@ -83,7 +86,8 @@ class Operand:
         e.fl = ea.fl * eb.fl
         e.ival = iv_mul(ea.ival, eb.ival)
         ctx = e.ctx = ea.ctx if ea.ctx is not None else eb.ctx
-        e.node = (None if ctx is None or ctx.tracer is None
+        e.node = (None if ctx is None
+                  or (ctx.tape is None and ctx.tracer is None)
                   else _trace_node(ctx, "mul", (ea, eb)))
         return e
 
@@ -103,7 +107,8 @@ class Operand:
         e.fl = -ea.fl
         e.ival = iv_neg(ea.ival)
         ctx = e.ctx = ea.ctx
-        e.node = (None if ctx is None or ctx.tracer is None
+        e.node = (None if ctx is None
+                  or (ctx.tape is None and ctx.tracer is None)
                   else _trace_node(ctx, "neg", (ea,)))
         return e
 
@@ -213,7 +218,13 @@ def _fx_of(x):
 
 
 def _trace_node(ctx, opname, operands):
-    if ctx is None or ctx.tracer is None:
+    """Provenance of an operation's result: its ref on the context's
+    interval tape, its node in the traced graph, or None."""
+    if ctx is None:
+        return None
+    if ctx.tape is not None:
+        return ctx.tape.op(opname, operands)
+    if ctx.tracer is None:
         return None
     in_nodes = [op.node if op.node is not None
                 else ctx.tracer.const_node(op.fx) for op in operands]

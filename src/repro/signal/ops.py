@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.core.dtype import DType
 from repro.core.errors import DesignError
 from repro.core.interval import Interval
-from repro.signal.expr import Expr, as_expr
+from repro.signal.expr import Expr, _trace_node, as_expr
 
 #: Shared 0/1 range of traced comparisons (read-only by convention).
 _BOOL_IVAL = Interval(0.0, 1.0)
@@ -25,23 +25,16 @@ __all__ = ["select", "cast", "fmin", "fmax", "fabs", "clamp",
            "gt", "ge", "lt", "le"]
 
 
-def _trace(ctx, opname, exprs):
-    if ctx is None or ctx.tracer is None:
-        return None
-    nodes = [e.node if e.node is not None else ctx.tracer.const_node(e.fx)
-             for e in exprs]
-    return ctx.tracer.op_node(opname, nodes)
-
-
 def _ctx_of(*exprs):
     for e in exprs:
         if e.ctx is not None:
             return e.ctx
     # All operands are literals (e.g. ``select(flag, 1.0, -1.0)``): fall
-    # back to the active context so tracing still sees the operation.
+    # back to the active context so tracing (or an interval tape) still
+    # sees the operation.
     from repro.signal.context import current_context
     ctx = current_context()
-    return ctx if ctx.tracer is not None else None
+    return ctx if ctx.tracer is not None or ctx.tape is not None else None
 
 
 def select(cond, if_true, if_false):
@@ -63,7 +56,7 @@ def select(cond, if_true, if_false):
     picked = et if taken else ef
     ival = et.ival.union(ef.ival)
     ctx = _ctx_of(*cond_exprs, et, ef)
-    node = _trace(ctx, "select", tuple(cond_exprs) + (et, ef))
+    node = _trace_node(ctx, "select", tuple(cond_exprs) + (et, ef))
     return Expr(picked.fx, picked.fl, ival, ctx, node)
 
 
@@ -82,7 +75,7 @@ def cast(value, dtype):
     ival = e.ival
     if dtype.msbspec == "saturate":
         ival = ival.clip(dtype.range_interval())
-    node = _trace(e.ctx, "cast%s" % dtype.spec(), (e,))
+    node = _trace_node(e.ctx, "cast%s" % dtype.spec(), (e,))
     return Expr(qfx, e.fl, ival, e.ctx, node)
 
 
@@ -91,7 +84,7 @@ def fmin(a, b):
     ea = as_expr(a)
     eb = as_expr(b)
     ctx = _ctx_of(ea, eb)
-    node = _trace(ctx, "min", (ea, eb))
+    node = _trace_node(ctx, "min", (ea, eb))
     return Expr(min(ea.fx, eb.fx), min(ea.fl, eb.fl),
                 ea.ival.minimum(eb.ival), ctx, node)
 
@@ -101,7 +94,7 @@ def fmax(a, b):
     ea = as_expr(a)
     eb = as_expr(b)
     ctx = _ctx_of(ea, eb)
-    node = _trace(ctx, "max", (ea, eb))
+    node = _trace_node(ctx, "max", (ea, eb))
     return Expr(max(ea.fx, eb.fx), max(ea.fl, eb.fl),
                 ea.ival.maximum(eb.ival), ctx, node)
 
@@ -129,7 +122,7 @@ def _compare(opname, a, b, fn):
     eb = as_expr(b)
     v = 1.0 if fn(ea.fx, eb.fx) else 0.0
     ctx = _ctx_of(ea, eb)
-    node = _trace(ctx, opname, (ea, eb))
+    node = _trace_node(ctx, opname, (ea, eb))
     return Expr(v, v, _BOOL_IVAL, ctx, node)
 
 

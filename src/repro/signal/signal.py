@@ -266,7 +266,8 @@ class Sig(Operand):
             e = Expr.__new__(Expr)
             e.ival = self.read_interval()
             e.ctx = ctx
-            e.node = None
+            # On an interval tape a read's provenance is the signal.
+            e.node = self if ctx.tape is not None else None
             self._expr_cache = e
         e.fx = self._fx
         e.fl = self._fl
@@ -280,6 +281,7 @@ class Sig(Operand):
         Independent of the LSB side; used to break MSB explosion on
         feedback signals or to seed propagation at inputs.
         """
+        self._annotated("range()")
         self._forced_range = Interval(lo, hi)
         self._expr_cache = None
         return self
@@ -295,10 +297,12 @@ class Sig(Operand):
         """
         if q <= 0:
             raise DesignError("error amplitude must be positive, got %r" % q)
+        self._annotated("error_spec()")
         self._forced_error = float(q)
         return self
 
     def clear_annotations(self):
+        self._annotated("clear_annotations()")
         self._forced_range = None
         self._forced_error = None
         self._expr_cache = None
@@ -317,9 +321,17 @@ class Sig(Operand):
         if dtype is not None and not isinstance(dtype, DType):
             raise DesignError("dtype of signal %r must be a DType or None"
                               % self.name)
+        self._annotated("set_dtype()")
         self._prop_ival = Interval()
         self._bind_dtype(dtype)
         return self
+
+    def _annotated(self, what):
+        """An interval tape cannot replay a run that re-annotates."""
+        tape = self.ctx.tape
+        if tape is not None:
+            tape.distrust("%s was called on %r inside run()"
+                          % (what, self.name))
 
     def watch(self, maxlen=None):
         """Record per-assignment ``(fx, fl)`` history (for metrics/plots)."""
@@ -447,7 +459,10 @@ class Sig(Operand):
 
         if self._history is not None:
             self._history.append((qfx, fl))
-        tracer = self.ctx.tracer
+        ctx = self.ctx
+        if ctx.tape is not None:
+            ctx.tape.assign(self, expr)
+        tracer = ctx.tracer
         if tracer is not None:
             src = expr.node
             if src is None:
@@ -479,6 +494,7 @@ class Sig(Operand):
     # -- statistics ----------------------------------------------------------------------
 
     def reset_stats(self):
+        self._annotated("reset_stats()")
         self.range_stat.reset()
         self.val_stat.reset()
         self.err_consumed.reset()
@@ -553,6 +569,7 @@ class Reg(Sig):
 
     def set_init(self, value):
         """Set the power-on value of both simulations (no monitoring)."""
+        self._annotated("set_init()")
         v = float(value)
         if self.dtype is not None:
             v = self.dtype.saturating.quantize(v)

@@ -96,6 +96,7 @@ class TestStableCodes:
             "verify-proved": "DG210",
             "verify-counterexample": "DG211",
             "verify-unknown": "DG212",
+            "range-replay": "DG219",
         }
 
     def test_retired_codes_stay_unused(self):

@@ -5,7 +5,9 @@ batch with the mid-run error snapshot requested, through a cache scoped
 to the ``run()`` call.  On the paper's LMS flow (E8) the first MSB
 iteration repeats the baseline's job (both apply only the input types
 and ranges) and the first LSB iteration repeats the last MSB
-iteration's job; both are served from that cache.
+iteration's job; both are served from that cache.  The second MSB
+iteration differs from the first only in ``b.range(-0.2, 0.2)``, so it
+is replayed from the interval tape the baseline job recorded.
 """
 
 import numpy as np
@@ -68,22 +70,46 @@ def e8():
 
 
 class TestE8Flow:
-    def test_three_executions_two_cache_hits(self, e8):
+    def test_two_executions_one_replay_two_cache_hits(self, e8):
         stats = e8["stats"]
-        assert stats["misses"] == 3
+        assert stats["misses"] == 2
         assert stats["hits"] == 2
         executed = [e["label"] for e in e8["events"]
                     if e["kind"] == "span_start"
                     and e["name"] == "parallel.job"]
-        assert executed == ["baseline", "msb-iter-2", "verify"]
+        assert executed == ["baseline", "verify"]
 
     def test_simulate_span_marks_the_cached_stage(self, e8):
-        spans = {e["label"]: e["cached"] for e in e8["events"]
+        spans = {e["label"]: (e["cached"], e.get("replayed", False))
+                 for e in e8["events"]
                  if e["kind"] == "span_end"
                  and e["name"] == "refine.simulate"}
-        assert spans == {"baseline": False, "msb-iter-1": True,
-                         "msb-iter-2": False, "lsb-iter-1": True,
-                         "verify": False}
+        assert spans == {"baseline": (False, False),
+                         "msb-iter-1": (True, False),
+                         "msb-iter-2": (False, True),
+                         "lsb-iter-1": (True, False),
+                         "verify": (False, False)}
+
+    def test_replay_executes_a_handful_of_ticks(self, e8):
+        # Machine-independent perf guard: the LMS loop has one tick
+        # shape, and the replay memo skips every tick whose constants
+        # repeat once the interval state has stopped growing.
+        span, = [e for e in e8["events"] if e["kind"] == "span_end"
+                 and e["name"] == "refine.simulate" and e.get("replayed")]
+        assert span["label"] == "msb-iter-2"
+        assert span["tape_shapes"] == 1
+        assert span["tape_ticks"] == 4000
+        assert 1 <= span["replay_ticks"] <= 10
+
+    def test_replayed_stage_equals_a_fresh_execution(self, e8):
+        served = e8["flow"].outcomes["msb-iter-2"]
+        assert served.label == "msb-iter-2"
+        job = SimConfig(label="msb-iter-2", dtypes={"x": T_INPUT},
+                        ranges={"x": (-1.5, 1.5), "b": (-0.2, 0.2)},
+                        n_samples=4000, seed=1234, snapshot_errors=True)
+        fresh, = run_simulations(LmsEqualizerDesign, [job], workers=1)
+        assert _same(served, fresh)
+        assert not e8["res"].diagnostics.by_category("range-replay")
 
     def test_flow_requests_five_simulations(self, e8):
         assert list(e8["flow"].outcomes) == [

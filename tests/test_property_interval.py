@@ -7,9 +7,11 @@ of applying the operation to any points of the operand intervals.
 
 import math
 
-from hypothesis import assume, given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.compile.vectorops import iv_vdiv
 from repro.core.interval import Interval
 
 finite = st.floats(min_value=-1e9, max_value=1e9,
@@ -31,6 +33,30 @@ def interval_with_point(draw):
     # Guard against fp rounding pushing p outside.
     p = min(max(p, iv.lo), iv.hi)
     return iv, p
+
+
+@st.composite
+def unbounded_with_point(draw):
+    """An interval and a finite point in it; either bound may be infinite."""
+    iv, p = draw(interval_with_point())
+    lo = -math.inf if draw(st.booleans()) else iv.lo
+    hi = math.inf if draw(st.booleans()) else iv.hi
+    return Interval(lo, hi), p
+
+
+@st.composite
+def zero_free_with_point(draw):
+    """A divisor interval excluding zero, its far bound possibly
+    infinite, and a finite point in it."""
+    magnitude = st.floats(min_value=0.0, max_value=1e9, exclude_min=True)
+    near, far = sorted((draw(magnitude), draw(magnitude)))
+    t = draw(st.floats(min_value=0.0, max_value=1.0))
+    p = min(max(near + t * (far - near), near), far)
+    if draw(st.booleans()):
+        far = math.inf
+    if draw(st.booleans()):
+        return Interval(-far, -near), -p
+    return Interval(near, far), p
 
 
 TOL = 1e-6
@@ -62,12 +88,24 @@ class TestSoundness:
         (a, pa), (b, pb) = ap, bp
         assert _contains(a * b, pa * pb)
 
-    @given(interval_with_point(), interval_with_point())
+    @given(unbounded_with_point(), zero_free_with_point())
+    @example((Interval(-math.inf, -1.0), -3.0),
+             (Interval(-math.inf, -2.0), -4.0))
     def test_div(self, ap, bp):
         (a, pa), (b, pb) = ap, bp
-        assume(not b.contains(0.0))
-        assume(pb != 0.0)
         assert _contains(a / b, pa / pb)
+
+    @given(unbounded_with_point(), unbounded_with_point())
+    @example((Interval(-math.inf, -1.0), -3.0),
+             (Interval(-math.inf, -2.0), -4.0))
+    def test_vector_div_mirrors_scalar(self, ap, bp):
+        # The compiled engine's lane-wise division is bit-identical.
+        (a, _), (b, _) = ap, bp
+        lo, hi = iv_vdiv((np.array([a.lo]), np.array([a.hi])),
+                         (np.array([b.lo]), np.array([b.hi])))
+        q = a / b
+        assert (float(lo[0]).hex(), float(hi[0]).hex()) == \
+            (q.lo.hex(), q.hi.hex())
 
     @given(interval_with_point())
     def test_neg_abs(self, ap):
