@@ -31,7 +31,9 @@ the control flow and stimulus of the stub run.  Within a group, lanes
 may differ arbitrarily in ``label``, ``dtypes``, ``ranges`` and
 ``catch_errors``.  A config is *ineligible* (never batched, silently
 interpreted) when it carries faults, ``error()`` annotations, a
-deadline, a watchdog budget, a mid-run error snapshot request, a dtype
+deadline, a watchdog budget, a mid-run error snapshot request,
+``monitors="output"`` (the engine has no output-only mode, and
+per-lane interpreted output-only runs beat it at sweep widths), a dtype
 with ``n > 53``, or while :mod:`repro.obs.metrics` collection is
 enabled.
 
@@ -90,6 +92,8 @@ COMPILE_MIN_LANES = 12
 def config_eligible(cfg):
     """True when ``cfg`` can join a compiled batch at all."""
     if cfg.faults or cfg.errors or cfg.deadline_seconds is not None:
+        return False
+    if cfg.monitors != "all":
         return False
     if (cfg.snapshot_errors or cfg.max_watchdog_cycles is not None
             or cfg.max_wall_seconds is not None):

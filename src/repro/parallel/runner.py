@@ -92,6 +92,9 @@ from repro.signal.context import DesignContext
 __all__ = ["SimConfig", "SimOutcome", "SimCache", "PoolPolicy",
            "run_simulations", "default_workers", "fingerprint"]
 
+#: ``SimConfig.monitors`` values: every signal, or the output alone.
+MONITOR_MODES = ("all", "output")
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -131,6 +134,18 @@ class SimConfig:
     its own copy, a compiled batch not at all), which
     :attr:`IntervalTape.recorded` tells apart.  Recording changes
     nothing the run computes, so the tape stays out of the cache key.
+
+    ``monitors`` is ``"all"`` (every signal's monitors plus range
+    propagation) or ``"output"``: a probe whose caller reads only the
+    output's statistics.  An output-only job runs the identical value
+    side (guard, fault hooks, quantization, overflow counting and
+    raising, ``error()`` draws, registers), keeps all four monitors on
+    ``design.output`` only, propagates no ranges and returns
+    ``records == {output: record}`` with an empty ``prop``.  Because it
+    runs no interval arithmetic, it cannot fail where only that
+    arithmetic fails (an ``inf - inf`` bound, say) while the full job
+    would.  It needs neither a tape nor an error snapshot, so both are
+    rejected with ``monitors="output"``.
     """
 
     label: str = "sim"
@@ -153,17 +168,29 @@ class SimConfig:
     max_watchdog_cycles: object = None
     max_wall_seconds: object = None
     tape: object = field(default=None, repr=False, compare=False)
+    monitors: str = "all"
+
+    def __post_init__(self):
+        if self.monitors not in MONITOR_MODES:
+            raise ValueError("monitors must be one of %s, got %r"
+                             % (", ".join(MONITOR_MODES), self.monitors))
+        if self.monitors == "output" and (self.tape is not None
+                                          or self.snapshot_errors):
+            raise ValueError("monitors='output' records no intervals or "
+                             "per-signal statistics, so it cannot take a "
+                             "tape or snapshot_errors")
 
 
 @dataclass(frozen=True)
 class SimOutcome:
     """Result of one :class:`SimConfig` job.
 
-    ``records`` is the :func:`~repro.refine.monitors.collect` snapshot,
-    ``fault_fired`` holds each fault's ``n_fired`` counter as observed
-    *inside* the run (the caller's fault objects are not mutated when
-    the job ran in a worker process — always read the counts from
-    here).
+    ``records`` is the :func:`~repro.refine.monitors.collect` snapshot
+    (:func:`~repro.refine.monitors.collect_output` for an output-only
+    job), ``fault_fired`` holds each fault's ``n_fired`` counter as
+    observed *inside* the run (the caller's fault objects are not
+    mutated when the job ran in a worker process — always read the
+    counts from here).
     """
 
     label: str
@@ -286,7 +313,7 @@ def _execute(config, factory, seeded):
     # optimizer) import this runner at module scope, so importing the
     # refine package back at *our* module scope would be circular.
     from repro.refine.flow import Annotations
-    from repro.refine.monitors import collect
+    from repro.refine.monitors import collect, collect_output
 
     faults = config.faults
     with obs_trace.span("parallel.job", label=config.label,
@@ -314,6 +341,10 @@ def _execute(config, factory, seeded):
                                 errors=config.errors).apply(ctx)
                     for fault in faults:
                         fault.install(ctx, design)
+                    output = getattr(design, "output", None)
+                    output_only = config.monitors == "output"
+                    if output_only:
+                        ctx.monitor_only(output)
                     if config.tape is not None:
                         config.tape.start(ctx)
                     if config.snapshot_errors:
@@ -325,8 +356,8 @@ def _execute(config, factory, seeded):
                         design.run(ctx, config.n_samples)
                     if config.tape is not None:
                         config.tape.finish()
-                records = collect(ctx)
-            output = getattr(design, "output", None)
+                records = (collect_output(ctx, output) if output_only
+                           else collect(ctx))
             sp.set(signals=len(records), guard_trips=ctx.guard_trip_count)
             obs_metrics.emit(ctx, label=config.label)
             return SimOutcome(config.label, records, output,
@@ -445,10 +476,12 @@ def fingerprint(design_factory, config, seeded_factory=None,
     and the watchdog budgets are deliberately excluded: a budget
     decides whether a run completes, never what a completed run
     computes, so journaled outcomes stay replayable when a budget is
-    tuned between sessions.  ``snapshot_errors`` and
-    ``guard_replacement`` enter the key only when they differ from
-    their defaults, so keys of configs that leave them alone are
-    unchanged from before the fields existed.  Range bounds and error
+    tuned between sessions.  ``snapshot_errors``,
+    ``guard_replacement`` and ``monitors`` enter the key only when they
+    differ from their defaults, so keys of configs that leave them
+    alone are unchanged from before the fields existed, and an
+    output-only outcome is never served to a caller that wants every
+    record.  Range bounds and error
     amplitudes are keyed as floats, the values the simulation applies,
     so ``(-1, 1)``, ``[-1, 1]`` and ``(-1.0, 1.0)`` share a key (and
     float-tuple keys are unchanged from before the normalization).
@@ -495,6 +528,8 @@ def fingerprint(design_factory, config, seeded_factory=None,
         feed("snapshot", True)
     if config.guard_replacement != "hold":
         feed("guard_replacement", config.guard_replacement)
+    if config.monitors != "all":
+        feed("monitors", config.monitors)
     if engine in ("compiled", "auto"):
         from repro.compile import COMPILER_VERSION
         feed("engine", "compiled:%d" % COMPILER_VERSION)

@@ -10,12 +10,12 @@ whole design context.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core import word
 from repro.core.interval import Interval
 
-__all__ = ["ErrorSummary", "SignalRecord", "collect"]
+__all__ = ["ErrorSummary", "SignalRecord", "collect", "collect_output"]
 
 
 @dataclass(frozen=True)
@@ -120,3 +120,13 @@ class SignalRecord:
 def collect(ctx):
     """Snapshot every signal of a context, keyed by name (ordered)."""
     return {s.name: SignalRecord.from_signal(s) for s in ctx.signals()}
+
+
+def collect_output(ctx, name):
+    """Snapshot of signal ``name`` alone after an output-only run.
+
+    Such a run propagates no ranges, so the record's ``prop`` is empty
+    (also when the signal carries a forced range).
+    """
+    record = SignalRecord.from_signal(ctx.get(name))
+    return {name: replace(record, prop=Interval())}

@@ -23,9 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.parallel.runner import SimConfig, run_simulations
-from repro.refine.flow import Annotations
-from repro.refine.monitors import collect
-from repro.signal.context import DesignContext
 
 __all__ = ["OptimizeResult", "optimize_wordlengths"]
 
@@ -41,17 +38,6 @@ class OptimizeResult:
     def bits_saved(self, original_types):
         return (sum(dt.n for dt in original_types.values())
                 - sum(dt.n for dt in self.types.values()))
-
-
-def _sqnr(design_factory, dtypes, n_samples, seed):
-    ctx = DesignContext("wlopt", seed=seed, overflow_action="record")
-    with ctx:
-        design = design_factory()
-        design.build(ctx)
-        Annotations(dtypes=dtypes).apply(ctx)
-        design.run(ctx, n_samples)
-    records = collect(ctx)
-    return records[design.output].sqnr_db()
 
 
 def optimize_wordlengths(design_factory, types, input_types, target_db,
@@ -77,9 +63,12 @@ def optimize_wordlengths(design_factory, types, input_types, target_db,
     inputs, same probe sequence — re-running the call after a crash
     replays the already-measured probes from disk and continues from the
     first missing one, converging to a bit-identical result.
-    ``engine="compiled"`` runs each probe batch through the compiled
-    engine — every candidate type map becomes one lane of a vectorized
-    batch — producing the same greedy trajectory bit-for-bit.
+
+    Every probe is an output-only job (``SimConfig(monitors="output")``):
+    it measures the output alone and propagates no ranges.  The compiled
+    engine has no output-only mode, so ``engine`` no longer lowers the
+    probes; under ``"compiled"`` or ``"auto"`` they run interpreted and
+    count as ``compile.ineligible``.
     """
     types = dict(types)
     names = sorted(signals if signals is not None else types)
@@ -95,7 +84,8 @@ def optimize_wordlengths(design_factory, types, input_types, target_db,
         sims += len(trials)
         configs = [SimConfig(label="wlopt",
                              dtypes={**trial, **input_types},
-                             n_samples=n_samples, seed=seed)
+                             n_samples=n_samples, seed=seed,
+                             monitors="output")
                    for trial in trials]
         outcomes = run_simulations(design_factory, configs,
                                    workers=workers, cache=cache,

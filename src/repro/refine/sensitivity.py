@@ -14,9 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.parallel.runner import SimConfig, run_simulations
-from repro.refine.flow import Annotations
-from repro.refine.monitors import collect
-from repro.signal.context import DesignContext
 
 __all__ = ["SignalSensitivity", "SensitivityReport", "analyze_sensitivity"]
 
@@ -67,18 +64,6 @@ class SensitivityReport:
         return "\n".join(lines)
 
 
-def _run_once(design_factory, dtypes, n_samples, seed):
-    ctx = DesignContext("sens", seed=seed, overflow_action="record")
-    with ctx:
-        design = design_factory()
-        design.build(ctx)
-        Annotations(dtypes=dtypes).apply(ctx)
-        design.run(ctx, n_samples)
-    records = collect(ctx)
-    output = getattr(design, "output", None)
-    return output, records[output].sqnr_db()
-
-
 def analyze_sensitivity(design_factory, types, input_types, signals=None,
                         n_samples=2000, seed=1234, workers=None,
                         cache=None, journal=None, engine=None):
@@ -93,16 +78,20 @@ def analyze_sensitivity(design_factory, types, input_types, signals=None,
     numbers stay bit-identical to a serial sweep.  ``journal`` (a
     :class:`repro.robust.recovery.Journal` or path) journals each probe
     as it completes and replays completed probes bit-exactly when the
-    sweep is re-run after a crash.  ``engine="compiled"`` batches the
-    whole +/-1-bit sweep — one dtype assignment per lane — through the
-    compiled engine (:mod:`repro.compile`), with the same numbers.
+    sweep is re-run after a crash.
+
+    Every probe is an output-only job (``SimConfig(monitors="output")``):
+    it measures the output alone and propagates no ranges.  The compiled
+    engine has no output-only mode, so ``engine`` no longer lowers the
+    probes; under ``"compiled"`` or ``"auto"`` they run interpreted and
+    count as ``compile.ineligible``.
     """
     base_types = {**types, **input_types}
     names = list(signals) if signals is not None else list(types)
 
     def cfg(dtypes):
         return SimConfig(label="sens", dtypes=dtypes, n_samples=n_samples,
-                         seed=seed)
+                         seed=seed, monitors="output")
 
     configs = [cfg(base_types)]
     plan = []  # (name, base_f, has_minus)

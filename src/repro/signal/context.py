@@ -118,6 +118,8 @@ class DesignContext:
         #: interval tape recording this run
         #: (:mod:`repro.signal.interval_tape`), or None.
         self.tape = None
+        #: quasi-analytical range propagation on (see :meth:`monitor_only`).
+        self.propagate = True
         self._signals = {}
         self._order = []
         self._registers = []
@@ -133,6 +135,26 @@ class DesignContext:
         self._order.append(sig.name)
         if sig.is_register:
             self._registers.append(sig)
+
+    def monitor_only(self, name):
+        """Measure only signal ``name``: an output-only run.
+
+        Every other signal keeps its value side (guard, fault hooks,
+        quantization, overflow counting and raising, ``error()`` draws)
+        but skips its range and error monitors, which are cleared of
+        what ``build()`` assigned, and no operation or assignment
+        propagates intervals.  Signals created afterwards keep their
+        monitors.  An unknown ``name`` raises
+        :class:`~repro.core.errors.DesignError`.
+        """
+        self.get(name)
+        self.propagate = False
+        for s in self.signals():
+            if s.name != name:
+                s._monitored = False
+                for stat in (s.range_stat, s.val_stat, s.err_consumed,
+                             s.err_produced):
+                    stat.reset()
 
     def signals(self):
         """All signals in declaration order."""

@@ -9,7 +9,9 @@ produces an :class:`Expr` holding three parallel results:
 * ``fl`` — the operation applied to the operands' *floating-point
   reference* values (the coupled dual simulation of Section 4.2),
 * ``ival`` — the operation applied to the operands' value ranges
-  (the quasi-analytical range propagation of Section 4.1).
+  (the quasi-analytical range propagation of Section 4.1), or the
+  shared empty interval when the context does not propagate ranges
+  (``DesignContext.propagate``, off in an output-only run).
 
 Relational operators compare the fixed-point values only, so the fixed
 and float simulations always take the same control decisions.
@@ -44,7 +46,9 @@ class Operand:
     # simulation; they inline the interval arithmetic and build the
     # result Expr without re-validating floats; only a listening tracer
     # or interval tape costs them a call.  Rarer operations
-    # (div, shifts) keep the generic _binop/_unop route.
+    # (div, shifts) keep the generic _binop/_unop route.  A context
+    # that does not propagate ranges (an output-only run) gets the
+    # shared EMPTY interval instead of any interval arithmetic.
 
     def __add__(self, other):
         ea = self._to_expr()
@@ -52,8 +56,9 @@ class Operand:
         e = Expr.__new__(Expr)
         e.fx = ea.fx + eb.fx
         e.fl = ea.fl + eb.fl
-        e.ival = iv_add(ea.ival, eb.ival)
         ctx = e.ctx = ea.ctx if ea.ctx is not None else eb.ctx
+        e.ival = (iv_add(ea.ival, eb.ival) if ctx is None or ctx.propagate
+                  else EMPTY)
         e.node = (None if ctx is None
                   or (ctx.tape is None and ctx.tracer is None)
                   else _trace_node(ctx, "add", (ea, eb)))
@@ -68,8 +73,9 @@ class Operand:
         e = Expr.__new__(Expr)
         e.fx = ea.fx - eb.fx
         e.fl = ea.fl - eb.fl
-        e.ival = iv_sub(ea.ival, eb.ival)
         ctx = e.ctx = ea.ctx if ea.ctx is not None else eb.ctx
+        e.ival = (iv_sub(ea.ival, eb.ival) if ctx is None or ctx.propagate
+                  else EMPTY)
         e.node = (None if ctx is None
                   or (ctx.tape is None and ctx.tracer is None)
                   else _trace_node(ctx, "sub", (ea, eb)))
@@ -84,8 +90,9 @@ class Operand:
         e = Expr.__new__(Expr)
         e.fx = ea.fx * eb.fx
         e.fl = ea.fl * eb.fl
-        e.ival = iv_mul(ea.ival, eb.ival)
         ctx = e.ctx = ea.ctx if ea.ctx is not None else eb.ctx
+        e.ival = (iv_mul(ea.ival, eb.ival) if ctx is None or ctx.propagate
+                  else EMPTY)
         e.node = (None if ctx is None
                   or (ctx.tape is None and ctx.tracer is None)
                   else _trace_node(ctx, "mul", (ea, eb)))
@@ -105,8 +112,8 @@ class Operand:
         e = Expr.__new__(Expr)
         e.fx = -ea.fx
         e.fl = -ea.fl
-        e.ival = iv_neg(ea.ival)
         ctx = e.ctx = ea.ctx
+        e.ival = iv_neg(ea.ival) if ctx is None or ctx.propagate else EMPTY
         e.node = (None if ctx is None
                   or (ctx.tape is None and ctx.tracer is None)
                   else _trace_node(ctx, "neg", (ea,)))
@@ -236,11 +243,13 @@ def _binop(opname, a, b, vfn, ifn=None):
     eb = as_expr(b)
     fx = vfn(ea.fx, eb.fx)
     fl = vfn(ea.fl, eb.fl)
-    if ifn is not None:
+    ctx = ea.ctx if ea.ctx is not None else eb.ctx
+    if ctx is not None and not ctx.propagate:
+        ival = EMPTY
+    elif ifn is not None:
         ival = ifn(ea.ival, eb.ival)
     else:
         ival = vfn(ea.ival, eb.ival)
-    ctx = ea.ctx if ea.ctx is not None else eb.ctx
     node = _trace_node(ctx, opname, (ea, eb))
     return Expr(fx, fl, ival, ctx, node)
 
@@ -249,6 +258,9 @@ def _unop(opname, a, vfn, ifn=None):
     ea = as_expr(a)
     fx = vfn(ea.fx)
     fl = vfn(ea.fl)
-    ival = ifn(ea.ival) if ifn is not None else vfn(ea.ival)
+    if ea.ctx is not None and not ea.ctx.propagate:
+        ival = EMPTY
+    else:
+        ival = ifn(ea.ival) if ifn is not None else vfn(ea.ival)
     node = _trace_node(ea.ctx, opname, (ea,))
     return Expr(fx, fl, ival, ea.ctx, node)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.core.dtype import DType
 from repro.core.errors import DesignError
-from repro.core.interval import Interval
+from repro.core.interval import EMPTY, Interval
 from repro.signal.expr import Expr, _trace_node, as_expr
 
 #: Shared 0/1 range of traced comparisons (read-only by convention).
@@ -37,6 +37,11 @@ def _ctx_of(*exprs):
     return ctx if ctx.tracer is not None or ctx.tape is not None else None
 
 
+def _propagates(ctx):
+    """False in a context that skips range propagation (output-only)."""
+    return ctx is None or ctx.propagate
+
+
 def select(cond, if_true, if_false):
     """Fixed-point-steered conditional expression.
 
@@ -54,8 +59,8 @@ def select(cond, if_true, if_false):
         taken = ec.fx != 0.0
         cond_exprs = (ec,)
     picked = et if taken else ef
-    ival = et.ival.union(ef.ival)
     ctx = _ctx_of(*cond_exprs, et, ef)
+    ival = et.ival.union(ef.ival) if _propagates(ctx) else EMPTY
     node = _trace_node(ctx, "select", tuple(cond_exprs) + (et, ef))
     return Expr(picked.fx, picked.fl, ival, ctx, node)
 
@@ -73,7 +78,9 @@ def cast(value, dtype):
     qfx = dtype.saturating.kernel(e.fx)[0] if dtype.msbspec != "wrap" \
         else dtype.quantize(e.fx)
     ival = e.ival
-    if dtype.msbspec == "saturate":
+    if not _propagates(e.ctx):
+        ival = EMPTY
+    elif dtype.msbspec == "saturate":
         ival = ival.clip(dtype.range_interval())
     node = _trace_node(e.ctx, "cast%s" % dtype.spec(), (e,))
     return Expr(qfx, e.fl, ival, e.ctx, node)
@@ -85,8 +92,8 @@ def fmin(a, b):
     eb = as_expr(b)
     ctx = _ctx_of(ea, eb)
     node = _trace_node(ctx, "min", (ea, eb))
-    return Expr(min(ea.fx, eb.fx), min(ea.fl, eb.fl),
-                ea.ival.minimum(eb.ival), ctx, node)
+    ival = ea.ival.minimum(eb.ival) if _propagates(ctx) else EMPTY
+    return Expr(min(ea.fx, eb.fx), min(ea.fl, eb.fl), ival, ctx, node)
 
 
 def fmax(a, b):
@@ -95,8 +102,8 @@ def fmax(a, b):
     eb = as_expr(b)
     ctx = _ctx_of(ea, eb)
     node = _trace_node(ctx, "max", (ea, eb))
-    return Expr(max(ea.fx, eb.fx), max(ea.fl, eb.fl),
-                ea.ival.maximum(eb.ival), ctx, node)
+    ival = ea.ival.maximum(eb.ival) if _propagates(ctx) else EMPTY
+    return Expr(max(ea.fx, eb.fx), max(ea.fl, eb.fl), ival, ctx, node)
 
 
 def fabs(a):

@@ -18,6 +18,10 @@ exactly as sketched in the paper's Figure 2/3.  A :class:`Reg` is a
 registered signal: assignments land in a *next* slot that only becomes
 visible after :meth:`DesignContext.tick` commits the clock edge.
 
+An output-only run (:meth:`DesignContext.monitor_only`) keeps the value
+side of every assignment but skips the monitors of all signals except
+one, and the range propagation of all of them.
+
 Assignment spellings
 --------------------
 Python cannot overload ``=``, so three equivalent forms are provided::
@@ -110,7 +114,7 @@ class Sig(Operand):
         "overflow_count", "_forced_range", "_forced_error", "_fault_pre",
         "_fault_post", "_prop_ival", "_read_ival", "_history", "_node",
         "_kernel", "_err_mode", "_sat_lo", "_sat_hi", "_expr_cache",
-        "decl_site", "_obs",
+        "decl_site", "_obs", "_monitored",
     )
 
     is_register = False
@@ -152,6 +156,9 @@ class Sig(Operand):
         # Quasi-analytical propagated range (union over assignments),
         # mutated in place by _record.
         self._prop_ival = Interval()
+        # False while an output-only run skips this signal's monitors
+        # (DesignContext.monitor_only).
+        self._monitored = True
 
         self._history = None
         self._node = None
@@ -382,6 +389,7 @@ class Sig(Operand):
     def _record(self, expr):
         in_fx = expr.fx
         in_fl = expr.fl
+        ctx = self.ctx
 
         if self._fault_pre is not None:
             in_fx, in_fl = self._fault_pre(self, in_fx, in_fl)
@@ -392,26 +400,27 @@ class Sig(Operand):
         # the fault hook so injected non-finites are guarded too.
         # (x - x == 0.0 exactly when x is finite.)
         if in_fx - in_fx != 0.0 or in_fl - in_fl != 0.0:
-            in_fx, in_fl = self.ctx.guard_non_finite(self, in_fx, in_fl)
+            in_fx, in_fl = ctx.guard_non_finite(self, in_fx, in_fl)
 
-        # Statistic-based range monitoring (MSB side).
-        self.range_stat.update(in_fx)
-
-        # Consumed difference error (LSB side, before quantization).
-        self.err_consumed.update(in_fl - in_fx)
+        monitored = self._monitored
+        if monitored:
+            # Statistic-based range monitoring (MSB side).
+            self.range_stat.update(in_fx)
+            # Consumed difference error (LSB side, before quantization).
+            self.err_consumed.update(in_fl - in_fx)
 
         # Quantize the fixed-point value through the compiled kernel.
         kernel = self._kernel
         if kernel is not None:
             qfx, overflowed = kernel(in_fx)
             if overflowed:
-                if self._err_mode and self.ctx.overflow_action == "raise":
+                if self._err_mode and ctx.overflow_action == "raise":
                     raise FixedPointOverflowError(
                         "value %r overflows %s on signal %s"
                         % (in_fx, self.dtype.spec(), self.name),
                         signal=self.name, value=in_fx, dtype=self.dtype)
                 self.overflow_count += 1
-                self.ctx.log_overflow(self.name, in_fx)
+                ctx.log_overflow(self.name, in_fx)
         else:
             qfx = in_fx
 
@@ -422,18 +431,19 @@ class Sig(Operand):
         # decouples it (uniform error of one assumed LSB).
         q = self._forced_error
         if q is not None:
-            fl = qfx + self.ctx.rng.uniform(-0.5 * q, 0.5 * q)
+            fl = qfx + ctx.rng.uniform(-0.5 * q, 0.5 * q)
         else:
             fl = in_fl
 
-        # Produced difference error and reference power.
-        self.err_produced.update(fl - qfx)
-        self.val_stat.update(fl)
+        if monitored:
+            # Produced difference error and reference power.
+            self.err_produced.update(fl - qfx)
+            self.val_stat.update(fl)
 
         # Quasi-analytical range propagation, in place.  Forced ranges
         # freeze propagation (paper: explicit range overrides and stops
         # feedback explosion); saturating types clip the incoming range.
-        if self._forced_range is None:
+        if self._forced_range is None and ctx.propagate:
             ival = expr.ival
             lo = ival.lo
             hi = ival.hi
@@ -459,7 +469,6 @@ class Sig(Operand):
 
         if self._history is not None:
             self._history.append((qfx, fl))
-        ctx = self.ctx
         if ctx.tape is not None:
             ctx.tape.assign(self, expr)
         tracer = ctx.tracer
