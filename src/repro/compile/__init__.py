@@ -135,7 +135,7 @@ def _run_group(design_factory, seeded_factory, cfgs):
     surface as one via the caller) when the group cannot be lowered.
     """
     from repro.refine.monitors import collect
-    from repro.parallel.runner import SimOutcome
+    from repro.parallel.runner import SimOutcome, overflow_total
 
     base = cfgs[0]
     lanes = [_build_lane(design_factory, seeded_factory, cfg)
@@ -187,7 +187,8 @@ def _run_group(design_factory, seeded_factory, cfgs):
         obs_metrics.emit(ctx, label=cfg.label)
         outcomes.append(SimOutcome(cfg.label, records,
                                    getattr(design, "output", None),
-                                   0, (), None))
+                                   0, (), None,
+                                   overflows=overflow_total(ctx)))
     return outcomes, len(streamer.tape)
 
 

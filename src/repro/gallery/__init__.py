@@ -25,8 +25,8 @@ True
 
 The scenario matrix (:func:`run_matrix`) fans
 {designs} x {channel models} x {fault campaigns} x {seeds} through
-:func:`repro.parallel.run_simulations` — ``engine="auto"`` where
-compilable, journal-backed resume, obs spans — and its committed artifact
+:func:`repro.parallel.run_simulations` — output-only interpreted cells,
+journal-backed resume, obs spans — and its committed artifact
 ``GALLERY_MATRIX.json`` is regenerated/checked by
 ``python -m repro.gallery matrix`` (see ``EXPERIMENTS.md``).
 """

@@ -2,10 +2,13 @@
 
 ``run_matrix`` fans every cell of the requested grid through
 :func:`repro.parallel.run_simulations` — one batch per (design,
-channel) group so ``engine="auto"`` can batch eligible cells and a
-shared write-ahead :class:`~repro.robust.recovery.Journal` makes the
-whole matrix resumable bit-exactly (kill it mid-run, call again with
-the same journal: completed cells replay, the rest execute).  Each
+channel) group, and a shared write-ahead
+:class:`~repro.robust.recovery.Journal` makes the whole matrix
+resumable bit-exactly (kill it mid-run, call again with the same
+journal: completed cells replay, the rest execute).  A cell reads only
+its design's output statistics plus the run's overflow and guard
+totals, so every cell is an output-only job
+(``SimConfig(monitors="output")``) and runs interpreted.  Each
 design additionally gets an analysis pass — lint cleanliness, the
 documented verify pre-flight verdicts and the float reference-model
 agreement — all recorded in the artifact.
@@ -247,14 +250,12 @@ def run_matrix(designs=None, channels=None, campaigns=None, seeds=None,
                             overflow_action="record",
                             guard_action="record",
                             faults=faults, factory_seed=seed,
-                            catch_errors=True))
+                            catch_errors=True, monitors="output"))
                     outs = run_simulations(
                         factory(entry, spec), configs,
                         seeded_factory=seeded_factory(entry, spec),
-                        journal=journal, workers=workers,
-                        engine="auto" if entry.compiled_ok else None)
-                    for (camp, seed), cfg, out in zip(grid, configs,
-                                                      outs):
+                        journal=journal, workers=workers)
+                    for (camp, seed), out in zip(grid, outs):
                         cells.append(_cell_record(
                             entry, ch_name, camp, seed, n, out))
                         outcomes.append(out)
@@ -285,17 +286,15 @@ def _cell_record(entry, ch_name, camp, seed, n, out):
             sqnr = None if not np.isfinite(v) else round(float(v), 2)
         except KeyError:
             sqnr = None
-        overflows = int(sum(r.overflow_count
-                            for r in out.records.values()))
+        overflows = out.overflows
     return {
         "design": entry.name,
         "channel": ch_name,
         "campaign": camp,
         "seed": seed,
         "n_samples": n,
-        # The registry's engine class, not the path a cell ran on: under
-        # engine="auto" small groups and fault cells run interpreted.
-        "engine": "compiled" if entry.compiled_ok else "interpreted",
+        # Output-only jobs never lower to the compiled engine.
+        "engine": "interpreted",
         "completed": out.completed,
         "error_kind": out.error_kind,
         "fault_fired": bool(out.fault_fired) and any(out.fault_fired),

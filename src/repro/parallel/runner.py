@@ -191,6 +191,14 @@ class SimOutcome:
     observed *inside* the run (the caller's fault objects are not
     mutated when the job ran in a worker process — always read the
     counts from here).
+
+    ``overflows`` is the run's total ``overflow_count`` over every
+    signal in the context, read from the value side.  It is the sum of
+    the records' ``overflow_count`` for a full job, and an output-only
+    job reports the same total although it holds the output's record
+    alone.  Error outcomes carry ``0``, and so does an outcome pickled
+    before the field existed.  It is a result, so it stays out of the
+    cache key.
     """
 
     label: str
@@ -212,6 +220,8 @@ class SimOutcome:
     #: the context's guard log (capped like ``DesignContext.guard_log``;
     #: ``guard_trips`` is the uncapped count).
     guard_events: tuple = ()
+    #: total overflow count over every signal of the run.
+    overflows: int = 0
 
     @property
     def completed(self):
@@ -307,6 +317,11 @@ class _DeadlineGuard:
         return False
 
 
+def overflow_total(ctx):
+    """Overflows counted on every signal of ``ctx`` (value side)."""
+    return sum(s.overflow_count for s in ctx.signals())
+
+
 def _execute(config, factory, seeded):
     """Run one job against ``factory`` (or ``seeded(factory_seed)``)."""
     # Imported lazily: repro.refine's own modules (sensitivity, the
@@ -364,7 +379,8 @@ def _execute(config, factory, seeded):
                               ctx.guard_trip_count,
                               tuple(f.n_fired for f in faults), None,
                               error_snapshot=snapshot,
-                              guard_events=tuple(ctx.guard_log))
+                              guard_events=tuple(ctx.guard_log),
+                              overflows=overflow_total(ctx))
         except ReproError as exc:
             if not config.catch_errors:
                 raise

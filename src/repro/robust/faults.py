@@ -43,10 +43,7 @@ from repro.core import word
 from repro.core.errors import DesignError, SimulationError
 from repro.obs import trace as obs_trace
 from repro.parallel.runner import SimConfig, in_worker, run_simulations
-from repro.refine.flow import Annotations
-from repro.refine.monitors import collect
 from repro.refine.report import format_table
-from repro.signal.context import DesignContext
 
 __all__ = ["Fault", "BitFlip", "StuckAt", "InputScale", "NanInject",
            "ChannelDrop", "SeedPerturb", "WorkerCrash", "WorkerHang",
@@ -502,26 +499,6 @@ class FaultCampaign:
         self.guard_action = guard_action
         self.seeded_factory = seeded_factory
         self.deadline_seconds = deadline_seconds
-
-    # -- single run ---------------------------------------------------------
-
-    def _run_once(self, faults=(), seed=None, label="fault"):
-        ctx = DesignContext(label, seed=self.seed if seed is None else seed,
-                            overflow_action="record",
-                            guard_action=self.guard_action)
-        with ctx:
-            if seed is not None and self.seeded_factory is not None:
-                design = self.seeded_factory(seed)
-            else:
-                design = self.factory()
-            design.build(ctx)
-            Annotations(dtypes=self.types, errors=self.errors).apply(ctx)
-            for fault in faults:
-                fault.install(ctx, design)
-            design.run(ctx, self.n_samples)
-        records = collect(ctx)
-        output = self.output or getattr(design, "output", None)
-        return records, output, ctx
 
     @staticmethod
     def _overflows(records):

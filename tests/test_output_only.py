@@ -5,8 +5,9 @@ A ``SimConfig(monitors="output")`` job runs the full job's value side
 ``error()`` draws, registers) but monitors only ``design.output`` and
 propagates no ranges.  Hypothesis checks that its single record equals
 the full job's output record with ``prop`` emptied, and that both jobs
-fail alike on value-side errors.  A machine-independent guard shows the
-work really is skipped, and the sweeps build such jobs.
+fail alike on value-side errors, and that it reports the full job's
+overflow total.  A machine-independent guard shows the work really is
+skipped, and the sweeps and the gallery matrix build such jobs.
 """
 
 from dataclasses import replace
@@ -22,6 +23,8 @@ from repro.core.errors import (DesignError, FixedPointOverflowError,
 from repro.core.interval import Interval
 from repro.dsp.lms import LmsEqualizerDesign
 from repro.dsp.timing_recovery import TimingRecoveryDesign
+from repro.gallery import matrix
+from repro.gallery.matrix import SMOKE_AXES, _cell_record, run_matrix
 from repro.gallery.registry import factory, gallery
 from repro.obs import counters
 from repro.parallel import runner
@@ -93,6 +96,11 @@ def _assert_output_only_matches(design_factory, cfg):
     assert lean.fault_fired == full.fault_fired
     assert repr(lean.guard_events) == repr(full.guard_events)
     assert lean.error == full.error
+    assert lean.overflows == full.overflows == _records_overflows(full)
+
+
+def _records_overflows(out):
+    return sum(r.overflow_count for r in out.records.values())
 
 
 def _dtype_st():
@@ -266,20 +274,25 @@ def test_compiled_engine_runs_output_only_jobs_interpreted():
     assert all(len(out.records) == 1 for out in lean)
 
 
-# -- the sweeps build output-only probes ---------------------------------------
+# -- the sweeps and the gallery matrix build output-only jobs -------------------
 
 
-def _capture_configs(monkeypatch, module):
-    seen = []
+def _capture_batches(monkeypatch, module):
+    """Spy on ``module.run_simulations``: ``[(factory, configs, kwargs)]``."""
+    batches = []
     real = module.run_simulations
 
     def spy(design_factory, configs, **kwargs):
         configs = list(configs)
-        seen.extend(configs)
+        batches.append((design_factory, configs, kwargs))
         return real(design_factory, configs, **kwargs)
 
     monkeypatch.setattr(module, "run_simulations", spy)
-    return seen
+    return batches
+
+
+def _configs(batches):
+    return [cfg for _, configs, _ in batches for cfg in configs]
 
 
 SWEEP_TYPES = {"y": DType("T_y", 10, 7, "tc", "saturate", "round"),
@@ -287,20 +300,81 @@ SWEEP_TYPES = {"y": DType("T_y", 10, 7, "tc", "saturate", "round"),
 
 
 def test_sensitivity_probes_are_output_only(monkeypatch):
-    seen = _capture_configs(monkeypatch, sensitivity)
+    batches = _capture_batches(monkeypatch, sensitivity)
     report = analyze_sensitivity(LmsEqualizerDesign, SWEEP_TYPES,
                                  {"x": T_INPUT}, n_samples=80, seed=2,
                                  workers=0)
+    seen = _configs(batches)
     assert len(seen) == 1 + 2 * len(SWEEP_TYPES)
     assert {cfg.monitors for cfg in seen} == {"output"}
     assert len(report.entries) == len(SWEEP_TYPES)
 
 
 def test_optimizer_probes_are_output_only(monkeypatch):
-    seen = _capture_configs(monkeypatch, optimizer)
+    batches = _capture_batches(monkeypatch, optimizer)
     result = optimize_wordlengths(LmsEqualizerDesign, SWEEP_TYPES,
                                   {"x": T_INPUT}, target_db=0.0,
                                   n_samples=80, seed=2, max_moves=2,
                                   workers=0)
+    seen = _configs(batches)
     assert len(seen) == result.n_simulations
     assert {cfg.monitors for cfg in seen} == {"output"}
+
+
+#: the smoke grid at one stimulus seed: 7 designs x 2 channels x 2
+#: campaigns.
+GALLERY_GRID = dict(channels=SMOKE_AXES["channels"],
+                    campaigns=SMOKE_AXES["campaigns"],
+                    seeds=SMOKE_AXES["seeds"][:1],
+                    n_samples=SMOKE_AXES["n_samples"], analyze=False,
+                    workers=0)
+
+
+@pytest.fixture(scope="module")
+def gallery_cells():
+    """``label -> (config, output-only outcome, full outcome)``.
+
+    The output-only outcomes are the ones :func:`run_matrix` produced;
+    each full outcome re-runs the same config with every monitor on.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        batches = _capture_batches(mp, matrix)
+        result = run_matrix(**GALLERY_GRID)
+    lean = iter(result.outcomes)
+    cells = {}
+    for design_factory, configs, kwargs in batches:
+        full = runner.run_simulations(
+            design_factory, [replace(c, monitors="all") for c in configs],
+            **kwargs)
+        for cfg, out in zip(configs, full):
+            cells[cfg.label] = (cfg, next(lean), out)
+    assert len(cells) == 7 * 2 * 2
+    return cells
+
+
+def test_matrix_cells_are_output_only(gallery_cells):
+    for cfg, _lean, _full in gallery_cells.values():
+        assert cfg.monitors == "output"
+
+
+def test_gallery_cell_overflows_match_full(gallery_cells):
+    reg = gallery()
+    for label, (cfg, lean, full) in gallery_cells.items():
+        assert lean.completed and full.completed, label
+        assert full.overflows == _records_overflows(full), label
+        assert lean.overflows == full.overflows, label
+        name, ch_name, camp, seed = label.split("|")
+        args = (reg[name], ch_name, camp, int(seed), cfg.n_samples)
+        assert (_cell_record(*args, lean)
+                == _cell_record(*args, full)), label
+
+
+def test_ddc_overflows_come_from_wrapping_integrators(gallery_cells):
+    """The output never overflows; the CIC integrators wrap."""
+    _cfg, lean, full = gallery_cells["ddc|clean|clean|101"]
+    assert lean.records[lean.output].overflow_count == 0
+    assert _records_overflows(lean) == 0
+    assert lean.overflows > 0
+    assert lean.overflows == full.overflows
+    assert full.records["ddc.ii2"].overflow_count > 0
+    assert full.records["ddc.ci1"].overflow_count > 0

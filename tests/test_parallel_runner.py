@@ -111,6 +111,30 @@ class TestRunner:
         assert fingerprint(lms_factory, base) != \
             fingerprint(other_factory, base)
 
+    def test_overflows_sum_every_record(self):
+        narrow = DType("T_n", 4, 3, "tc", "saturate", "round")
+        configs = [SimConfig(label="o%d" % s, n_samples=120, seed=s,
+                             dtypes={"x": T_IN, "w": narrow, "y": narrow})
+                   for s in (1, 2)]
+        cache = SimCache()
+        # serial, pool (filling the cache), cache hits
+        for workers, use in ((1, None), (2, cache), (1, cache)):
+            outcomes = run_simulations(lms_factory, configs,
+                                       workers=workers, cache=use)
+            for out in outcomes:
+                assert out.overflows > 0
+                assert out.overflows == sum(
+                    r.overflow_count for r in out.records.values())
+        assert cache.hits == len(configs)
+
+    def test_error_outcome_has_no_overflows(self):
+        narrow = DType("T_n", 4, 3, "tc", "error", "round")
+        cfg = SimConfig(dtypes={"x": T_IN, "w": narrow}, n_samples=120,
+                        overflow_action="raise", catch_errors=True)
+        out, = run_simulations(lms_factory, [cfg], workers=1)
+        assert out.error_kind == "error"
+        assert out.overflows == 0
+
 
 class TestSensitivityDeterminism:
     @pytest.fixture(scope="class")

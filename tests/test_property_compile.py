@@ -61,6 +61,7 @@ def assert_engines_agree(design_factory, configs, **kw):
         assert a.output == b.output
         assert a.error == b.error
         assert a.guard_trips == b.guard_trips
+        assert a.overflows == b.overflows
         assert_records_equal(a.records, b.records)
     return interp, compiled
 
