@@ -32,8 +32,9 @@ may differ arbitrarily in ``label``, ``dtypes``, ``ranges`` and
 ``catch_errors``.  A config is *ineligible* (never batched, silently
 interpreted) when it carries faults, ``error()`` annotations, a
 deadline, a watchdog budget, a mid-run error snapshot request,
-``monitors="output"`` (the engine has no output-only mode, and
-per-lane interpreted output-only runs beat it at sweep widths), a dtype
+``monitors="stats"`` or ``"output"`` (the engine always propagates
+ranges and monitors every signal, and per-lane interpreted output-only
+runs beat it at sweep widths), a dtype
 with ``n > 53``, or while :mod:`repro.obs.metrics` collection is
 enabled.
 

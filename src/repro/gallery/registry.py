@@ -275,12 +275,15 @@ def reference_check(entry, seed=None, n=512, channel=None):
     Without annotations the traced design computes in doubles, so any
     disagreement with the numpy reference model is a structural bug,
     not quantization; the gallery keeps this at double-precision zero.
+    Only ``design.out_fx`` is read, so the run monitors the output alone
+    and propagates no ranges (:meth:`DesignContext.monitor_only`).
     """
     seed = entry.base_seed if seed is None else int(seed)
     ctx = DesignContext("gallery-ref-%s" % entry.name)
     with ctx:
         design = entry.cls(seed=seed, channel=channel, record_output=True)
         design.build(ctx)
+        ctx.monitor_only(entry.output)
         design.run(ctx, n)
     ref = entry.cls.reference(entry.cls.samples(seed, n, channel))
     got = np.asarray(design.out_fx, dtype=float)

@@ -92,8 +92,9 @@ from repro.signal.context import DesignContext
 __all__ = ["SimConfig", "SimOutcome", "SimCache", "PoolPolicy",
            "run_simulations", "default_workers", "fingerprint"]
 
-#: ``SimConfig.monitors`` values: every signal, or the output alone.
-MONITOR_MODES = ("all", "output")
+#: ``SimConfig.monitors`` values: every signal with range propagation,
+#: every signal's statistics alone, or the output alone.
+MONITOR_MODES = ("all", "stats", "output")
 
 
 @dataclass(frozen=True)
@@ -136,16 +137,21 @@ class SimConfig:
     nothing the run computes, so the tape stays out of the cache key.
 
     ``monitors`` is ``"all"`` (every signal's monitors plus range
-    propagation) or ``"output"``: a probe whose caller reads only the
-    output's statistics.  An output-only job runs the identical value
-    side (guard, fault hooks, quantization, overflow counting and
-    raising, ``error()`` draws, registers), keeps all four monitors on
-    ``design.output`` only, propagates no ranges and returns
-    ``records == {output: record}`` with an empty ``prop``.  Because it
-    runs no interval arithmetic, it cannot fail where only that
-    arithmetic fails (an ``inf - inf`` bound, say) while the full job
-    would.  It needs neither a tape nor an error snapshot, so both are
-    rejected with ``monitors="output"``.
+    propagation), ``"stats"`` or ``"output"``.  Both of the latter run
+    the identical value side (guard, fault hooks, quantization,
+    overflow counting and raising, ``error()`` draws, registers) and
+    propagate no ranges, so every record's ``prop`` is empty.  A
+    statistics-only job (``"stats"``) keeps all four monitors on every
+    signal and returns every record, ``forced_range`` included: the
+    refinement flow's verification job and its ``error()``-annotated
+    LSB jobs, which read no intervals, are such jobs.  An output-only
+    job (``"output"``) is a probe whose caller reads only the output's
+    statistics: it keeps the monitors on ``design.output`` only and
+    returns ``records == {output: record}``.  Running no interval
+    arithmetic, neither can fail where only that arithmetic fails (an
+    ``inf - inf`` bound, say) while the full job would.  Neither
+    records intervals, so both reject a tape; an output-only job also
+    rejects ``snapshot_errors``, which needs every signal's statistics.
     """
 
     label: str = "sim"
@@ -179,6 +185,9 @@ class SimConfig:
             raise ValueError("monitors='output' records no intervals or "
                              "per-signal statistics, so it cannot take a "
                              "tape or snapshot_errors")
+        if self.monitors == "stats" and self.tape is not None:
+            raise ValueError("monitors='stats' records no intervals, so it "
+                             "cannot take a tape")
 
 
 @dataclass(frozen=True)
@@ -360,6 +369,8 @@ def _execute(config, factory, seeded):
                     output_only = config.monitors == "output"
                     if output_only:
                         ctx.monitor_only(output)
+                    elif config.monitors == "stats":
+                        ctx.propagate = False
                     if config.tape is not None:
                         config.tape.start(ctx)
                     if config.snapshot_errors:
@@ -495,9 +506,9 @@ def fingerprint(design_factory, config, seeded_factory=None,
     tuned between sessions.  ``snapshot_errors``,
     ``guard_replacement`` and ``monitors`` enter the key only when they
     differ from their defaults, so keys of configs that leave them
-    alone are unchanged from before the fields existed, and an
-    output-only outcome is never served to a caller that wants every
-    record.  Range bounds and error
+    alone are unchanged from before the fields existed, and a
+    statistics-only or output-only outcome is never served to a caller
+    that wants every record's intervals.  Range bounds and error
     amplitudes are keyed as floats, the values the simulation applies,
     so ``(-1, 1)``, ``[-1, 1]`` and ``(-1.0, 1.0)`` share a key (and
     float-tuple keys are unchanged from before the normalization).

@@ -219,6 +219,10 @@ class PhaseResult:
 
 @dataclass
 class VerificationResult:
+    """Final simulation with the synthesized types (Fig. 4 "check
+    performance").  It is a statistics-only job, so ``records`` carry
+    SQNR, error statistics and overflow counts but no ``prop``."""
+
     records: dict
     output: str
     output_sqnr_db: float
@@ -307,8 +311,17 @@ class RefinementFlow:
         iteration may follow, and a job that differs from a recorded one
         only in its ranges is replayed from that tape instead of
         simulated (:class:`_RangeReplay`).
+
+        The jobs whose intervals nothing reads -- the verification job
+        and every LSB job that carries ``error()`` annotations -- run
+        statistics-only (``SimConfig(monitors="stats")``): their records
+        carry no ``prop``.  Every other job propagates ranges; an LSB
+        job without error annotations is the last MSB iteration's job,
+        served from the cache.
         """
         cfg = config if config is not None else self.cfg
+        stats_only = label == "verify" or (
+            bool(annotations.errors) and label.startswith("lsb-"))
         job = SimConfig(label=label, dtypes=annotations.dtypes,
                         ranges=annotations.ranges, errors=annotations.errors,
                         n_samples=cfg.n_samples, seed=cfg.seed,
@@ -316,7 +329,8 @@ class RefinementFlow:
                         guard_replacement=cfg.guard_replacement,
                         snapshot_errors=True,
                         max_watchdog_cycles=cfg.max_watchdog_cycles,
-                        max_wall_seconds=cfg.max_wall_seconds)
+                        max_wall_seconds=cfg.max_wall_seconds,
+                        monitors="stats" if stats_only else "all")
         cache = self._cache
         hits = cache.hits if cache is not None else 0
         replay = self._replay
@@ -324,7 +338,8 @@ class RefinementFlow:
                             samples=cfg.n_samples) as sp:
             outcome = None if replay is None else replay.serve(job, sp)
             if outcome is None:
-                if replay is not None and self._msb_job(annotations, cfg):
+                if (replay is not None and not stats_only
+                        and self._msb_job(annotations, cfg)):
                     job = replay.with_tape(job)
                 outcome, = run_simulations(self.factory, [job], workers=1,
                                            cache=cache)

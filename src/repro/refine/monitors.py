@@ -4,13 +4,16 @@ A :class:`SignalRecord` is an immutable snapshot of everything the
 refinement rules need about one signal: the statistic-based range, the
 propagated range, the consumed/produced error statistics, the reference
 power, overflow counts and annotations.  :func:`collect` snapshots a
-whole design context.
+whole design context.  A run that propagates no ranges (a
+statistics-only or output-only job, ``DesignContext.propagate`` off)
+leaves every record's ``prop`` empty, also on a signal that carries a
+forced range; ``forced_range`` still records the annotation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core import word
 from repro.core.interval import Interval
@@ -107,7 +110,7 @@ class SignalRecord:
             stat_min=rs.min if rs.count else math.nan,
             stat_max=rs.max if rs.count else math.nan,
             frac_bits=rs.frac_bits,
-            prop=sig.prop_interval(),
+            prop=sig.prop_interval() if sig.ctx.propagate else Interval(),
             err_consumed=ErrorSummary.from_stat(sig.err_consumed),
             err_produced=ErrorSummary.from_stat(sig.err_produced),
             val_rms=sig.val_stat.rms,
@@ -123,10 +126,5 @@ def collect(ctx):
 
 
 def collect_output(ctx, name):
-    """Snapshot of signal ``name`` alone after an output-only run.
-
-    Such a run propagates no ranges, so the record's ``prop`` is empty
-    (also when the signal carries a forced range).
-    """
-    record = SignalRecord.from_signal(ctx.get(name))
-    return {name: replace(record, prop=Interval())}
+    """Snapshot of signal ``name`` alone after an output-only run."""
+    return {name: SignalRecord.from_signal(ctx.get(name))}

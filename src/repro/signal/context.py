@@ -118,7 +118,8 @@ class DesignContext:
         #: interval tape recording this run
         #: (:mod:`repro.signal.interval_tape`), or None.
         self.tape = None
-        #: quasi-analytical range propagation on (see :meth:`monitor_only`).
+        #: quasi-analytical range propagation on (off in a statistics-only
+        #: or output-only job, see :meth:`monitor_only`).
         self.propagate = True
         self._signals = {}
         self._order = []
@@ -183,6 +184,8 @@ class DesignContext:
         for r in self._registers:
             r.commit()
         self.cycle += 1
+        if self.tape is not None:
+            self.tape.tick()
         if self.watchdog is not None:
             self.watchdog.check(self.cycle)
 

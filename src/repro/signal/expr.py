@@ -11,7 +11,8 @@ produces an :class:`Expr` holding three parallel results:
 * ``ival`` — the operation applied to the operands' value ranges
   (the quasi-analytical range propagation of Section 4.1), or the
   shared empty interval when the context does not propagate ranges
-  (``DesignContext.propagate``, off in an output-only run).
+  (``DesignContext.propagate``, off in a statistics-only or output-only
+  run).
 
 Relational operators compare the fixed-point values only, so the fixed
 and float simulations always take the same control decisions.
@@ -45,10 +46,11 @@ class Operand:
     # add/sub/mul/neg are the per-sample hot path of every monitored
     # simulation; they inline the interval arithmetic and build the
     # result Expr without re-validating floats; only a listening tracer
-    # or interval tape costs them a call.  Rarer operations
-    # (div, shifts) keep the generic _binop/_unop route.  A context
-    # that does not propagate ranges (an output-only run) gets the
-    # shared EMPTY interval instead of any interval arithmetic.
+    # or interval tape costs them a call (one IntervalTape.binop for
+    # add/sub/mul on a tape).  Rarer operations (div, shifts) keep the
+    # generic _binop/_unop route.  A context that does not propagate
+    # ranges (a statistics-only or output-only run) gets the shared
+    # EMPTY interval instead of any interval arithmetic.
 
     def __add__(self, other):
         ea = self._to_expr()
@@ -59,9 +61,12 @@ class Operand:
         ctx = e.ctx = ea.ctx if ea.ctx is not None else eb.ctx
         e.ival = (iv_add(ea.ival, eb.ival) if ctx is None or ctx.propagate
                   else EMPTY)
-        e.node = (None if ctx is None
-                  or (ctx.tape is None and ctx.tracer is None)
-                  else _trace_node(ctx, "add", (ea, eb)))
+        if ctx is None or (ctx.tape is None and ctx.tracer is None):
+            e.node = None
+        elif ctx.tape is not None:
+            e.node = ctx.tape.binop("add", ea, eb)
+        else:
+            e.node = _trace_node(ctx, "add", (ea, eb))
         return e
 
     def __radd__(self, other):
@@ -76,9 +81,12 @@ class Operand:
         ctx = e.ctx = ea.ctx if ea.ctx is not None else eb.ctx
         e.ival = (iv_sub(ea.ival, eb.ival) if ctx is None or ctx.propagate
                   else EMPTY)
-        e.node = (None if ctx is None
-                  or (ctx.tape is None and ctx.tracer is None)
-                  else _trace_node(ctx, "sub", (ea, eb)))
+        if ctx is None or (ctx.tape is None and ctx.tracer is None):
+            e.node = None
+        elif ctx.tape is not None:
+            e.node = ctx.tape.binop("sub", ea, eb)
+        else:
+            e.node = _trace_node(ctx, "sub", (ea, eb))
         return e
 
     def __rsub__(self, other):
@@ -93,9 +101,12 @@ class Operand:
         ctx = e.ctx = ea.ctx if ea.ctx is not None else eb.ctx
         e.ival = (iv_mul(ea.ival, eb.ival) if ctx is None or ctx.propagate
                   else EMPTY)
-        e.node = (None if ctx is None
-                  or (ctx.tape is None and ctx.tracer is None)
-                  else _trace_node(ctx, "mul", (ea, eb)))
+        if ctx is None or (ctx.tape is None and ctx.tracer is None):
+            e.node = None
+        elif ctx.tape is not None:
+            e.node = ctx.tape.binop("mul", ea, eb)
+        else:
+            e.node = _trace_node(ctx, "mul", (ea, eb))
         return e
 
     def __rmul__(self, other):

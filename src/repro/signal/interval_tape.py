@@ -11,11 +11,12 @@ fraction of a full dual float/fixed simulation.
 
 Recording
 ---------
-While ``ctx.tape`` is set, every operation (the operator dunders and
-the :mod:`repro.signal.ops` functions, through ``_trace_node``) appends
-one ``(op, ref, ref)`` triple to the current tick's list and every
-monitored assignment (``Sig._record``) appends ``("=", signal, ref)``.
-An operand ref is
+While ``ctx.tape`` is set, every operation appends one ``(op, ref,
+ref)`` triple to the current tick's list (the add/sub/mul dunders
+through :meth:`IntervalTape.binop`, every other operation through
+``_trace_node`` and :meth:`IntervalTape.op`) and every monitored
+assignment (``Sig._record``) appends ``("=", signal, ref)``.  An
+operand ref is
 
 * an ``int >= 0`` -- the position of the operation that produced it in
   the same tick,
@@ -25,9 +26,10 @@ An operand ref is
 * an ``int < 0`` -- ``-1 - k`` names the tick's ``k``-th literal, kept in
   a separate per-tick constants list.
 
-A tick ends when ``ctx.cycle`` advances; its tuple of triples (its
-*shape*) is interned, so a loop whose structure does not change stores
-one shape and one constants tuple per tick.
+``DesignContext.tick()`` closes the tick (:meth:`IntervalTape.tick`);
+its tuple of triples (its *shape*) is interned, so a loop whose
+structure does not change stores one shape and one constants tuple per
+tick.
 
 A tape that cannot be trusted stops recording and keeps the reason in
 :attr:`IntervalTape.reason`: a signal created, re-typed, re-ranged,
@@ -111,7 +113,6 @@ class IntervalTape:
         self._ops = []
         self._consts = []
         self._base = 0
-        self._cycle = 0
 
     @property
     def n_ticks(self):
@@ -131,7 +132,6 @@ class IntervalTape:
             (s._prop_ival.copy(),
              None if s._read_ival is None else s._read_ival.copy())
             for s in self._signals)
-        self._cycle = ctx.cycle
         # Reads hand out one cached Expr per signal; while recording its
         # provenance is the signal.
         for s in self._signals:
@@ -146,9 +146,8 @@ class IntervalTape:
         ctx = self.ctx
         if ctx.tape is self:
             ctx.tape = None
-            self._sync()
             if self._ops:
-                self._close()
+                self.tick()
         for s in ctx.signals():
             if s._expr_cache is not None:
                 s._expr_cache.node = None
@@ -165,15 +164,9 @@ class IntervalTape:
         if self.ctx is not None and self.ctx.tape is self:
             self.ctx.tape = None
 
-    def _sync(self):
-        """Close every tick the context advanced past."""
-        cycle = self.ctx.cycle
-        while self._cycle < cycle:
-            self._close()
-            self._cycle += 1
-
-    def _close(self):
-        """Close the current tick: intern its shape, keep its literals."""
+    def tick(self):
+        """Close the current tick (``DesignContext.tick()`` calls this):
+        intern its shape, keep its literals."""
         ops = self._ops
         shape = tuple(ops)
         sid = self._shapes.get(shape)
@@ -206,23 +199,47 @@ class IntervalTape:
                 self.distrust("an expression was carried across ctx.tick()")
         return node
 
+    def binop(self, label, ea, eb):
+        """Record the binary operation ``label`` over ``ea`` and ``eb``;
+        returns the ref of its result.
+
+        The common operands -- a result of this tick or a signal read --
+        resolve here; literals and suspect operands go through
+        :meth:`_ref`.
+        """
+        base = self._base
+        a = ea.node
+        if type(a) is int and a >= base:
+            a -= base
+        elif a is None or type(a) is int:
+            a = self._ref(ea)
+        b = eb.node
+        if type(b) is int and b >= base:
+            b -= base
+        elif b is None or type(b) is int:
+            b = self._ref(eb)
+        ops = self._ops
+        ops.append((label, a, b))
+        return base + len(ops) - 1
+
     def op(self, label, operands):
         """Record one operation; returns the ref of its result."""
-        if self.ctx.cycle != self._cycle:
-            self._sync()
         # At most two operands shape an interval: select's condition
         # does not (its range is the union of the branches).
-        ra = self._ref(operands[-2] if len(operands) > 1 else operands[0])
-        rb = self._ref(operands[-1]) if len(operands) > 1 else None
+        if len(operands) > 1:
+            return self.binop(label, operands[-2], operands[-1])
         ops = self._ops
-        ops.append((label, ra, rb))
+        ops.append((label, self._ref(operands[0]), None))
         return self._base + len(ops) - 1
 
     def assign(self, sig, expr):
         """Record one monitored assignment."""
-        if self.ctx.cycle != self._cycle:
-            self._sync()
-        self._ops.append((ASSIGN, sig, self._ref(expr)))
+        r = expr.node
+        if type(r) is int and r >= self._base:
+            r -= self._base
+        elif r is None or type(r) is int:
+            r = self._ref(expr)
+        self._ops.append((ASSIGN, sig, r))
 
     # -- replay ----------------------------------------------------------
 

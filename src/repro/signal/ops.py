@@ -77,13 +77,16 @@ def cast(value, dtype):
     e = as_expr(value)
     qfx = dtype.saturating.kernel(e.fx)[0] if dtype.msbspec != "wrap" \
         else dtype.quantize(e.fx)
+    # A cast of a literal is an operation over it, so a tape or tracer
+    # sees it even though no signal is involved.
+    ctx = _ctx_of(e)
     ival = e.ival
-    if not _propagates(e.ctx):
+    if not _propagates(ctx):
         ival = EMPTY
     elif dtype.msbspec == "saturate":
         ival = ival.clip(dtype.range_interval())
-    node = _trace_node(e.ctx, "cast%s" % dtype.spec(), (e,))
-    return Expr(qfx, e.fl, ival, e.ctx, node)
+    node = _trace_node(ctx, "cast%s" % dtype.spec(), (e,))
+    return Expr(qfx, e.fl, ival, ctx, node)
 
 
 def fmin(a, b):

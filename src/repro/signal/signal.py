@@ -18,9 +18,10 @@ exactly as sketched in the paper's Figure 2/3.  A :class:`Reg` is a
 registered signal: assignments land in a *next* slot that only becomes
 visible after :meth:`DesignContext.tick` commits the clock edge.
 
-An output-only run (:meth:`DesignContext.monitor_only`) keeps the value
-side of every assignment but skips the monitors of all signals except
-one, and the range propagation of all of them.
+A statistics-only run (``DesignContext.propagate`` off) keeps every
+monitor but skips the range propagation; an output-only run
+(:meth:`DesignContext.monitor_only`) also skips the monitors of all
+signals except one.  Both keep the value side of every assignment.
 
 Assignment spellings
 --------------------

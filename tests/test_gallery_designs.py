@@ -9,6 +9,8 @@ verify verdicts are reproduced live.
 """
 
 import dataclasses
+import json
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from repro.gallery.matrix import CHANNEL_MODELS
 from repro.obs import counters
 from tests.test_property_compile import assert_records_equal
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ENTRIES = gallery()
 NAMES = sorted(ENTRIES)
 COMPILED = [name for name in NAMES if ENTRIES[name].compiled_ok]
@@ -60,6 +63,14 @@ class TestPerDesign:
     def test_reference_model_agrees(self, name):
         # Unannotated simulation vs. the pure-float reference model.
         assert reference_check(ENTRIES[name], n=256) <= 1e-9
+
+    def test_reference_check_matches_committed_matrix(self, name):
+        # The check monitors the output alone; what it reports at the
+        # matrix's 512 ticks is unchanged.
+        with open(os.path.join(ROOT, "GALLERY_MATRIX.json")) as fh:
+            committed = json.load(fh)["designs"][name]
+        assert reference_check(ENTRIES[name]) == \
+            committed["reference_max_abs_err"]
 
     def test_meets_sqnr_target_clean(self, name):
         e = ENTRIES[name]

@@ -16,6 +16,8 @@ Paper claims encoded here:
 * the refined loop still locks and decides symbols correctly.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from repro.core.dtype import DType
 from repro.dsp.timing_recovery import (TimingRecoveryDesign,
                                        aligned_symbol_errors)
 from repro.refine import FlowConfig, RefinementFlow
+from repro.refine import flow as flow_module
 
 T_IN = DType("T_in", 9, 7, "tc", "saturate", "round")
 PHASE_T = DType("T_eta", 12, 12, "us", "wrap", "round")
@@ -44,8 +47,25 @@ def make_flow():
 
 
 @pytest.fixture(scope="module")
-def result():
-    return make_flow().run()
+def run():
+    """The flow's result and the job of every simulation it ran through
+    the runner (a replayed MSB iteration runs none), by label."""
+    jobs = {}
+    real = flow_module.run_simulations
+
+    def spy(design_factory, configs, **kwargs):
+        for cfg in configs:
+            jobs[cfg.label] = cfg
+        return real(design_factory, configs, **kwargs)
+
+    with mock.patch.object(flow_module, "run_simulations", spy):
+        res = make_flow().run()
+    return res, jobs
+
+
+@pytest.fixture(scope="module")
+def result(run):
+    return run[0]
 
 
 class TestSystemShape:
@@ -113,6 +133,19 @@ class TestLsbPhase:
 
     def test_slicer_error_free(self, result):
         assert result.lsb.final.decisions["y"].lsb == 0
+
+    def test_error_annotated_iteration_is_statistics_only(self, run):
+        # lsb-iter-2 carries the eta error() annotation and nothing reads
+        # its intervals; lsb-iter-1 repeats the last MSB job (a cache hit).
+        result, jobs = run
+        assert jobs["lsb-iter-2"].errors == {"nco.eta": 2.0 ** -12}
+        assert {label: cfg.monitors for label, cfg in jobs.items()} == {
+            "baseline": "all", "msb-iter-1": "all", "lsb-iter-1": "all",
+            "lsb-iter-2": "stats", "verify": "stats"}
+        assert all(rec.prop.is_empty
+                   for rec in result.lsb.final.records.values())
+        assert not all(rec.prop.is_empty
+                       for rec in result.lsb.iterations[0].records.values())
 
 
 class TestVerification:

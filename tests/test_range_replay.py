@@ -17,11 +17,12 @@ import pytest
 from repro.core.dtype import DType
 from repro.core.errors import RefinementError
 from repro.core.interval import Interval
+from repro.gallery.registry import factory, get_design
 from repro.parallel import SimConfig, fingerprint, run_simulations
 from repro.parallel.runner import _pool_width
 from repro.refine import Design, FlowConfig
 from repro.refine import flow as flow_module
-from repro.signal import Expr, Reg, Sig
+from repro.signal import DesignContext, Expr, Reg, Sig, cast
 from repro.signal.interval_tape import IntervalTape
 from tests.test_flow_runner import RecordingFlow
 
@@ -219,6 +220,28 @@ class CarriedExpr(AccDesign):
             ctx.tick()
 
 
+class CastLiteral(AccDesign):
+    def run(self, ctx, n):
+        for _ in range(n):
+            self.x.assign(next(self._stim))
+            self.acc.assign(self.acc + (self.x - self.acc * self.x) * 0.05)
+            # The cast rounds 0.3 to 0.3125: an operation over a literal,
+            # not an operand whose interval misses its value.
+            self.y.assign(self.acc * 0.5
+                          + cast(0.3, DType("T", 8, 4, "tc", "saturate",
+                                            "round")))
+            ctx.tick()
+
+
+def test_cast_of_a_literal_is_replayed():
+    flow = _flow(CastLiteral)
+    res = flow.run()
+    assert res.msb.n_iterations == 2
+    assert not _replay_events(res)
+    assert repr(flow.outcomes["msb-iter-2"]) == \
+        repr(_full_msb_iter_2(CastLiteral))
+
+
 class TestFallbacks:
     def test_signal_created_inside_run(self):
         _check(LateSignal, "signal 'late' was created inside run()")
@@ -276,6 +299,39 @@ class TestTapeRecording:
         if _pool_width(2, 2) >= 2:      # the pair ran in a fork pool
             assert not any(t.recorded for t in tapes)
 
+    @pytest.mark.parametrize("consume", ["operation", "assignment"])
+    def test_expression_consumed_first_after_a_tick(self, consume):
+        # ctx.tick() closes the tick, so even an expression that the next
+        # tick consumes before recording anything else is caught.
+        with DesignContext("carry") as ctx:
+            x, y = Sig("x"), Sig("y")
+            tape = IntervalTape()
+            tape.start(ctx)
+            x.assign(0.5)
+            carried = x * 2.0
+            ctx.tick()
+            y.assign(carried + x if consume == "operation" else carried)
+            ctx.tick()
+            tape.finish()
+        assert tape.reason == "an expression was carried across ctx.tick()"
+
+    def test_every_tick_is_closed(self):
+        # Empty ticks count, and trailing work after the last tick is one
+        # more tick.
+        with DesignContext("ticks") as ctx:
+            x = Sig("x")
+            tape = IntervalTape()
+            tape.start(ctx)
+            for v in (0.25, None, None, 0.5):
+                if v is not None:
+                    x.assign(v)
+                ctx.tick()
+            x.assign(0.75)
+            tape.finish()
+        assert tape.reason is None
+        assert tape.n_ticks == 5
+        assert tape.n_shapes == 2
+
     def test_tape_stays_out_of_the_cache_key(self):
         job = SimConfig(n_samples=50)
         assert fingerprint(AccDesign, job) == \
@@ -290,6 +346,20 @@ def test_replay_of_a_forced_accumulator(bounds):
                              workers=1)
     ranged = replace(job, ranges={"acc": bounds})
     full, = run_simulations(AccDesign, [ranged], workers=1)
+    assert repr(flow_module._replayed(taped, tape, ranged)) == repr(full)
+
+
+def test_replay_of_a_multi_rate_design():
+    # The DDC's comb runs every 4th tick: two tick shapes.
+    entry = get_design("ddc")
+    design = factory(entry)
+    tape = IntervalTape()
+    job = SimConfig(dtypes=entry.dtypes, errors=entry.errors, n_samples=256)
+    taped, = run_simulations(design, [replace(job, tape=tape)], workers=1)
+    assert tape.reason is None
+    assert (tape.n_ticks, tape.n_shapes) == (256, 2)
+    ranged = replace(job, ranges=entry.ranges)
+    full, = run_simulations(design, [ranged], workers=1)
     assert repr(flow_module._replayed(taped, tape, ranged)) == repr(full)
 
 
