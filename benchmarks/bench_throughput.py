@@ -5,7 +5,6 @@ Not a paper artifact; establishes the cost envelope of this environment:
 * scalar quantization calls (the per-assignment hot path),
 * vectorized numpy quantization (block reference models),
 * monitored LMS simulation samples per second,
-* compiled-engine batch throughput (``repro.compile``, 2048 lanes),
 * sensitivity-sweep wall clock, serial vs parallel fan-out.
 
 Two entry points:
@@ -188,31 +187,6 @@ def measure_lms_samples_per_s(quick):
     return n / _best_of(run, 2 if quick else 4)
 
 
-def measure_lms_compiled_samples_per_s(quick):
-    """Compiled-engine batch throughput on the monitored LMS design.
-
-    Runs B=2048 lanes x n=2000 samples — a realistic refinement sweep
-    shape — end-to-end through ``run_simulations(engine="compiled")``
-    (lane setup, stub trace, vector execution and monitor write-back all
-    included) and reports total committed samples per second.  The same
-    B and n are used in quick and full mode so the CI perf gate compares
-    like with like; only the repeat count differs.
-    """
-    from repro.parallel.runner import SimConfig, run_simulations
-
-    B, n = 2048, 2000
-    dt = DType("T_input", 7, 5)
-    cfgs = [SimConfig(label="lane%d" % i, n_samples=n,
-                      dtypes={"x": dt}) for i in range(B)]
-
-    def run():
-        outcomes = run_simulations(LmsEqualizerDesign, cfgs, workers=0,
-                                   engine="compiled")
-        if any(o.error is not None for o in outcomes):
-            raise RuntimeError("compiled benchmark batch failed")
-    return B * n / _best_of(run, 1 if quick else 2)
-
-
 def measure_lms_obs(quick):
     """Observability cost on the monitored LMS path: A/B/A roundtrips.
 
@@ -331,8 +305,6 @@ def run_harness(quick=False):
         "reference_scalar_ns": measure_reference_scalar_ns(quick),
         "vector_quantize_msps": measure_vector_msps(quick),
         "lms_samples_per_s": measure_lms_samples_per_s(quick),
-        "lms_compiled_samples_per_s":
-            measure_lms_compiled_samples_per_s(quick),
     }
     obs_enabled, obs_overhead = measure_lms_obs(quick)
     metrics["lms_obs_enabled_samples_per_s"] = obs_enabled
@@ -350,9 +322,6 @@ def run_harness(quick=False):
             metrics["vector_quantize_msps"] / base["vector_quantize_msps"],
         "lms_simulation":
             metrics["lms_samples_per_s"] / base["lms_samples_per_s"],
-        "lms_compiled_vs_interpreted":
-            metrics["lms_compiled_samples_per_s"]
-            / metrics["lms_samples_per_s"],
         "sensitivity_parallel":
             metrics["sensitivity_serial_s"]
             / metrics["sensitivity_parallel_s"],
@@ -395,8 +364,7 @@ def check_regression(current, committed, tolerance=REGRESSION_TOLERANCE):
             % (cur["scalar_quantize_ns"], expected_ns * (1.0 + tolerance),
                old["scalar_quantize_ns"], machine,
                int(tolerance * 100)))
-    for rate_key in ("vector_quantize_msps", "lms_samples_per_s",
-                     "lms_compiled_samples_per_s"):
+    for rate_key in ("vector_quantize_msps", "lms_samples_per_s"):
         if rate_key not in old or rate_key not in cur:
             continue   # baseline JSON predates this metric
         expected = old[rate_key] / machine

@@ -91,10 +91,8 @@ def _cmd_list():
         verify = (", ".join("%s@k=%d" % (prop, k)
                             for prop, k, _ in e.verify_checks)
                   or "skipped")
-        print("%-*s  target %5.1f dB  engine %-11s  verify %-28s  %s"
-              % (width, name, e.sqnr_target_db,
-                 "compiled" if e.compiled_ok else "interpreted",
-                 verify, e.description))
+        print("%-*s  target %5.1f dB  verify %-28s  %s"
+              % (width, name, e.sqnr_target_db, verify, e.description))
     return 0
 
 

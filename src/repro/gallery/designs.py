@@ -19,8 +19,7 @@ the verifier and the scenario matrix can drive them uniformly:
   (``tests/test_gallery_designs.py`` asserts this for every entry),
 * with ``record_output=True`` the design appends the output's ``fx``
   track per tick (reference-agreement tests only; the default keeps the
-  per-tick hot path free of Python-side reads so the compiled engine
-  stays eligible).
+  per-tick hot path free of Python-side reads).
 
 ``stimulus()`` / ``samples()`` are classmethods: the reference model
 consumes exactly the same channel-processed sample stream the traced
@@ -547,7 +546,7 @@ class DecimInterpDesign(GalleryDesignBase):
     :data:`INTERP_F0` (twice the even halfband taps, absorbing the
     zero-stuffing gain).  Output is the interpolated mid-point stream —
     an end-to-end multirate chain whose per-tick structure stays
-    uniform (2 samples in, 2 out), so it rides the compiled engine.
+    uniform (2 samples in, 2 out).
     """
 
     name = "decim-interp"

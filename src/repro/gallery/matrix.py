@@ -293,7 +293,8 @@ def _cell_record(entry, ch_name, camp, seed, n, out):
         "campaign": camp,
         "seed": seed,
         "n_samples": n,
-        # Output-only jobs never lower to the compiled engine.
+        # Every job runs interpreted; the field is kept because the
+        # matrix digest and the benchmark's structural check read it.
         "engine": "interpreted",
         "completed": out.completed,
         "error_kind": out.error_kind,
@@ -329,7 +330,6 @@ def _analyze_design(entry, cells, verify_backend):
              "backend": v.backend, "reason": v.reason}
             for v in verdicts],
         "reference_max_abs_err": float(ref_err),
-        "compiled_ok": entry.compiled_ok,
     }
 
 

@@ -80,7 +80,6 @@ class GalleryEntry:
     errors: dict = field(default_factory=dict)
     extra_outputs: tuple = ()
     n_samples: int = 2048
-    compiled_ok: bool = False
     #: ``(property, k, expected_status)`` triples for the verifier.
     verify_checks: tuple = ()
     #: non-empty => verification skipped, with this documented reason.
@@ -147,7 +146,6 @@ def gallery():
                     "yr": _T_S12, "yi": _T_S12},
             extra_outputs=("xi", "yr", "yi"),
             sqnr_target_db=59.0,
-            compiled_ok=True,
             verify_checks=(("no-overflow", 2, "PROVED"),)),
         GalleryEntry(
             "polyphase-fir", _d.PolyphaseFirDesign,
@@ -164,7 +162,6 @@ def gallery():
                     "po.v[1]": _T_ACC, "po.v[2]": _T_ACC,
                     "y": _T_OUT},
             sqnr_target_db=43.0,
-            compiled_ok=True,
             verify_checks=(("no-overflow", 3, "PROVED"),)),
         GalleryEntry(
             "goertzel", _d.GoertzelDesign,
@@ -176,7 +173,6 @@ def gallery():
             ranges={"gz.s": (-6.0, 6.0), "gz.s1": (-6.0, 6.0),
                     "gz.s2": (-6.0, 6.0), "gz.y": (-6.0, 6.0)},
             sqnr_target_db=59.0,
-            compiled_ok=True,
             verify_checks=(("no-overflow", 3, "PROVED"),)),
         GalleryEntry(
             "iir-lattice", _d.IirLatticeDesign,
@@ -188,7 +184,6 @@ def gallery():
             ranges={"lat.y": (-3.5, 3.5), "lat.f1": (-3.5, 3.5),
                     "lat.b0": (-6.0, 6.0), "lat.b1": (-6.0, 6.0)},
             sqnr_target_db=50.0,
-            compiled_ok=True,
             verify_checks=(("no-overflow", 3, "PROVED"),)),
         GalleryEntry(
             "ddc", _d.DdcDesign,
@@ -213,7 +208,6 @@ def gallery():
                     "ddc.cq1": 2.0 ** -9, "ddc.cq2": 2.0 ** -9},
             extra_outputs=("ddc.yq",),
             sqnr_target_db=51.0,
-            compiled_ok=False,
             verify_skip_reason=(
                 "non-uniform decimated control flow: the CIC comb "
                 "updates every R-th tick, outside the step encoder's "
@@ -226,7 +220,6 @@ def gallery():
             dtypes={"z": T_IN, "kf.e": _T_KE, "kf.x": _T_KST},
             ranges={"kf.x": (-1.5, 1.5), "kf.e": (-2.5, 2.5)},
             sqnr_target_db=39.5,
-            compiled_ok=True,
             verify_checks=(("no-overflow", 3, "PROVED"),
                            ("no-limit-cycle", 2, "PROVED"))),
         GalleryEntry(
@@ -250,7 +243,6 @@ def gallery():
                     "di.y0": _T_OUT, "di.y1": _T_OUT},
             extra_outputs=("di.y1",),
             sqnr_target_db=37.0,
-            compiled_ok=True,
             verify_checks=(("no-overflow", 3, "PROVED"),)),
     ]
     return {e.name: e for e in entries}
@@ -259,8 +251,8 @@ def gallery():
 def get_design(name):
     """Look up one entry; raises ``KeyError`` with the known names.
 
-    >>> get_design("fft-butterfly").compiled_ok
-    True
+    >>> get_design("fft-butterfly").output
+    'xr'
     """
     entries = gallery()
     if name not in entries:
@@ -291,7 +283,7 @@ def reference_check(entry, seed=None, n=512, channel=None):
 
 
 def single_run(entry, seed=None, channel=None, n_samples=None,
-               faults=(), engine=None, journal=None, workers=0):
+               faults=(), journal=None, workers=0):
     """One fully annotated simulation of ``entry``; returns SimOutcome.
 
     >>> out = single_run(get_design("kalman"), n_samples=256)
@@ -306,11 +298,9 @@ def single_run(entry, seed=None, channel=None, n_samples=None,
         n_samples=n, overflow_action="record", guard_action="record",
         faults=tuple(faults), factory_seed=seed,
         catch_errors=bool(faults))
-    if engine is None and entry.compiled_ok and not faults:
-        engine = "auto"
     outs = run_simulations(factory(entry, channel), [cfg],
                            seeded_factory=seeded_factory(entry, channel),
-                           journal=journal, workers=workers, engine=engine)
+                           journal=journal, workers=workers)
     return outs[0]
 
 

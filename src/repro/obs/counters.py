@@ -55,18 +55,6 @@ Well-known names (all under ``parallel.`` / ``journal.`` /
     checkpointed refinement-flow state.
 ``chaos.injected`` / ``chaos.scenarios_run`` / ``chaos.invariant_failures``
     deterministic fault injection (see :mod:`repro.robust.chaos`).
-``compile.batches`` / ``compile.lanes`` / ``compile.samples``
-    compiled-engine groups executed, total lanes (configs) batched into
-    them, and committed samples per group times lanes
-    (see :mod:`repro.compile`).
-``compile.fallbacks`` / ``compile.ineligible``
-    groups re-run interpreted after a :class:`CompileFallback` /
-    configs that never qualified for batching (faults, error()
-    annotations, deadlines, metrics enabled, n > 53 dtypes).
-``compile.small_groups``
-    configs of eligible groups that ``engine="auto"`` ran interpreted
-    because the group was narrower than the lane crossover
-    (``repro.compile.COMPILE_MIN_LANES`` per worker process).
 ``verify.checks`` / ``verify.proved`` / ``verify.counterexample`` /
 ``verify.unknown``
     bounded-model-checking property checks discharged and their
@@ -74,6 +62,9 @@ Well-known names (all under ``parallel.`` / ``journal.`` /
 ``verify.replays``
     counterexamples re-executed bit-exactly through the interpreted
     engine before being reported.
+
+The ``compile.*`` names are retired with the compiled engine and are
+never reused.
 """
 
 from __future__ import annotations

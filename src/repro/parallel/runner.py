@@ -130,9 +130,8 @@ class SimConfig:
 
     ``tape`` is an empty
     :class:`~repro.signal.interval_tape.IntervalTape` for the run to
-    record its interval program into.  Only the interpreted engine
-    records, and only in the calling process (a pool worker records into
-    its own copy, a compiled batch not at all), which
+    record its interval program into.  Only a run in the calling process
+    records (a pool worker records into its own copy), which
     :attr:`IntervalTape.recorded` tells apart.  Recording changes
     nothing the run computes, so the tape stays out of the cache key.
 
@@ -188,6 +187,9 @@ class SimConfig:
         if self.monitors == "stats" and self.tape is not None:
             raise ValueError("monitors='stats' records no intervals, so it "
                              "cannot take a tape")
+        if self.n_samples < 0:
+            raise ValueError("n_samples must be >= 0, got %r"
+                             % (self.n_samples,))
 
 
 @dataclass(frozen=True)
@@ -494,8 +496,7 @@ def _dtype_key(dt):
     return (dt.n, dt.f, dt.vtype, dt.msbspec, dt.lsbspec)
 
 
-def fingerprint(design_factory, config, seeded_factory=None,
-                engine="interpreted"):
+def fingerprint(design_factory, config, seeded_factory=None):
     """Cache key of one job: design identity + everything that shapes it.
 
     Identical jobs collide (that is the point of the cache); any knob
@@ -512,15 +513,6 @@ def fingerprint(design_factory, config, seeded_factory=None,
     amplitudes are keyed as floats, the values the simulation applies,
     so ``(-1, 1)``, ``[-1, 1]`` and ``(-1.0, 1.0)`` share a key (and
     float-tuple keys are unchanged from before the normalization).
-
-    ``engine="compiled"`` (and ``"auto"``, which may lower the job)
-    folds the engine identity *and* the compiler version into the key:
-    compiled outcomes are bit-identical to interpreted ones by contract,
-    but a lowering bug fixed by a compiler bump must never replay stale
-    journaled results produced by the old lowering.  ``"auto"`` and
-    ``"compiled"`` share keys, so journals written under either replay
-    under both.  Interpreted keys are unchanged from before the engine
-    existed, so old journals keep replaying.
 
     >>> def factory():
     ...     pass
@@ -557,9 +549,6 @@ def fingerprint(design_factory, config, seeded_factory=None,
         feed("guard_replacement", config.guard_replacement)
     if config.monitors != "all":
         feed("monitors", config.monitors)
-    if engine in ("compiled", "auto"):
-        from repro.compile import COMPILER_VERSION
-        feed("engine", "compiled:%d" % COMPILER_VERSION)
     return h.hexdigest()
 
 
@@ -588,6 +577,9 @@ class SimCache:
 
     def __init__(self, max_entries=4096):
         self.max_entries = int(max_entries)
+        if self.max_entries < 1:
+            raise ValueError("max_entries must be >= 1, got %r"
+                             % (max_entries,))
         self.hits = 0
         self.misses = 0
         #: entries evicted because their checksum no longer matched.
@@ -971,7 +963,7 @@ def _pool_width(workers, n_jobs):
 
 def run_simulations(design_factory, configs, workers=None, cache=None,
                     seeded_factory=None, journal=None, diagnostics=None,
-                    pool_policy=None, engine=None):
+                    pool_policy=None):
     """Run a batch of simulation jobs, in parallel when it pays off.
 
     ``design_factory`` is called (in each worker) to build a fresh
@@ -979,18 +971,6 @@ def run_simulations(design_factory, configs, workers=None, cache=None,
     ``workers=None`` auto-sizes to the visible CPUs (serial on a 1-CPU
     box); any explicit ``workers >= 2`` forces a pool when ``fork`` is
     available.  ``cache`` is an optional :class:`SimCache`.
-
-    ``engine`` selects the execution engine (``None`` defers to
-    :func:`repro.sim.engine.default_engine`).  With ``"compiled"``,
-    eligible jobs are grouped and batch-executed by :mod:`repro.compile`
-    — bit-identically to the interpreted path, with automatic per-group
-    fallback — and only the remainder (ineligible jobs, e.g. fault
-    campaigns) goes through the pool/serial machinery below, so the
-    compiled batch axis *composes* with process-level parallelism
-    instead of replacing it.  ``"auto"`` lowers only the groups with at
-    least :data:`repro.compile.COMPILE_MIN_LANES` lanes per worker
-    process of the interpreted path; smaller groups join the remainder,
-    where they run faster.
 
     ``journal`` (a :class:`repro.robust.recovery.Journal` or a path)
     makes the batch resumable: completed outcomes are appended to the
@@ -1008,9 +988,6 @@ def run_simulations(design_factory, configs, workers=None, cache=None,
     :class:`~repro.core.errors.WorkerCrashError` after the healthy rest
     of the batch has completed and been journaled.
     """
-    from repro.sim.engine import resolve_engine
-
-    engine = resolve_engine(engine)
     configs = list(configs)
     results = [None] * len(configs)
 
@@ -1026,8 +1003,7 @@ def run_simulations(design_factory, configs, workers=None, cache=None,
     for idx, cfg in enumerate(configs):
         key = None
         if need_key:
-            key = fingerprint(design_factory, cfg, seeded_factory,
-                              engine=engine)
+            key = fingerprint(design_factory, cfg, seeded_factory)
             hit = cache.get(key) if cache is not None else None
             if hit is None and journal is not None:
                 hit = journal.get(key)
@@ -1055,8 +1031,7 @@ def run_simulations(design_factory, configs, workers=None, cache=None,
                    for pos, (idx, key, cfg) in enumerate(pending)]
 
     with obs_trace.span("parallel.batch", jobs=len(configs),
-                        cached=n_cached, replayed=n_replayed,
-                        engine=engine) as batch_span:
+                        cached=n_cached, replayed=n_replayed) as batch_span:
         if n_replayed:
             obs_counters.inc("journal.replays", n_replayed)
             batch_span.event("journal.replay", count=n_replayed,
@@ -1120,30 +1095,14 @@ def run_simulations(design_factory, configs, workers=None, cache=None,
                             % (journal.path, journal.io_error),
                             path=journal.path, error=str(journal.io_error))
 
-        def execute(cfg):
-            return _execute(cfg, design_factory, seeded_factory)
-
         def run_serial(jobs):
             for idx, key, cfg in jobs:
-                on_complete(idx, key, cfg, execute(cfg))
+                on_complete(idx, key, cfg,
+                            _execute(cfg, design_factory, seeded_factory))
 
         mode = "serial"
         fatal = []
         max_workers = default_workers() if workers is None else int(workers)
-        if engine != "interpreted":
-            from repro.compile import COMPILE_MIN_LANES, run_compiled_pending
-            min_lanes = 1
-            if engine == "auto":
-                min_lanes = COMPILE_MIN_LANES * _pool_width(
-                    max_workers, len(pending))
-            pending, compiled_groups, small_groups = \
-                run_compiled_pending(design_factory, seeded_factory,
-                                     pending, on_complete, diagnostics,
-                                     execute, min_lanes=min_lanes)
-            batch_span.set(compiled_groups=compiled_groups,
-                           small_groups=small_groups)
-            if not pending:
-                mode = "compiled"
         n_workers = min(max_workers, len(pending))
         if _pool_width(max_workers, len(pending)) >= 2:
             exe = _BatchExecutor(n_workers, pool_policy, on_complete,

@@ -919,11 +919,9 @@ class _RangeReplay:
     """
 
     def __init__(self, factory, cache, diagnostics):
-        from repro.sim.engine import resolve_engine
         self.factory = factory
         self.cache = cache
         self.diagnostics = diagnostics
-        self.engine = resolve_engine(None)
         #: False once the lint pre-flight ran and found no range
         #: explosion (FX001): no auto-range annotation, hence no second
         #: MSB iteration, will follow the first.
@@ -932,7 +930,7 @@ class _RangeReplay:
         self._taped = {}
 
     def _key(self, job):
-        return fingerprint(self.factory, job, engine=self.engine)
+        return fingerprint(self.factory, job)
 
     def _family(self, job):
         return self._key(replace(job, ranges={}))

@@ -65,11 +65,13 @@ def optimize_wordlengths(design_factory, types, input_types, target_db,
     first missing one, converging to a bit-identical result.
 
     Every probe is an output-only job (``SimConfig(monitors="output")``):
-    it measures the output alone and propagates no ranges.  The compiled
-    engine has no output-only mode, so ``engine`` no longer lowers the
-    probes; under ``"compiled"`` or ``"auto"`` they run interpreted and
-    count as ``compile.ineligible``.
+    it measures the output alone and propagates no ranges.  ``engine``
+    is kept for old callers: only ``None`` and ``"interpreted"``, the
+    one simulation path, are accepted.
     """
+    if engine not in (None, "interpreted"):
+        raise ValueError("engine must be None or 'interpreted', got %r"
+                         % (engine,))
     types = dict(types)
     names = sorted(signals if signals is not None else types)
     sims = 0
@@ -89,7 +91,7 @@ def optimize_wordlengths(design_factory, types, input_types, target_db,
                    for trial in trials]
         outcomes = run_simulations(design_factory, configs,
                                    workers=workers, cache=cache,
-                                   journal=journal, engine=engine)
+                                   journal=journal)
         return [o.records[o.output].sqnr_db() for o in outcomes]
 
     current_sqnr = probe_batch([types])[0]

@@ -81,11 +81,13 @@ def analyze_sensitivity(design_factory, types, input_types, signals=None,
     sweep is re-run after a crash.
 
     Every probe is an output-only job (``SimConfig(monitors="output")``):
-    it measures the output alone and propagates no ranges.  The compiled
-    engine has no output-only mode, so ``engine`` no longer lowers the
-    probes; under ``"compiled"`` or ``"auto"`` they run interpreted and
-    count as ``compile.ineligible``.
+    it measures the output alone and propagates no ranges.  ``engine``
+    is kept for old callers: only ``None`` and ``"interpreted"``, the
+    one simulation path, are accepted.
     """
+    if engine not in (None, "interpreted"):
+        raise ValueError("engine must be None or 'interpreted', got %r"
+                         % (engine,))
     base_types = {**types, **input_types}
     names = list(signals) if signals is not None else list(types)
 
@@ -108,7 +110,7 @@ def analyze_sensitivity(design_factory, types, input_types, signals=None,
         plan.append((name, dt.f, has_minus))
 
     outcomes = run_simulations(design_factory, configs, workers=workers,
-                               cache=cache, journal=journal, engine=engine)
+                               cache=cache, journal=journal)
     base = outcomes[0]
     output = base.output
     base_sqnr = base.records[output].sqnr_db()

@@ -42,8 +42,8 @@ CATEGORY_CODES = {
     "cache-corrupt": "DG206",
     "chaos": "DG207",
     "journal-compact": "DG208",
-    # Compiled simulation engine (repro.compile).
-    "compile-fallback": "DG209",
+    # DG209 is retired (it named the removed compiled engine's
+    # fallback) and must never be reused.
     # Static verification verdicts (repro.verify).
     "verify-proved": "DG210",
     "verify-counterexample": "DG211",

@@ -526,7 +526,7 @@ class FaultCampaign:
                          deadline_seconds=self.deadline_seconds)
 
     def run(self, faults, workers=None, cache=None, journal=None,
-            diagnostics=None, pool_policy=None, engine=None):
+            diagnostics=None, pool_policy=None):
         """Execute the campaign; returns a :class:`CampaignResult`.
 
         The baseline and the per-fault runs are independent and go out
@@ -543,12 +543,6 @@ class FaultCampaign:
         events (deadline hits, quarantines, retries, replays) with
         their stable ``DG2xx`` codes; ``pool_policy`` tunes
         retry/quarantine behaviour.
-
-        ``engine`` is forwarded to the runner.  Under
-        ``engine="compiled"`` only the fault-free baseline run is
-        batch-eligible — fault injection hooks into the scalar
-        assignment path, so every per-fault config automatically takes
-        the interpreted pool, composing both levels of parallelism.
         """
         faults = list(faults)
         with obs_trace.span("campaign.run", faults=len(faults),
@@ -562,8 +556,7 @@ class FaultCampaign:
             sim_outcomes = run_simulations(
                 self.factory, configs, workers=workers, cache=cache,
                 seeded_factory=self.seeded_factory, journal=journal,
-                diagnostics=diagnostics, pool_policy=pool_policy,
-                engine=engine)
+                diagnostics=diagnostics, pool_policy=pool_policy)
 
             base = sim_outcomes[0]
             output = self.output or base.output

@@ -5,85 +5,15 @@ Each engine cycle advances every processor's behaviour generator by one
 clock edge).  Processors communicate through :class:`Channel` FIFOs, so
 the schedule order inside a cycle only affects FIFO latencies, never
 correctness.
-
-This module also owns the *execution-engine* selection shared by the
-batch runner (:func:`repro.parallel.runner.run_simulations`) and the
-layers above it (sensitivity analysis, wordlength optimization, fault
-campaigns): ``"interpreted"`` walks every sample through the scalar
-``Sig`` hot path, ``"compiled"`` lowers the design to batched NumPy
-kernels (:mod:`repro.compile`) with automatic per-group fallback, and
-``"auto"`` lowers only the groups wide enough to beat the interpreted
-path (``repro.compile.COMPILE_MIN_LANES``).  The process default is
-``"interpreted"`` unless the ``REPRO_ENGINE`` environment variable or
-:func:`set_default_engine` says otherwise; an explicit ``engine=``
-argument always wins.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.core.errors import DeadlockError, SimulationError
 from repro.obs import trace as obs_trace
 from repro.sim.channel import Channel
 
-__all__ = ["Engine", "ENGINES", "ENGINE_CHOICES", "default_engine",
-           "set_default_engine", "resolve_engine"]
-
-#: The execution engines a simulation actually runs on.
-ENGINES = ("interpreted", "compiled")
-
-#: Every accepted ``engine=`` value: the engines above plus ``"auto"``,
-#: which picks one of them per compiled group.
-ENGINE_CHOICES = ENGINES + ("auto",)
-
-_DEFAULT_ENGINE = None   # None -> consult REPRO_ENGINE, else "interpreted"
-
-
-def default_engine():
-    """The engine used when callers pass ``engine=None``.
-
-    Resolution order: :func:`set_default_engine` override, then the
-    ``REPRO_ENGINE`` environment variable, then ``"interpreted"``.
-
-    >>> default_engine()
-    'interpreted'
-    """
-    if _DEFAULT_ENGINE is not None:
-        return _DEFAULT_ENGINE
-    env = os.environ.get("REPRO_ENGINE", "").strip().lower()
-    if env in ENGINE_CHOICES:
-        return env
-    return "interpreted"
-
-
-def set_default_engine(engine):
-    """Set (or with ``None``, clear) the process-wide engine default.
-
-    Returns the previous override so callers can restore it.
-    """
-    global _DEFAULT_ENGINE
-    if engine is not None:
-        resolve_engine(engine)
-    prev = _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = engine
-    return prev
-
-
-def resolve_engine(engine):
-    """Validate an explicit ``engine=`` argument, defaulting ``None``.
-
-    >>> resolve_engine(None)
-    'interpreted'
-    >>> resolve_engine("auto")
-    'auto'
-    """
-    if engine is None:
-        return default_engine()
-    if engine not in ENGINE_CHOICES:
-        raise ValueError("engine must be one of %s, got %r"
-                         % (", ".join(ENGINE_CHOICES), engine))
-    return engine
+__all__ = ["Engine"]
 
 
 class Engine:

@@ -13,7 +13,6 @@ is replayed from the interval tape the baseline job recorded.
 import numpy as np
 import pytest
 
-from repro.compile import config_eligible
 from repro.core.dtype import DType
 from repro.core.errors import DesignError
 from repro.dsp.lms import LmsEqualizerDesign
@@ -297,12 +296,6 @@ class TestRunnerFields:
         finally:
             runner._WORKER_STATE.update(saved)
         assert out.output == "y" and out.records
-
-    def test_snapshot_and_watchdog_jobs_are_ineligible(self):
-        assert config_eligible(self._job())
-        assert not config_eligible(self._job(snapshot_errors=True))
-        assert not config_eligible(self._job(max_watchdog_cycles=10**6))
-        assert not config_eligible(self._job(max_wall_seconds=60.0))
 
     def test_guard_events_travel_in_the_outcome(self):
         class NanOnce(ScaleDesign):

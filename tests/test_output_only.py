@@ -26,7 +26,6 @@ from repro.dsp.timing_recovery import TimingRecoveryDesign
 from repro.gallery import matrix
 from repro.gallery.matrix import SMOKE_AXES, _cell_record, run_matrix
 from repro.gallery.registry import factory, gallery
-from repro.obs import counters
 from repro.parallel import runner
 from repro.parallel.runner import SimCache, SimConfig, fingerprint
 from repro.refine import optimizer, sensitivity
@@ -230,6 +229,15 @@ def test_invalid_monitor_combinations_raise():
         replace(SimConfig(monitors="output"), snapshot_errors=True)
 
 
+def test_negative_sample_count_raises():
+    # A negative count would run nothing and still report completed=True.
+    with pytest.raises(ValueError, match="n_samples must be >= 0"):
+        SimConfig(n_samples=-5)
+    with pytest.raises(ValueError, match="n_samples must be >= 0"):
+        replace(SimConfig(), n_samples=-1)
+    assert SimConfig(n_samples=0).n_samples == 0
+
+
 def test_design_without_output_is_an_error():
     def no_output():
         design = LmsEqualizerDesign()
@@ -261,17 +269,6 @@ def test_fingerprint_keeps_full_keys_and_separates_output_only():
     out, = runner.run_simulations(pinned, [full], workers=0, cache=cache)
     assert cache.hits == 0
     assert len(out.records) > 1
-
-
-def test_compiled_engine_runs_output_only_jobs_interpreted():
-    counters.reset()
-    cfgs = [SimConfig(label="p%d" % k, n_samples=60, seed=k,
-                      monitors="output") for k in range(3)]
-    lean = runner.run_simulations(LmsEqualizerDesign, cfgs, workers=0,
-                                  engine="compiled")
-    assert counters.get("compile.ineligible") == 3
-    assert counters.get("compile.batches") == 0
-    assert all(len(out.records) == 1 for out in lean)
 
 
 # -- the sweeps and the gallery matrix build output-only jobs -------------------
@@ -319,6 +316,18 @@ def test_optimizer_probes_are_output_only(monkeypatch):
     seen = _configs(batches)
     assert len(seen) == result.n_simulations
     assert {cfg.monitors for cfg in seen} == {"output"}
+
+
+@pytest.mark.parametrize("sweep,extra", [
+    (analyze_sensitivity, {}),
+    (optimize_wordlengths, {"target_db": 0.0, "max_moves": 0})])
+def test_sweeps_accept_only_the_interpreted_engine(sweep, extra):
+    args = (LmsEqualizerDesign, SWEEP_TYPES, {"x": T_INPUT})
+    kw = dict(extra, n_samples=20, workers=0)
+    for engine in ("compiled", "auto"):
+        with pytest.raises(ValueError, match="engine must be None or"):
+            sweep(*args, engine=engine, **kw)
+    sweep(*args, engine="interpreted", **kw)
 
 
 #: the smoke grid at one stimulus seed: 7 designs x 2 channels x 2

@@ -13,6 +13,7 @@ import os
 import pytest
 
 from repro.core.dtype import DType
+from repro.core.errors import NonFiniteError
 from repro.dsp.lms import LmsEqualizerDesign
 from repro.obs import counters as obs_counters
 from repro.parallel import (SimCache, SimConfig, SimOutcome,
@@ -135,6 +136,31 @@ class TestRunner:
         assert out.error_kind == "error"
         assert out.overflows == 0
 
+    @pytest.mark.parametrize("dtypes,n_samples,seed,message", [
+        ({"y": DType("T", 9, 0, "us", "wrap", "round"),
+          "x": DType("T", 2, 0, "tc", "saturate", "round")}, 120, 0,
+         "signal 'b' at cycle 118"),
+        ({"y": DType("T", 14, 0, "us", "wrap", "round"),
+          "v[0]": DType("T", 2, 0, "tc", "saturate", "round"),
+          "v[1]": DType("T", 2, 0, "tc", "saturate", "round")}, 90, 1,
+         "signal 'w' at cycle 67")])
+    def test_diverging_formats_give_an_error_outcome(self, dtypes,
+                                                     n_samples, seed,
+                                                     message):
+        # Coarse formats drive the equalizer's update to -inf; the
+        # non-finite guard aborts the job, which catch_errors keeps.
+        cfg = SimConfig(label="div", dtypes=dtypes, n_samples=n_samples,
+                        seed=seed, catch_errors=True)
+        out, = run_simulations(LmsEqualizerDesign, [cfg], workers=0)
+        assert not out.completed and out.error_kind == "error"
+        assert "non-finite value reached " + message in out.error
+        assert out.records == {} and out.overflows == 0
+        with pytest.raises(NonFiniteError, match=message):
+            run_simulations(LmsEqualizerDesign,
+                            [SimConfig(label="div", dtypes=dtypes,
+                                       n_samples=n_samples, seed=seed)],
+                            workers=0)
+
 
 class TestSensitivityDeterminism:
     @pytest.fixture(scope="class")
@@ -203,3 +229,9 @@ class TestSimCacheStats:
 
     def test_never_consulted_has_zero_rate(self):
         assert SimCache().stats()["hit_rate"] == 0.0
+
+    @pytest.mark.parametrize("capacity", [0, -3])
+    def test_capacity_below_one_is_rejected(self, capacity):
+        # Such a cache has no room for the entry its first put stores.
+        with pytest.raises(ValueError, match="max_entries must be >= 1"):
+            SimCache(max_entries=capacity)

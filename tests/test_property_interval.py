@@ -7,11 +7,9 @@ of applying the operation to any points of the operand intervals.
 
 import math
 
-import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.compile.vectorops import iv_vdiv
 from repro.core.interval import Interval
 
 finite = st.floats(min_value=-1e9, max_value=1e9,
@@ -94,18 +92,6 @@ class TestSoundness:
     def test_div(self, ap, bp):
         (a, pa), (b, pb) = ap, bp
         assert _contains(a / b, pa / pb)
-
-    @given(unbounded_with_point(), unbounded_with_point())
-    @example((Interval(-math.inf, -1.0), -3.0),
-             (Interval(-math.inf, -2.0), -4.0))
-    def test_vector_div_mirrors_scalar(self, ap, bp):
-        # The compiled engine's lane-wise division is bit-identical.
-        (a, _), (b, _) = ap, bp
-        lo, hi = iv_vdiv((np.array([a.lo]), np.array([a.hi])),
-                         (np.array([b.lo]), np.array([b.hi])))
-        q = a / b
-        assert (float(lo[0]).hex(), float(hi[0]).hex()) == \
-            (q.lo.hex(), q.hi.hex())
 
     @given(interval_with_point())
     def test_neg_abs(self, ap):

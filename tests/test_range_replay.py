@@ -262,8 +262,8 @@ class TestFallbacks:
         _check(CarriedExpr, "carried across ctx.tick()")
 
     def test_job_ran_on_no_interpreted_engine(self, monkeypatch):
-        # A pool worker or a compiled batch records into a copy of the
-        # tape (or not at all): the flow's own tape stays empty.
+        # A pool worker records into a copy of the tape: the flow's own
+        # tape stays empty.
         real = flow_module.run_simulations
 
         def elsewhere(factory, configs, **kw):
@@ -289,13 +289,9 @@ class TestTapeRecording:
         run_simulations(AccDesign, [replace(job, tape=tapes[0]),
                                     replace(job, seed=2, tape=tapes[1])],
                         workers=2)
-        compiled = IntervalTape()
-        run_simulations(AccDesign, [replace(job, tape=compiled)], workers=1,
-                        engine="compiled")
         serial = IntervalTape()
         run_simulations(AccDesign, [replace(job, tape=serial)], workers=1)
         assert serial.recorded and serial.reason is None
-        assert not compiled.recorded
         if _pool_width(2, 2) >= 2:      # the pair ran in a fork pool
             assert not any(t.recorded for t in tapes)
 

@@ -16,7 +16,6 @@ import pytest
 from repro.core.interval import Interval
 from repro.dsp.lms import LmsEqualizerDesign
 from repro.gallery.registry import get_design
-from repro.obs import counters
 from repro.parallel import runner
 from repro.parallel.runner import SimCache, SimConfig, fingerprint
 from repro.refine import flow as flow_module
@@ -112,15 +111,3 @@ def test_stats_job_rejects_a_tape():
     # The error snapshot reads every signal's statistics, which it keeps.
     assert SimConfig(monitors="stats", snapshot_errors=True).snapshot_errors
 
-
-def test_compiled_engine_runs_stats_jobs_interpreted(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", "compiled")
-    counters.reset()
-    cfgs = [SimConfig(label="s%d" % k, n_samples=60, seed=k,
-                      monitors="stats") for k in range(2)]
-    outs = runner.run_simulations(LmsEqualizerDesign, cfgs, workers=0)
-    assert counters.get("compile.ineligible") == 2
-    assert counters.get("compile.batches") == 0
-    for out in outs:
-        assert len(out.records) == 15
-        assert all(rec.prop.is_empty for rec in out.records.values())
