@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import math
 
+from repro.core.errors import DesignError
+
 __all__ = ["Interval", "EMPTY", "FULL", "fast_interval",
-           "iv_add", "iv_sub", "iv_mul", "iv_neg"]
+           "iv_add", "iv_sub", "iv_mul", "iv_neg", "eval_op"]
 
 
 def _mul_end(a, b):
@@ -42,6 +44,22 @@ def _div_end(a, b):
     if q != q:
         return math.copysign(math.inf, a) * math.copysign(1.0, b)
     return q
+
+
+def _ldexp_end(a, k):
+    """``a * 2**k`` for an end-point, overflowing to a signed infinity."""
+    try:
+        return math.ldexp(a, k)
+    except OverflowError:
+        return math.copysign(math.inf, a)
+
+
+def _pow_end(a, k):
+    """``a ** k`` for an end-point, overflowing to a signed infinity."""
+    try:
+        return a ** k
+    except OverflowError:
+        return math.copysign(math.inf, a) if k % 2 else math.inf
 
 
 class Interval:
@@ -238,13 +256,14 @@ class Interval:
         return Interval(0.0, max(-self.lo, self.hi))
 
     def scale_pow2(self, k):
-        """Multiply by ``2**k`` (arithmetic shift)."""
-        factor = math.ldexp(1.0, k)
+        """Multiply by ``2**k`` (arithmetic shift).
+
+        A bound past the float range becomes the infinity of its sign; an
+        infinite bound stays infinite however far it is shifted down.
+        """
         if self.is_empty:
             return Interval()
-        lo = self.lo * factor
-        hi = self.hi * factor
-        return Interval(lo, hi)
+        return Interval(_ldexp_end(self.lo, k), _ldexp_end(self.hi, k))
 
     def __lshift__(self, k):
         return self.scale_pow2(int(k))
@@ -262,9 +281,9 @@ class Interval:
         if k == 0:
             return Interval.point(1.0)
         if k % 2 == 1:
-            return Interval(self.lo ** k, self.hi ** k)
+            return Interval(_pow_end(self.lo, k), _pow_end(self.hi, k))
         mags = abs(self)
-        return Interval(mags.lo ** k, mags.hi ** k)
+        return Interval(_pow_end(mags.lo, k), _pow_end(mags.hi, k))
 
     def minimum(self, other):
         return self._binary(other, lambda o: Interval(min(self.lo, o.lo),
@@ -366,3 +385,46 @@ def iv_neg(a):
     if a.lo > a.hi:
         return EMPTY
     return fast_interval(-a.hi, -a.lo)
+
+
+def eval_op(label, ins):
+    """Interval semantics of one traced operation.
+
+    ``label`` is the operation's trace label (``add``, ``select``,
+    ``shr3``, ``cast<...>``, ...) and ``ins`` its operand intervals in
+    position order.  The SFG range analysis evaluates every operation
+    here and the interval-tape replay every one it has no fast path for.
+    """
+    if label == "add":
+        return ins[0] + ins[1]
+    if label == "sub":
+        return ins[0] - ins[1]
+    if label == "mul":
+        return ins[0] * ins[1]
+    if label == "div":
+        return ins[0] / ins[1]
+    if label == "neg":
+        return -ins[0]
+    if label == "abs":
+        return abs(ins[0])
+    if label == "min":
+        return ins[0].minimum(ins[1])
+    if label == "max":
+        return ins[0].maximum(ins[1])
+    if label in ("gt", "ge", "lt", "le"):
+        return Interval(0.0, 1.0)
+    if label == "select":
+        # Operands are (cond?, if_true, if_false): value range is the
+        # union of the two branches regardless of the condition.
+        return ins[-2].union(ins[-1])
+    if label.startswith("shl"):
+        return ins[0].scale_pow2(int(label[3:]))
+    if label.startswith("shr"):
+        return ins[0].scale_pow2(-int(label[3:]))
+    from repro.core.dtype import DType   # repro.core.dtype imports us
+    dt = DType.from_cast_label(label)
+    if dt is not None:
+        if dt.msbspec == "saturate":
+            return ins[0].clip(dt.range_interval())
+        return ins[0]
+    raise DesignError("unknown traced operation %r" % label)

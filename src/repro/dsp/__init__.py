@@ -1,70 +1,66 @@
-"""DSP block library: the paper's example designs and their substrates."""
+"""DSP block library: the paper's example designs and their substrates.
 
-from repro.dsp.biquad import (Biquad, BiquadDesign, LimitCycle,
-                              detect_limit_cycle, lowpass_coefficients,
-                              zero_input_response)
-from repro.dsp.adaptive_fir import AdaptiveLmsDesign
-from repro.dsp.chan import Channel, awgn
-from repro.dsp.cordic import (CordicDesign, CordicRotator, cordic_gain,
-                              rotate_reference)
-from repro.dsp.farrow import FARROW_BASIS, FarrowInterpolator
-from repro.dsp.fir import FirFilter, fir_reference
-from repro.dsp.lms import (
-    PAPER_CHANNEL,
-    PAPER_COEFFICIENTS,
-    LmsEqualizerDesign,
-    pam_channel_stimulus,
-)
-from repro.dsp.loopfilter import PiLoopFilter
-from repro.dsp.metrics import ber, evm_percent, mse, snr_db, sqnr_db, sqnr_from_stats
-from repro.dsp.nco import Nco, WrappedNco
-from repro.dsp.pam import ShapedPamStream, pam_symbols, shaped_pam
-from repro.dsp.rrc import raised_cosine_pulse, rrc_pulse, rrc_taps
-from repro.dsp.slicer import binary_slicer, pam_levels, pam_slicer
-from repro.dsp.ted import GardnerTed
-from repro.dsp.timing_recovery import TimingRecoveryDesign, aligned_symbol_errors
+Every name below is importable from ``repro.dsp``; its module loads on
+first use, so importing one design (``repro.dsp.lms``) does not pay for
+the whole library.
+"""
 
-__all__ = [
-    "AdaptiveLmsDesign",
-    "Biquad",
-    "BiquadDesign",
-    "LimitCycle",
-    "detect_limit_cycle",
-    "lowpass_coefficients",
-    "zero_input_response",
-    "CordicRotator",
-    "CordicDesign",
-    "cordic_gain",
-    "rotate_reference",
-    "FirFilter",
-    "fir_reference",
-    "LmsEqualizerDesign",
-    "pam_channel_stimulus",
-    "PAPER_COEFFICIENTS",
-    "PAPER_CHANNEL",
-    "FarrowInterpolator",
-    "FARROW_BASIS",
-    "Nco",
-    "WrappedNco",
-    "GardnerTed",
-    "PiLoopFilter",
-    "TimingRecoveryDesign",
-    "aligned_symbol_errors",
-    "Channel",
-    "awgn",
-    "ShapedPamStream",
-    "pam_symbols",
-    "shaped_pam",
-    "rrc_pulse",
-    "rrc_taps",
-    "raised_cosine_pulse",
-    "binary_slicer",
-    "pam_slicer",
-    "pam_levels",
-    "mse",
-    "sqnr_db",
-    "snr_db",
-    "sqnr_from_stats",
-    "ber",
-    "evm_percent",
-]
+import importlib
+
+#: public name -> defining submodule of ``repro.dsp``
+_HOME = {
+    "AdaptiveLmsDesign": "adaptive_fir",
+    "Biquad": "biquad",
+    "BiquadDesign": "biquad",
+    "LimitCycle": "biquad",
+    "detect_limit_cycle": "biquad",
+    "lowpass_coefficients": "biquad",
+    "zero_input_response": "biquad",
+    "CordicRotator": "cordic",
+    "CordicDesign": "cordic",
+    "cordic_gain": "cordic",
+    "rotate_reference": "cordic",
+    "FirFilter": "fir",
+    "fir_reference": "fir",
+    "LmsEqualizerDesign": "lms",
+    "pam_channel_stimulus": "lms",
+    "PAPER_COEFFICIENTS": "lms",
+    "PAPER_CHANNEL": "lms",
+    "FarrowInterpolator": "farrow",
+    "FARROW_BASIS": "farrow",
+    "Nco": "nco",
+    "WrappedNco": "nco",
+    "GardnerTed": "ted",
+    "PiLoopFilter": "loopfilter",
+    "TimingRecoveryDesign": "timing_recovery",
+    "aligned_symbol_errors": "timing_recovery",
+    "Channel": "chan",
+    "awgn": "chan",
+    "ShapedPamStream": "pam",
+    "pam_symbols": "pam",
+    "shaped_pam": "pam",
+    "rrc_pulse": "rrc",
+    "rrc_taps": "rrc",
+    "raised_cosine_pulse": "rrc",
+    "binary_slicer": "slicer",
+    "pam_slicer": "slicer",
+    "pam_levels": "slicer",
+    "mse": "metrics",
+    "sqnr_db": "metrics",
+    "snr_db": "metrics",
+    "sqnr_from_stats": "metrics",
+    "ber": "metrics",
+    "evm_percent": "metrics",
+}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    value = getattr(importlib.import_module("repro.dsp." + home), name)
+    globals()[name] = value
+    return value

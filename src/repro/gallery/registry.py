@@ -33,10 +33,7 @@ from repro.core.dtype import DType
 from repro.gallery import designs as _d
 from repro.parallel import SimConfig, run_simulations
 from repro.refine.flow import Annotations
-from repro.sfg import trace
 from repro.signal.context import DesignContext
-from repro.verify import (UNKNOWN, Verdict, prove_no_limit_cycle,
-                          prove_no_overflow)
 
 __all__ = [
     "GalleryEntry", "gallery", "get_design",
@@ -312,6 +309,7 @@ def lint_entry(entry, config=None, samples=32):
     bits, wrap hazards, coarse grids) see the refinement result.
     """
     from repro.lint.core import run_lint
+    from repro.sfg import trace
 
     ctx = DesignContext("gallery-lint-%s" % entry.name,
                         overflow_action="record", guard_action="sanitize")
@@ -337,6 +335,9 @@ def verify_entry(entry, backend="enumeration", budget=None):
     the encoder's model return one synthesized UNKNOWN verdict whose
     reason documents why (the matrix artifact records it verbatim).
     """
+    from repro.verify import (UNKNOWN, Verdict, prove_no_limit_cycle,
+                              prove_no_overflow)
+
     if entry.verify_skip_reason:
         return [Verdict("no-overflow", UNKNOWN, entry.name, 0,
                         "skipped", reason=entry.verify_skip_reason,

@@ -251,7 +251,7 @@ class UndrivenRegRule(Rule):
             name = node.label
             if name in lctx.inputs or name in lctx.forced:
                 continue          # deliberately treated as an input
-            if sfg.g.in_degree(node) == 0 and sfg.g.out_degree(node) > 0:
+            if sfg.in_degree(node) == 0 and sfg.out_degree(node) > 0:
                 sig = sfg.sig_payload(name)
                 init = getattr(sig, "init_value", 0.0)
                 yield self.finding(
@@ -278,7 +278,7 @@ class DeadSignalRule(Rule):
             name = node.label
             if name in lctx.outputs:
                 continue
-            if sfg.g.in_degree(node) > 0 and sfg.g.out_degree(node) == 0:
+            if sfg.in_degree(node) > 0 and sfg.out_degree(node) == 0:
                 yield self.finding(
                     "signal %r is write-only: assigned but never read"
                     % name, signal=name, site=lctx.site(name))

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.errors import DesignError
-from repro.hdl.netlist import build_netlist
 
 __all__ = ["CostWeights", "CostReport", "estimate_cost"]
 
@@ -93,6 +92,8 @@ def _quantization_cost(src_dt, dst_dt):
 
 def estimate_cost(sfg, types, inputs=(), outputs=()):
     """Estimate datapath cost of ``sfg`` realized with ``types``."""
+    from repro.hdl.netlist import build_netlist
+
     netlist = build_netlist(sfg, types, inputs, outputs)
     report = CostReport()
 

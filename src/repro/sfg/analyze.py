@@ -10,47 +10,10 @@ explosion — the cue for a ``range()`` annotation or a saturating type.
 
 from __future__ import annotations
 
-from repro.core.errors import DesignError, RangeDivergenceError
-from repro.core.interval import Interval
+from repro.core.errors import RangeDivergenceError
+from repro.core.interval import Interval, eval_op
 
 __all__ = ["propagate_ranges", "RangeAnalysis"]
-
-
-def _eval_op(label, ins):
-    """Interval semantics of one traced operation."""
-    if label == "add":
-        return ins[0] + ins[1]
-    if label == "sub":
-        return ins[0] - ins[1]
-    if label == "mul":
-        return ins[0] * ins[1]
-    if label == "div":
-        return ins[0] / ins[1]
-    if label == "neg":
-        return -ins[0]
-    if label == "abs":
-        return abs(ins[0])
-    if label == "min":
-        return ins[0].minimum(ins[1])
-    if label == "max":
-        return ins[0].maximum(ins[1])
-    if label in ("gt", "ge", "lt", "le"):
-        return Interval(0.0, 1.0)
-    if label == "select":
-        # Operands are (cond?, if_true, if_false): value range is the
-        # union of the two branches regardless of the condition.
-        return ins[-2].union(ins[-1])
-    if label.startswith("shl"):
-        return ins[0].scale_pow2(int(label[3:]))
-    if label.startswith("shr"):
-        return ins[0].scale_pow2(-int(label[3:]))
-    from repro.core.dtype import DType
-    dt = DType.from_cast_label(label)
-    if dt is not None:
-        if dt.msbspec == "saturate":
-            return ins[0].clip(dt.range_interval())
-        return ins[0]
-    raise DesignError("unknown traced operation %r" % label)
 
 
 class RangeAnalysis:
@@ -151,7 +114,7 @@ def propagate_ranges(sfg, input_ranges=None, forced_ranges=None,
         preds = sfg.preds(node)
         if node.kind == "op":
             ins = [values[p] for p in preds]
-            return _eval_op(node.label, ins)
+            return eval_op(node.label, ins)
         # Signal node: union of assigned drivers.
         seed, forced, clip = _signal_constraint(sfg, node, input_ranges,
                                                 forced_ranges, clip_ranges)

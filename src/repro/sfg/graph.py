@@ -5,7 +5,7 @@ ranges "by constructing a signal flowgraph out of the source code and
 analyzing the data flow using the same range propagation mechanism".
 In this environment the graph is captured by *tracing* overloaded
 operations (see :mod:`repro.sfg.build`) and stored here as a
-:class:`networkx.DiGraph` of typed nodes.
+:class:`~repro.sfg.digraph.DiGraph` of typed nodes.
 
 Node kinds:
 
@@ -20,9 +20,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.core.errors import DesignError
+from repro.sfg.digraph import (DiGraph, condensed_components, simple_cycles,
+                               strongly_connected_components)
 
 __all__ = ["Node", "SFG"]
 
@@ -44,10 +44,13 @@ class SFG:
     """A signal flow graph with convenience queries for the analyzer."""
 
     def __init__(self):
-        self.g = nx.DiGraph()
+        self.g = DiGraph()
         self._next_id = 0
         self._by_key = {}
         self._sig_payloads = {}
+        #: op node -> its operand nodes in position order (one entry per
+        #: use, so ``x * x`` keeps both operands over one graph edge)
+        self._operands = {}
 
     # -- construction -----------------------------------------------------
 
@@ -92,24 +95,25 @@ class SFG:
         node = self._by_key.get(key)
         if node is None:
             node = self._new_node("op", opname, key)
-            for pos, src in enumerate(operand_nodes):
-                self.g.add_edge(src, node, pos=pos)
+            self._operands[node] = tuple(operand_nodes)
+            for src in operand_nodes:
+                self.g.add_edge(src, node)
         return node
 
     def assign_edge(self, src_node, sig_name, is_register=False):
         dst = self.sig_node(sig_name, is_register)
-        self.g.add_edge(src_node, dst, pos=0, assign=True)
+        self.g.add_edge(src_node, dst)
         return dst
 
     # -- queries ---------------------------------------------------------------
 
     def nodes(self, kind=None):
         if kind is None:
-            return list(self.g.nodes)
-        return [n for n in self.g.nodes if n.kind == kind]
+            return list(self.g)
+        return [n for n in self.g if n.kind == kind]
 
     def signal_nodes(self):
-        return [n for n in self.g.nodes if n.kind in ("sig", "reg")]
+        return [n for n in self.g if n.kind in ("sig", "reg")]
 
     def signal_names(self):
         return [n.label for n in self.signal_nodes()]
@@ -121,13 +125,26 @@ class SFG:
         return node
 
     def preds(self, node):
-        """Predecessors ordered by operand position."""
-        items = sorted(self.g.in_edges(node, data=True),
-                       key=lambda e: e[2].get("pos", 0))
-        return [src for src, _dst, _d in items]
+        """An op's operands in position order, or a signal's drivers.
+
+        A signal's drivers are the nodes assigned to it, in first
+        assignment order.
+        """
+        operands = self._operands.get(node)
+        if operands is not None:
+            return list(operands)
+        return list(self.g.pred[node])
 
     def succs(self, node):
-        return list(self.g.successors(node))
+        return list(self.g.succ[node])
+
+    def in_degree(self, node):
+        """Number of distinct nodes feeding ``node``."""
+        return self.g.in_degree(node)
+
+    def out_degree(self, node):
+        """Number of distinct nodes ``node`` feeds."""
+        return self.g.out_degree(node)
 
     def sources(self):
         """Signal nodes with no drivers (primary inputs / constants-only)."""
@@ -147,7 +164,7 @@ class SFG:
         (same node kind/label sequence) are reported once.
         """
         found = {}
-        for cyc in nx.simple_cycles(self.g):
+        for cyc in simple_cycles(self.g):
             canon = self._canonical_cycle(cyc)
             key = tuple((n.kind, n.label) for n in canon)
             if key not in found:
@@ -180,7 +197,7 @@ class SFG:
         divergence.
         """
         names = []
-        for scc in nx.strongly_connected_components(self.g):
+        for scc in strongly_connected_components(self.g):
             if len(scc) > 1:
                 names.extend(n.label for n in scc
                              if n.kind in ("sig", "reg"))
@@ -212,19 +229,19 @@ class SFG:
         graphs must be scheduled via :meth:`condensed_order` (or have
         their registers split first, as the compiler does).
         """
-        indegree = {n: self.g.in_degree(n) for n in self.g.nodes}
+        indegree = {n: self.g.in_degree(n) for n in self.g}
         heap = [self._structural_key(n) + (n,)
-                for n in self.g.nodes if indegree[n] == 0]
+                for n in self.g if indegree[n] == 0]
         heapq.heapify(heap)
         order = []
         while heap:
             node = heapq.heappop(heap)[-1]
             order.append(node)
-            for succ in self.g.successors(node):
+            for succ in self.g.succ[node]:
                 indegree[succ] -= 1
                 if indegree[succ] == 0:
                     heapq.heappush(heap, self._structural_key(succ) + (succ,))
-        if len(order) != self.g.number_of_nodes():
+        if len(order) != len(self.g):
             cycles = self.cycles()
             if cycles:
                 names = self.cycle_signal_names(cycles[0])
@@ -250,10 +267,8 @@ class SFG:
         that downstream consumers diagnose) are appended in structural
         order.
         """
-        cond = nx.condensation(self.g)
         order = []
-        for comp_id in nx.topological_sort(cond):
-            members = cond.nodes[comp_id]["members"]
+        for members in condensed_components(self.g):
             if len(members) == 1:
                 order.extend(members)
             else:
@@ -268,7 +283,7 @@ class SFG:
             if n.kind == "reg":
                 indegree[n] = 0       # feedback in-edges cut: reg = source
             else:
-                indegree[n] = sum(1 for p in self.g.predecessors(n)
+                indegree[n] = sum(1 for p in self.g.pred[n]
                                   if p in members)
         heap = [self._structural_key(n) + (n,)
                 for n in members if indegree[n] == 0]
@@ -279,7 +294,7 @@ class SFG:
             node = heapq.heappop(heap)[-1]
             emitted.add(node)
             out.append(node)
-            for succ in self.g.successors(node):
+            for succ in self.g.succ[node]:
                 if succ in members and succ.kind != "reg":
                     indegree[succ] -= 1
                     if indegree[succ] == 0:
@@ -290,7 +305,7 @@ class SFG:
 
     @property
     def n_nodes(self):
-        return self.g.number_of_nodes()
+        return len(self.g)
 
     @property
     def n_edges(self):

@@ -43,7 +43,7 @@ Per shape, assignments to forced targets are dropped (a forced range
 freezes propagation, so the full simulation does no interval work for
 them either); every operation is evaluated with the
 :mod:`repro.core.interval` functions (and
-:func:`repro.sfg.analyze._eval_op` for the rarer operations), so an
+:func:`repro.core.interval.eval_op` for the rarer operations), so an
 interval bound that turns NaN raises exactly where the full simulation
 raises, and each live assignment folds its interval into the target
 exactly as ``Sig._record`` does.  The interval state only grows, so a
@@ -55,8 +55,8 @@ from __future__ import annotations
 
 from array import array
 
-from repro.core.interval import fast_interval, iv_add, iv_mul, iv_neg, iv_sub
-from repro.sfg.analyze import _eval_op
+from repro.core.interval import (eval_op, fast_interval, iv_add, iv_mul,
+                                 iv_neg, iv_sub)
 
 __all__ = ["IntervalTape"]
 
@@ -359,13 +359,13 @@ def _op_step(label, out, ia, ib):
             regs[out] = iv_neg(regs[ia])
     elif label in _COMPARISONS:
         def step(regs):
-            regs[out] = _eval_op(label, ())
+            regs[out] = eval_op(label, ())
     elif ib is None:
         def step(regs):
-            regs[out] = _eval_op(label, [regs[ia]])
+            regs[out] = eval_op(label, [regs[ia]])
     else:
         def step(regs):
-            regs[out] = _eval_op(label, [regs[ia], regs[ib]])
+            regs[out] = eval_op(label, [regs[ia], regs[ib]])
     return step
 
 

@@ -221,9 +221,7 @@ class StepEncoder:
             if node.label in self.inputs:
                 self._driver[node.label] = None   # stimulus, not dataflow
                 continue
-            drivers = [src for src, _dst, d
-                       in self.sfg.g.in_edges(node, data=True)
-                       if d.get("assign")]
+            drivers = self.sfg.preds(node)
             if len(drivers) > 1:
                 raise EncodingUnsupported(
                     "signal %r has %d drivers; the exact encoding "

@@ -162,3 +162,58 @@ class TestWideningTerminates:
                 changes += 1
             cur = new
         assert changes <= 2
+
+
+@st.composite
+def extreme_with_point(draw):
+    """A finite point anywhere in the float range and an interval around
+    it whose bounds may lie far away or at infinity."""
+    p = draw(st.floats(allow_nan=False, allow_infinity=False))
+    reach = st.floats(min_value=0.0, allow_nan=False)
+    return Interval(p - draw(reach), p + draw(reach)), p
+
+
+def _or_inf(fn, inf):
+    """``fn()``, or ``inf`` when its float result overflows."""
+    try:
+        return fn()
+    except OverflowError:
+        return inf
+
+
+class TestFloatExtremes:
+    """Bounds past the float range become infinities, never errors.
+
+    Unbounded intervals are how MSB explosion shows up, so a shift or a
+    power that leaves the float range must produce one instead of an
+    untyped ``OverflowError`` or a NaN ``ValueError``.
+    """
+
+    @given(extreme_with_point(), st.integers(min_value=-1200,
+                                             max_value=1200))
+    @example((Interval(1.0, 2.0), 1.5), 1100)
+    @example((Interval(0.0, math.inf), 1.0), -1100)
+    @example((Interval(-math.inf, -1.0), -1.0), -1100)
+    def test_scale_pow2(self, ap, k):
+        a, pa = ap
+        image = _or_inf(lambda: math.ldexp(pa, k),
+                        math.copysign(math.inf, pa))
+        assert _contains(a.scale_pow2(k), image)
+
+    @given(extreme_with_point(), st.integers(min_value=0, max_value=7))
+    @example((Interval(1e200, 1e201), 1e200), 3)
+    @example((Interval(-1e201, -1e200), -1e200), 3)
+    @example((Interval(-1e200, 1e201), 0.0), 2)
+    def test_power(self, ap, k):
+        a, pa = ap
+        image = _or_inf(lambda: pa ** k,
+                        math.copysign(math.inf, pa) if k % 2 else math.inf)
+        assert _contains(a.power(k), image)
+
+    def test_reported_cases(self):
+        assert Interval(1e200, 1e201).power(3) == Interval(math.inf,
+                                                           math.inf)
+        assert Interval(1, 2).scale_pow2(1100) == Interval(math.inf,
+                                                           math.inf)
+        assert Interval(0, math.inf).scale_pow2(-1100) == Interval(
+            0.0, math.inf)

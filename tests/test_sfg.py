@@ -7,8 +7,13 @@ import pytest
 from repro.core.dtype import DType
 from repro.core.errors import DesignError
 from repro.core.interval import Interval
+from repro.hdl import build_netlist
+from repro.lint import run_lint
 from repro.signal import DesignContext, Reg, Sig, cast, select
+from repro.signal.ops import gt
 from repro.sfg import SFG, Tracer, propagate_ranges, trace
+from repro.verify import bv
+from repro.verify.encode import Envelope, StepEncoder
 
 
 @pytest.fixture
@@ -282,3 +287,72 @@ class TestPropagation:
         bound = 1.5 * sum(abs(c) for c in coefs)
         assert res.ranges["v3"].hi == pytest.approx(bound)
         assert res.msb("v3") == 1
+
+
+_T8 = DType("T8", 8, 5, "tc", "saturate", "round")
+
+
+def _traced_repeated_operands():
+    """``sq = x * x``, ``zero = x - x``, ``pick = select(gt(x, 0), x, x)``."""
+    with DesignContext("repeated-operands", seed=0,
+                       overflow_action="record",
+                       guard_action="sanitize") as ctx:
+        x = Sig("x", dtype=_T8)
+        sq = Sig("sq", dtype=_T8)
+        zero = Sig("zero", dtype=_T8)
+        pick = Sig("pick", dtype=_T8)
+        with trace(ctx) as t:
+            x.assign(0.5)
+            sq.assign(x * x)
+            zero.assign(x - x)
+            pick.assign(select(gt(x, 0.0), x, x))
+            ctx.tick()
+    return t.sfg
+
+
+class TestRepeatedOperands:
+    """An operation that uses one node twice keeps every operand."""
+
+    OUTPUTS = ("sq", "zero", "pick")
+
+    def test_preds_keep_each_use(self):
+        sfg = _traced_repeated_operands()
+        x = sfg.node_for_signal("x")
+        by_label = {n.label: n for n in sfg.nodes("op")}
+        assert sfg.preds(by_label["mul"]) == [x, x]
+        assert sfg.preds(by_label["sub"]) == [x, x]
+        assert sfg.preds(by_label["select"])[1:] == [x, x]
+        # One graph edge per distinct operand, as before.
+        assert sfg.in_degree(by_label["mul"]) == 1
+
+    def test_propagate_ranges(self):
+        sfg = _traced_repeated_operands()
+        res = propagate_ranges(sfg, input_ranges={"x": (-1.0, 1.0)})
+        assert res.ranges["sq"] == Interval(-1.0, 1.0)
+        assert res.ranges["zero"] == Interval(-2.0, 2.0)
+        assert res.ranges["pick"] == Interval(-1.0, 1.0)
+
+    def test_run_lint(self):
+        rep = run_lint(_traced_repeated_operands(),
+                       input_ranges={"x": (-1.0, 1.0)},
+                       outputs=set(self.OUTPUTS))
+        assert rep.findings == []
+
+    def test_build_netlist(self):
+        types = {name: _T8 for name in ("x",) + self.OUTPUTS}
+        nl = build_netlist(_traced_repeated_operands(), types,
+                           inputs=["x"], outputs=list(self.OUTPUTS))
+        arity = {(op.label, len(op.operands)) for op in nl.ops.values()}
+        assert ("mul", 2) in arity and ("sub", 2) in arity
+        assert ("select", 3) in arity
+
+    def test_verify_encoder(self):
+        enc = StepEncoder(_traced_repeated_operands(), ("x",),
+                          Envelope({"x": (-1.0, 1.0)}))
+        _state, sigs = enc.step(enc.initial_state(),
+                                {"x": enc.input_var("x", 0)})
+        # x = 16 codes of 2^-5 = 0.5: x*x = 0.25, x - x = 0, pick = x.
+        values = {name: bv.Evaluator([sigs[name].code]).run({"x@0": 16})
+                  [sigs[name].code] * 2.0 ** -sigs[name].f
+                  for name in self.OUTPUTS}
+        assert values == {"sq": 0.25, "zero": 0.0, "pick": 0.5}
