@@ -8,11 +8,24 @@ Two accumulators back the paper's monitors:
   maximum absolute value of the float/fixed difference error, computed
   online with Welford's algorithm (numerically stable over millions of
   samples).
+
+``update`` folds in one value; ``update_many`` folds in a whole chunk
+with the same result bit for bit, as if ``update`` had been called on
+each value in order.  The signal monitors record raw values per
+assignment and reduce them through ``update_many`` in chunks
+(:meth:`repro.signal.signal.Sig._flush`): the order-free statistics
+(count, min, max, max-abs, finest grid) are NumPy reductions, and
+Welford's order-dependent mean and M2 are replayed in order from the
+accumulator's current state, so any chunking gives the sequential
+result.  :meth:`ErrorStat.merge` (Chan et al.) is not used for that: it
+is not bit-identical to sequential Welford.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from repro.core import word
 
@@ -63,8 +76,50 @@ class RangeStat:
                     self.frac_bits = nfb
 
     def update_many(self, values):
-        for v in values:
-            self.update(v)
+        """Fold in a chunk of values; equal to ``update`` on each in order.
+
+        >>> rs = RangeStat()
+        >>> rs.update_many([0.5, -0.0, 0.0, 0.75])
+        >>> rs.count, rs.min, rs.max, rs.frac_bits
+        (4, -0.0, 0.75, 2)
+        """
+        x = np.asarray(values, dtype=np.float64).ravel()
+        n = x.size
+        if not n:
+            return
+        if not np.isfinite(x).all():
+            # NaN never becomes a bound and infinities reach the grid
+            # test; the one-value reference states both rules.
+            for v in x.tolist():
+                self.update(v)
+            return
+        self.count += n
+        # First occurrence among equal extremes and a strict test against
+        # the stored bound: of 0.0 and -0.0 the one seen first stays.
+        lo = float(x[x.argmin()])
+        if lo < self.min:
+            self.min = lo
+        hi = float(x[x.argmax()])
+        if hi > self.max:
+            self.max = hi
+        fb = self.frac_bits
+        cap = self.FRAC_CAP
+        if fb < cap:
+            # Only values off the current 2**-fb grid can raise frac_bits.
+            # One that scales past the float range is an integer: it
+            # becomes an infinity, which equals its trunc.
+            with np.errstate(over="ignore"):
+                scaled = np.ldexp(x, fb)
+            off = scaled != np.trunc(scaled)
+            if off.any():
+                needed = word.needed_frac_bits
+                for v in x[off].tolist():
+                    nfb = needed(v, cap=cap)
+                    if nfb > fb:
+                        fb = nfb
+                        if fb >= cap:
+                            break
+                self.frac_bits = fb
 
     @property
     def is_empty(self):
@@ -123,8 +178,39 @@ class ErrorStat:
             self.max_abs = a
 
     def update_many(self, values):
-        for v in values:
-            self.update(v)
+        """Fold in a chunk of values; equal to ``update`` on each in order.
+
+        Welford's recurrence is replayed value by value from the current
+        state, so the mean and M2 come out bit for bit as sequential
+        updates would leave them, however the values are chunked.
+
+        >>> a, b = ErrorStat(), ErrorStat()
+        >>> a.update_many([0.1, 0.2]); a.update_many([0.3])
+        >>> for v in (0.1, 0.2, 0.3):
+        ...     b.update(v)
+        >>> (a.count, a.mean, a._m2, a.max_abs) == (b.count, b.mean, b._m2,
+        ...                                         b.max_abs)
+        True
+        """
+        x = np.asarray(values, dtype=np.float64).ravel()
+        if not x.size:
+            return
+        # A float count divides exactly as the int one does (< 2**53).
+        count = float(self.count)
+        mean = self.mean
+        m2 = self._m2
+        for v in x.tolist():
+            count += 1.0
+            delta = v - mean
+            mean += delta / count
+            m2 += delta * (v - mean)
+        self.count += x.size
+        self.mean = mean
+        self._m2 = m2
+        # fmax skips NaN, as the sequential ``>`` test does.
+        a = float(np.fmax.reduce(np.abs(x)))
+        if a > self.max_abs:
+            self.max_abs = a
 
     @property
     def is_empty(self):

@@ -54,9 +54,9 @@ class SigMetrics:
     """Quantization counters of one signal (see module docstring)."""
 
     __slots__ = ("n", "overflow", "saturate", "wrap", "round_err_sum",
-                 "round_err_max", "min_churn", "max_churn")
+                 "round_err_max", "min_churn", "max_churn", "_lo", "_hi")
 
-    def __init__(self):
+    def __init__(self, lo=float("inf"), hi=float("-inf")):
         self.n = 0
         self.overflow = 0
         self.saturate = 0
@@ -65,6 +65,10 @@ class SigMetrics:
         self.round_err_max = 0.0
         self.min_churn = 0
         self.max_churn = 0
+        # The range monitor's min/max, tracked here so that counting
+        # churn does not reduce the monitor's recorded values per call.
+        self._lo = lo
+        self._hi = hi
 
     @property
     def out_of_range(self):
@@ -95,21 +99,26 @@ def _record_metered(self, expr):
     Wraps rather than reimplements the hot path, so the simulated
     numbers are bit-identical with metrics on or off; the counters are
     derived from observable state deltas around the original call.
+    Churn follows the value the call appended to the signal's monitor
+    columns (post-fault, post-guard), the one the range monitor reduces,
+    so the monitors stay unflushed until something reads them.
     """
     m = self._obs
     if m is None:
-        m = self._obs = SigMetrics()
+        rs = self.range_stat
+        m = self._obs = SigMetrics(rs.min, rs.max)
     in_fx = expr.fx
-    rs = self.range_stat
-    old_min = rs.min
-    old_max = rs.max
     ov0 = self.overflow_count
     _STATE["orig_record"](self, expr)
     m.n += 1
-    if rs.min != old_min:
-        m.min_churn += 1
-    if rs.max != old_max:
-        m.max_churn += 1
+    if self._monitored:
+        v = self._cols[-4]
+        if v < m._lo:
+            m._lo = v
+            m.min_churn += 1
+        if v > m._hi:
+            m._hi = v
+            m.max_churn += 1
     dov = self.overflow_count - ov0
     if dov:
         spec = self.dtype.msbspec

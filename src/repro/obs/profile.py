@@ -12,6 +12,8 @@ Implementation: a profiling session temporarily
   or the metrics-instrumented one) with a timing shim, and wraps each
   signal's bound quantize kernel on first sight, so kernel time is
   measured *inside* record time;
+* wraps ``Sig._flush``, the bulk reduction of the recorded monitor
+  values, so ``monitor_record`` means monitor recording plus reduction;
 * wraps the interval arithmetic helpers (``iv_add`` / ``iv_sub`` /
   ``iv_mul`` / ``iv_neg``) in :mod:`repro.signal.expr`, where the
   operator overloads resolve them at call time.
@@ -46,6 +48,7 @@ class ProfileReport:
     def __init__(self):
         self.wall_s = 0.0
         self.record_s = 0.0      # total time inside Sig._record
+        self.flush_s = 0.0       # inside Sig._flush (monitor reduction)
         self.kernel_s = 0.0      # inside the compiled quantize kernels
         self.interval_s = 0.0    # inside iv_add/iv_sub/iv_mul/iv_neg
         self.n_assign = 0
@@ -54,14 +57,16 @@ class ProfileReport:
 
     @property
     def monitor_s(self):
-        """Record-path time that is not the kernel (monitor updates)."""
-        return max(0.0, self.record_s - self.kernel_s)
+        """Record-path time that is not the kernel, plus the monitors'
+        bulk reduction."""
+        return max(0.0, self.record_s - self.kernel_s) + self.flush_s
 
     @property
     def python_s(self):
-        """Wall time outside record and interval paths (expressions,
-        design code, the simulator itself)."""
-        return max(0.0, self.wall_s - self.record_s - self.interval_s)
+        """Wall time outside record, reduction and interval paths
+        (expressions, design code, the simulator itself)."""
+        return max(0.0, self.wall_s - self.record_s - self.flush_s
+                   - self.interval_s)
 
     def buckets(self):
         """``{bucket: seconds}`` — the four non-overlapping buckets."""
@@ -108,6 +113,7 @@ class profile:
         self.report = ProfileReport()
         self._wrapped_kernels = []   # (sig, original kernel)
         self._prev_record = None
+        self._prev_flush = None
         self._prev_iv = {}
         self._t0 = 0.0
 
@@ -143,6 +149,16 @@ class profile:
 
         Sig._record = record_profiled
 
+        prev_flush = Sig._flush
+        self._prev_flush = prev_flush
+
+        def flush_profiled(sig):
+            t = perf_counter()
+            prev_flush(sig)
+            rep.flush_s += perf_counter() - t
+
+        Sig._flush = flush_profiled
+
         for name in _IV_NAMES:
             orig = getattr(expr_mod, name)
             self._prev_iv[name] = orig
@@ -163,6 +179,7 @@ class profile:
         from repro.signal import expr as expr_mod
         from repro.signal.signal import Sig
         Sig._record = self._prev_record
+        Sig._flush = self._prev_flush
         for name, orig in self._prev_iv.items():
             setattr(expr_mod, name, orig)
         # Reverse order + identity check: a signal retyped mid-session

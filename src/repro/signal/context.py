@@ -153,9 +153,7 @@ class DesignContext:
         for s in self.signals():
             if s.name != name:
                 s._monitored = False
-                for stat in (s.range_stat, s.val_stat, s.err_consumed,
-                             s.err_produced):
-                    stat.reset()
+                s._clear_monitors()
 
     def signals(self):
         """All signals in declaration order."""
@@ -180,10 +178,19 @@ class DesignContext:
     # -- clock ----------------------------------------------------------------
 
     def tick(self):
-        """Advance one clock cycle: commit every register's pending value."""
+        """Advance one clock cycle: commit every register's pending value.
+
+        Every 512 cycles the signals' recorded assignments are reduced
+        into their monitors (``Sig._flush``), which bounds the memory a
+        long run holds.
+        """
         for r in self._registers:
             r.commit()
         self.cycle += 1
+        if not self.cycle & 511:
+            for s in self._signals.values():
+                if s._cols:
+                    s._flush()
         if self.tape is not None:
             self.tape.tick()
         if self.watchdog is not None:

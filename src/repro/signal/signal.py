@@ -5,16 +5,22 @@ A :class:`Sig` represents one wire of the design.  Declared with a
 (values are quantized on assignment); declared without one it behaves as
 a floating-point signal.  Either way, every assignment simultaneously
 
-* updates the **range monitor** (statistic-based MSB method): count,
-  min and max of the incoming value,
+* records the incoming value for the **range monitor**
+  (statistic-based MSB method): count, min, max and finest grid,
 * performs **range propagation** (quasi-analytical MSB method): the
   incoming expression's interval is accumulated into the signal's
   propagated range,
-* updates the **error monitor** (LSB method): consumed error
-  ``fl - fx`` before quantization and produced error ``fl - Q(fx)``
-  after, plus the reference-value power needed for SQNR,
+* records the values of the **error monitor** (LSB method): consumed
+  error ``fl - fx`` before quantization and produced error
+  ``fl - Q(fx)`` after, plus the reference-value power needed for SQNR,
 
-exactly as sketched in the paper's Figure 2/3.  A :class:`Reg` is a
+exactly as sketched in the paper's Figure 2/3.  The monitors are
+columnar: an assignment appends its raw ``(fx, fl, Q(fx), fl')`` values
+to a per-signal list, and :meth:`Sig._flush` reduces them into the
+accumulators of :mod:`repro.core.stats` in bulk, bit for bit as one
+update per assignment would.  Reading a monitor (``range_stat``,
+``err_produced``, ...) flushes first, and :meth:`DesignContext.tick`
+flushes every 512 cycles so the lists stay short.  A :class:`Reg` is a
 registered signal: assignments land in a *next* slot that only becomes
 visible after :meth:`DesignContext.tick` commits the clock edge.
 
@@ -40,6 +46,10 @@ this module is written for the interpreter, not for elegance:
   (:mod:`repro.core.kernels`) cached on the signal — no mode strings,
   no ``QuantizeResult``, no per-assignment ``DType.with_`` for the
   ``error``-mode saturating variant,
+* the monitors cost one ``list.extend`` per assignment and no
+  accumulator call; the reduction runs per chunk, in NumPy for the
+  order-free statistics and in one local loop for Welford's mean and
+  M2 (see ``docs/performance.md``, "Columnar monitors"),
 * the propagated range is accumulated by mutating one privately-owned
   :class:`~repro.core.interval.Interval` in place instead of allocating
   a union per assignment (``prop_interval()`` returns a snapshot copy),
@@ -51,6 +61,8 @@ from __future__ import annotations
 import sys
 from collections import deque
 from math import inf, log10, nan
+
+import numpy as np
 
 from repro.core.dtype import DType
 from repro.core.errors import DesignError, FixedPointOverflowError
@@ -111,7 +123,7 @@ class Sig(Operand):
 
     __slots__ = (
         "name", "dtype", "ctx", "role", "_fx", "_fl", "init_value",
-        "range_stat", "val_stat", "err_consumed", "err_produced",
+        "_range_stat", "_val_stat", "_err_consumed", "_err_produced", "_cols",
         "overflow_count", "_forced_range", "_forced_error", "_fault_pre",
         "_fault_post", "_prop_ival", "_read_ival", "_history", "_node",
         "_kernel", "_err_mode", "_sat_lo", "_sat_hi", "_expr_cache",
@@ -134,11 +146,13 @@ class Sig(Operand):
         self._fl = float(init)
         self.init_value = float(init)
 
-        # Monitors.
-        self.range_stat = RangeStat()    # incoming (pre-quantization) values
-        self.val_stat = ErrorStat()      # reference values (for power/SQNR)
-        self.err_consumed = ErrorStat()  # fl - fx before quantization
-        self.err_produced = ErrorStat()  # fl - Q(fx) after quantization
+        # Monitors, read through the flushing properties below.
+        self._range_stat = RangeStat()    # incoming (pre-quantization) values
+        self._val_stat = ErrorStat()      # reference values (for power/SQNR)
+        self._err_consumed = ErrorStat()  # fl - fx before quantization
+        self._err_produced = ErrorStat()  # fl - Q(fx) after quantization
+        # Unreduced assignments, flat: in_fx, in_fl, qfx, fl per row.
+        self._cols = []
         self.overflow_count = 0
 
         # Annotations.
@@ -403,19 +417,14 @@ class Sig(Operand):
         if in_fx - in_fx != 0.0 or in_fl - in_fl != 0.0:
             in_fx, in_fl = ctx.guard_non_finite(self, in_fx, in_fl)
 
-        monitored = self._monitored
-        if monitored:
-            # Statistic-based range monitoring (MSB side).
-            self.range_stat.update(in_fx)
-            # Consumed difference error (LSB side, before quantization).
-            self.err_consumed.update(in_fl - in_fx)
-
         # Quantize the fixed-point value through the compiled kernel.
         kernel = self._kernel
         if kernel is not None:
             qfx, overflowed = kernel(in_fx)
             if overflowed:
                 if self._err_mode and ctx.overflow_action == "raise":
+                    if self._monitored:
+                        self._record_aborted(in_fx, in_fl)
                     raise FixedPointOverflowError(
                         "value %r overflows %s on signal %s"
                         % (in_fx, self.dtype.spec(), self.name),
@@ -436,10 +445,10 @@ class Sig(Operand):
         else:
             fl = in_fl
 
-        if monitored:
-            # Produced difference error and reference power.
-            self.err_produced.update(fl - qfx)
-            self.val_stat.update(fl)
+        if self._monitored:
+            # Range and consumed error (incoming pair), produced error and
+            # reference power (stored pair), reduced later by _flush.
+            self._cols.extend((in_fx, in_fl, qfx, fl))
 
         # Quasi-analytical range propagation, in place.  Forced ranges
         # freeze propagation (paper: explicit range overrides and stops
@@ -479,6 +488,17 @@ class Sig(Operand):
                 src = tracer.const_node(in_fx)
             tracer.assign_edge(src, self)
 
+    def _record_aborted(self, in_fx, in_fl):
+        """Monitor an assignment that raises on overflow.
+
+        The incoming pair reaches the range and consumed-error monitors,
+        as it does before quantization; nothing reaches the produced
+        side.
+        """
+        self._flush()
+        self._range_stat.update_many((in_fx,))
+        self._err_consumed.update_many((in_fl - in_fx,))
+
     def _quantize(self, value):
         """Reference entry point of the per-assignment quantization.
 
@@ -503,12 +523,59 @@ class Sig(Operand):
 
     # -- statistics ----------------------------------------------------------------------
 
+    def _flush(self):
+        """Reduce the recorded assignments into the monitors, in order."""
+        cols = self._cols
+        if not cols:
+            return
+        a = np.fromiter(cols, np.float64, len(cols)).reshape(-1, 4)
+        cols.clear()
+        in_fx = a[:, 0]
+        fl = a[:, 3]
+        self._range_stat.update_many(in_fx)
+        self._err_consumed.update_many(a[:, 1] - in_fx)
+        self._err_produced.update_many(fl - a[:, 2])
+        self._val_stat.update_many(fl)
+
+    @property
+    def range_stat(self):
+        """Range monitor (:class:`~repro.core.stats.RangeStat`), flushed."""
+        if self._cols:
+            self._flush()
+        return self._range_stat
+
+    @property
+    def val_stat(self):
+        """Reference-value statistics (power for SQNR), flushed."""
+        if self._cols:
+            self._flush()
+        return self._val_stat
+
+    @property
+    def err_consumed(self):
+        """Consumed-error monitor ``fl - fx``, flushed."""
+        if self._cols:
+            self._flush()
+        return self._err_consumed
+
+    @property
+    def err_produced(self):
+        """Produced-error monitor ``fl - Q(fx)``, flushed."""
+        if self._cols:
+            self._flush()
+        return self._err_produced
+
+    def _clear_monitors(self):
+        """Empty the monitors, dropping unreduced assignments."""
+        self._cols.clear()
+        self._range_stat.reset()
+        self._val_stat.reset()
+        self._err_consumed.reset()
+        self._err_produced.reset()
+
     def reset_stats(self):
         self._annotated("reset_stats()")
-        self.range_stat.reset()
-        self.val_stat.reset()
-        self.err_consumed.reset()
-        self.err_produced.reset()
+        self._clear_monitors()
         self.overflow_count = 0
         self._obs = None
         self._prop_ival = Interval()

@@ -172,6 +172,27 @@ class TestMetrics:
         obs_metrics.disable()
         assert plain == metered
 
+    def test_metered_run_leaves_monitors_unflushed(self):
+        vals = [0.5, -0.25, 0.75, 0.5, -1.0, -0.0, 1.5, 0.25]
+        obs_metrics.enable()
+        try:
+            ctx = DesignContext("m", overflow_action="record")
+            with ctx:
+                s = Sig("s", T8)
+                for v in vals:
+                    s.assign(v)
+                    ctx.tick()
+            # Churn was counted without reducing the recorded values.
+            assert len(s._cols) == 4 * len(vals)
+            assert s._range_stat.is_empty
+        finally:
+            obs_metrics.disable()
+        m = obs_metrics.snapshot(ctx)["s"]
+        assert (m.min_churn, m.max_churn) == (3, 3)
+        assert s.range_stat.count == len(vals)
+        assert not s._cols
+        assert (s.range_stat.min, s.range_stat.max) == (-1.0, 1.5)
+
     def test_emit_records_metric_events(self):
         rec = obs_trace.enable()
         obs_metrics.enable()
@@ -205,6 +226,7 @@ class TestProfile:
     def test_buckets_and_restore(self):
         from repro.signal.signal import Sig as SigCls
         before = SigCls._record
+        before_flush = SigCls._flush
         with obs.profile() as prof:
             ctx = DesignContext("p", overflow_action="record")
             with ctx:
@@ -214,7 +236,9 @@ class TestProfile:
                     a.assign(0.01 * i)
                     b.assign(a + a)
                     ctx.tick()
+                assert a.range_stat.count == 50   # flushes, timed
         assert SigCls._record is before
+        assert SigCls._flush is before_flush
         rep = prof.report
         assert rep.n_assign == 100
         assert rep.n_kernel > 0
@@ -225,6 +249,7 @@ class TestProfile:
         assert "quantize_kernel" in rep.table()
         # kernels restored: no timing wrapper left on the signals
         assert not hasattr(a._kernel, "_obs_prof")
+        assert rep.flush_s > 0.0
 
     def test_sessions_do_not_nest(self):
         with obs.profile():
