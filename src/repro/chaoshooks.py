@@ -1,9 +1,8 @@
 """Zero-overhead-when-disabled chaos hook slots for the durability layer.
 
 The durability machinery (write-ahead :class:`~repro.robust.recovery.Journal`,
-:class:`~repro.robust.recovery.Checkpoint`, the
-:class:`~repro.parallel.runner.SimCache` and the parallel runner's pool
-loop) exposes a handful of *fault-injection points* at its I/O and
+the :class:`~repro.parallel.runner.SimCache` and the parallel runner's
+pool loop) exposes a handful of *fault-injection points* at its I/O and
 process boundaries.  Each point costs exactly one module-attribute load
 plus an ``is None`` check when no injector is installed::
 
@@ -13,8 +12,8 @@ plus an ``is None`` check when no injector is installed::
 
 so production runs pay nothing measurable, while
 :class:`repro.robust.chaos.ChaosInjector` can deterministically tear a
-journal write, fail an fsync, corrupt a cached payload, kill a pool
-worker or truncate a checkpoint — all addressed by a
+journal write, fail an fsync, corrupt a cached payload or kill a pool
+worker — all addressed by a
 ``(site, trigger, seed)`` triple.
 
 This module deliberately imports **nothing** from the rest of the
@@ -99,16 +98,6 @@ class ChaosHooks:
         """A present cache entry is about to be read; return True to
         make it vanish (a simulated concurrent eviction)."""
         return False
-
-    # -- checkpoints -------------------------------------------------------
-
-    def on_checkpoint_save(self, checkpoint):
-        """The checkpoint temp file is fully written but not yet
-        renamed into place; may raise :class:`ChaosCrash`."""
-
-    def on_checkpoint_saved(self, checkpoint):
-        """A checkpoint save just completed; may damage the file on
-        disk (truncation) to simulate torn storage."""
 
 
 #: The installed injector, or None (the fast path).  Read it once into a

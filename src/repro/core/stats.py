@@ -17,8 +17,8 @@ assignment and reduce them through ``update_many`` in chunks
 (count, min, max, max-abs, finest grid) are NumPy reductions, and
 Welford's order-dependent mean and M2 are replayed in order from the
 accumulator's current state, so any chunking gives the sequential
-result.  :meth:`ErrorStat.merge` (Chan et al.) is not used for that: it
-is not bit-identical to sequential Welford.
+result.  There is no merge of two accumulators: Chan et al.'s parallel
+combination is not bit-identical to sequential Welford.
 """
 
 from __future__ import annotations
@@ -137,12 +137,6 @@ class RangeStat:
             return None
         return word.required_msb(self.min, self.max, signed=signed)
 
-    def merge(self, other):
-        self.count += other.count
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        self.frac_bits = max(self.frac_bits, other.frac_bits)
-
     def as_dict(self):
         return {"count": self.count, "min": self.min, "max": self.max,
                 "frac_bits": self.frac_bits}
@@ -231,23 +225,6 @@ class ErrorStat:
     def rms(self):
         """Root-mean-square error (combines bias and spread)."""
         return math.sqrt(self.variance + self.mean * self.mean)
-
-    def merge(self, other):
-        """Chan et al. parallel combination of two Welford accumulators."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean
-            self._m2 = other._m2
-            self.max_abs = other.max_abs
-            return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self.mean += delta * other.count / total
-        self.count = total
-        self.max_abs = max(self.max_abs, other.max_abs)
 
     def as_dict(self):
         return {"count": self.count, "mean": self.mean, "std": self.std,

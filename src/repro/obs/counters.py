@@ -23,8 +23,7 @@ complete regardless of execution mode.
 >>> counters.get("parallel.retries"), counters.get("never.touched")
 (3, 0)
 
-Well-known names (all under ``parallel.`` / ``journal.`` /
-``checkpoint.``):
+Well-known names:
 
 ``parallel.retries``
     job re-submissions after a worker crash (before quarantine).
@@ -51,8 +50,6 @@ Well-known names (all under ``parallel.`` / ``journal.`` /
 ``journal.compact_contended``
     compactions skipped because another process held the journal's
     cross-process compaction lock (the winner's rewrite serves both).
-``checkpoint.saves`` / ``checkpoint.loads`` / ``flow.stage_replays``
-    checkpointed refinement-flow state.
 ``chaos.injected`` / ``chaos.scenarios_run`` / ``chaos.invariant_failures``
     deterministic fault injection (see :mod:`repro.robust.chaos`).
 ``verify.checks`` / ``verify.proved`` / ``verify.counterexample`` /

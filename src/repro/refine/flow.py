@@ -310,7 +310,9 @@ class RefinementFlow:
         MSB-phase job records an interval tape when a later MSB
         iteration may follow, and a job that differs from a recorded one
         only in its ranges is replayed from that tape instead of
-        simulated (:class:`_RangeReplay`).
+        simulated (:class:`_RangeReplay`).  A ``run(journal=)`` journals
+        every job, and its recovery events (journal replay, a degraded
+        journal) join the run's diagnostics.
 
         The jobs whose intervals nothing reads -- the verification job
         and every LSB job that carries ``error()`` annotations -- run
@@ -341,8 +343,11 @@ class RefinementFlow:
                 if (replay is not None and not stats_only
                         and self._msb_job(annotations, cfg)):
                     job = replay.with_tape(job)
-                outcome, = run_simulations(self.factory, [job], workers=1,
-                                           cache=cache)
+                outcome, = run_simulations(
+                    self.factory, [job], workers=1, cache=cache,
+                    journal=None if replay is None else replay.journal,
+                    diagnostics=None if replay is None
+                    else replay.diagnostics)
                 if replay is not None:
                     replay.remember(job, outcome)
             sp.set(signals=len(outcome.records),
@@ -765,26 +770,7 @@ class RefinementFlow:
 
     # -- one-shot -----------------------------------------------------------------
 
-    def _checkpoint_fingerprint(self, strict):
-        """Identity of this flow setup; a checkpoint from a different
-        setup must not be resumed."""
-        import hashlib
-
-        from repro.parallel.runner import _callable_fingerprint
-        h = hashlib.sha256()
-        for tag, value in (
-                ("factory", _callable_fingerprint(self.factory)),
-                ("cfg", self.cfg),
-                ("input_types", sorted(self.input_types.items())),
-                ("input_ranges", sorted(self.input_ranges.items())),
-                ("user_ranges", sorted(self.user_ranges.items())),
-                ("user_errors", sorted(self.user_errors.items())),
-                ("preset_types", sorted(self.preset_types.items())),
-                ("strict", strict)):
-            h.update(("%s=%r;" % (tag, value)).encode())
-        return h.hexdigest()
-
-    def run(self, strict=True, checkpoint=None):
+    def run(self, strict=True, journal=None):
         """Full flow: MSB phase, LSB phase, synthesis, verification.
 
         With ``strict=True`` (default) an unresolved phase dead-ends in
@@ -796,110 +782,65 @@ class RefinementFlow:
         returned result carries a populated
         :class:`~repro.robust.diagnostics.Diagnostics`.
 
-        ``checkpoint`` (a :class:`repro.robust.recovery.Checkpoint` or a
-        path) makes the flow *resumable*: completed stages (baseline,
-        MSB phase, LSB phase, type synthesis, verification) are
-        snapshotted atomically as they finish, and a re-run after a
-        crash replays them from disk — including the diagnostics they
-        recorded — continuing with the first unfinished stage.  A
-        checkpoint written by a different flow setup (other factory,
-        config, annotations or strictness) is ignored, with a warning
-        diagnostic, rather than half-resumed.
-
         Every simulation of the run goes through one
         :class:`~repro.parallel.SimCache`, created for this call, so a
         stage that repeats an earlier stage's job (the first LSB
         iteration after a resolved MSB phase) is served from it.
         Nothing is cached between runs.
+
+        ``journal`` (a :class:`repro.robust.recovery.Journal` or a path)
+        makes the flow *resumable*, as it does every other fan-out
+        entry: each completed simulation, replayed ones included, is
+        appended as it finishes, and a re-run after a crash serves those
+        jobs from disk and simulates only the missing ones, to the same
+        result.  Keys are job fingerprints, so a journal written by a
+        different setup (other factory, config or annotations) replays
+        nothing.
         """
-        from repro.obs import counters as obs_counters
         from repro.robust.diagnostics import Diagnostics
-        if checkpoint is not None and not hasattr(checkpoint, "save"):
-            from repro.robust.recovery import Checkpoint
-            checkpoint = Checkpoint(checkpoint)
+        opened = journal is not None and not hasattr(journal, "append")
+        if opened:
+            from repro.robust.recovery import Journal
+            journal = Journal(journal)
         diag = Diagnostics()
-        fp = self._checkpoint_fingerprint(strict) \
-            if checkpoint is not None else None
-        state = {"fingerprint": fp, "stages": {}, "diag_events": []}
-        if checkpoint is not None:
-            loaded = checkpoint.load()
-            if checkpoint.corrupt:
-                diag.add("journal", "warning", None,
-                         "checkpoint %s is unreadable; restarting the "
-                         "flow from scratch" % checkpoint.path)
-            elif loaded is not None:
-                if loaded.get("fingerprint") != fp:
-                    diag.add("journal", "warning", None,
-                             "checkpoint %s was written by a different "
-                             "flow setup; ignoring it" % checkpoint.path)
-                else:
-                    state = loaded
-                    diag.events = list(state["diag_events"])
-        stages = state["stages"]
-
-        def stage(name, compute):
-            """Run one flow stage, or replay it from the checkpoint."""
-            if name in stages:
-                obs_counters.inc("flow.stage_replays")
-                obs_trace.event("refine.stage_replay", stage=name)
-                diag.add("journal", "info", None,
-                         "stage %r replayed from checkpoint %s"
-                         % (name, checkpoint.path), stage=name)
-                return stages[name]
-            value = compute()
-            if checkpoint is not None:
-                stages[name] = value
-                state["diag_events"] = list(diag.events)
-                checkpoint.save(state)
-            return value
-
         run_span = obs_trace.span(
             "refine.run", strict=strict,
             design=getattr(self.factory, "__name__", str(self.factory)))
         self._cache = SimCache()
-        self._replay = _RangeReplay(self.factory, self._cache, diag)
+        self._replay = _RangeReplay(self.factory, self._cache, diag, journal)
         try:
             with run_span:
                 if self.cfg.lint_design:
-                    stage("lint", lambda: bool(self._lint_into(diag)))
+                    self._lint_into(diag)
                 if self.cfg.verify_design:
-                    stage("verify_static",
-                          lambda: bool(self._verify_into(diag)))
+                    self._verify_into(diag)
                 self._replay.explosion_predicted = _explosion_predicted(
                     self.cfg, diag)
-                baseline = stage("baseline",
-                                 lambda: self.baseline_sqnr(diagnostics=diag))
+                baseline = self.baseline_sqnr(diagnostics=diag)
                 if strict:
-                    msb = stage("msb",
-                                lambda: self.run_msb_phase(diagnostics=diag))
-                    lsb = stage("lsb", lambda: self.run_lsb_phase(
-                        msb.annotations, diagnostics=diag))
-                    types = stage("types",
-                                  lambda: self.synthesize_types(msb, lsb))
+                    msb = self.run_msb_phase(diagnostics=diag)
+                    lsb = self.run_lsb_phase(msb.annotations, diagnostics=diag)
+                    types = self.synthesize_types(msb, lsb)
                     fallbacks = {}
                 else:
                     from repro.robust.retry import run_graceful
 
-                    msb, lsb, types, fallbacks = stage(
-                        "graceful", lambda: run_graceful(
-                            self, diag, self.cfg.escalation))
-
-                def verify_stage():
-                    verification = self.verify(types, lsb, diagnostics=diag)
-                    if verification.total_overflows:
-                        diag.add("verification", "warning", None,
-                                 "%d overflow(s) on non-wrap types during "
-                                 "verification" % verification.total_overflows,
-                                 overflows=verification.total_overflows)
-                    return verification
-
-                verification = stage("verification", verify_stage)
+                    msb, lsb, types, fallbacks = run_graceful(
+                        self, diag, self.cfg.escalation)
+                verification = self.verify(types, lsb, diagnostics=diag)
+                if verification.total_overflows:
+                    diag.add("verification", "warning", None,
+                             "%d overflow(s) on non-wrap types during "
+                             "verification" % verification.total_overflows,
+                             overflows=verification.total_overflows)
                 run_span.set(types=len(types), fallbacks=len(fallbacks),
                              sqnr_db=verification.output_sqnr_db,
                              diagnostics=len(diag))
         finally:
             self._cache = None
             self._replay = None
+            if opened:
+                journal.close()
         return RefinementResult(msb, lsb, types, verification, baseline,
                                 diagnostics=diag, fallbacks=fallbacks)
 
@@ -913,15 +854,17 @@ class _RangeReplay:
     and ``forced_range`` of its records differ.  Its outcome is the taped
     job's with those two fields replayed
     (:meth:`~repro.signal.interval_tape.IntervalTape.replay`), stored in
-    the run's cache under the job's own fingerprint.  Whenever the tape
-    cannot be trusted the job is simulated in full and a
-    ``range-replay`` diagnostic (DG219) says why.
+    the run's cache under the job's own fingerprint, and appended to the
+    run's journal, if any.  Whenever the tape cannot be trusted the job
+    is simulated in full and a ``range-replay`` diagnostic (DG219) says
+    why.
     """
 
-    def __init__(self, factory, cache, diagnostics):
+    def __init__(self, factory, cache, diagnostics, journal=None):
         self.factory = factory
         self.cache = cache
         self.diagnostics = diagnostics
+        self.journal = journal
         #: False once the lint pre-flight ran and found no range
         #: explosion (FX001): no auto-range annotation, hence no second
         #: MSB iteration, will follow the first.
@@ -951,12 +894,15 @@ class _RangeReplay:
         if taped is None:
             return None
         key = self._key(job)
-        if key in self.cache:
+        if key in self.cache or (self.journal is not None
+                                 and key in self.journal):
             return None
         outcome, tape = taped
         if not tape.recorded:
-            reason = ("the taped job ran on no interpreted engine in this "
-                      "process")
+            # A resumed run that crashed between the taped job and this
+            # one: the journal served the taped job, so nothing ran.
+            reason = ("the taped job was served from the journal, so its "
+                      "tape recorded nothing")
         else:
             reason = tape.reason
         if reason is None:
@@ -973,6 +919,8 @@ class _RangeReplay:
                 label=job.label, reason=reason)
             return None
         self.cache.put(key, outcome)
+        if self.journal is not None:
+            self.journal.append(key, outcome)
         span.set(replayed=True, replay_ticks=tape.executed_ticks,
                  tape_ticks=tape.n_ticks, tape_shapes=tape.n_shapes)
         return outcome

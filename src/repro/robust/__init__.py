@@ -13,10 +13,10 @@ stimuli misbehave:
 * :mod:`repro.robust.retry` — escalation ladder and conservative
   fallback types behind ``RefinementFlow.run(strict=False)``, plus the
   :class:`BackoffPolicy` used between crash retries in the pool;
-* :mod:`repro.robust.recovery` — write-ahead outcome :class:`Journal`
-  and atomic :class:`Checkpoint` behind resumable batches
+* :mod:`repro.robust.recovery` — the write-ahead outcome
+  :class:`Journal` behind every resumable entry
   (``run_simulations(journal=...)``, ``optimize_wordlengths(journal=...)``,
-  ``RefinementFlow.run(checkpoint=...)``);
+  ``RefinementFlow.run(journal=...)``);
 * :mod:`repro.robust.invariants` + :mod:`repro.robust.chaos` — the
   proof layer: canonical bit-exact digests, the five recovery
   invariants (durability, exactness, attribution, monotonicity,
@@ -37,7 +37,7 @@ from repro.robust.guards import (GuardEvent, GuardPolicy, Watchdog,
                                  guard_summary)
 from repro.robust.invariants import (InvariantCheck, canonical, digest,
                                      journal_digests, outcome_digest)
-from repro.robust.recovery import Checkpoint, Journal
+from repro.robust.recovery import Journal
 from repro.robust.retry import (BackoffPolicy, EscalationPolicy,
                                 conservative_fallback, escalate_lsb,
                                 escalate_msb, run_graceful)
@@ -49,7 +49,7 @@ __all__ = [
     "SeedPerturb", "WorkerCrash", "WorkerHang",
     "FaultOutcome", "CampaignResult", "FaultCampaign",
     "standard_faults",
-    "Journal", "Checkpoint",
+    "Journal",
     "InvariantCheck", "canonical", "digest", "outcome_digest",
     "journal_digests",
     "BackoffPolicy", "EscalationPolicy", "escalate_msb", "escalate_lsb",

@@ -1,8 +1,8 @@
 """Deterministic infrastructure-fault injection + recovery verification.
 
-PR 5 gave the simulator durability machinery — a write-ahead outcome
-journal, poison-job quarantine, checkpointed stage replay.  This module
-is its proof layer: instead of trusting a handful of hand-picked crash
+The simulator's durability machinery is a write-ahead outcome journal,
+a checksummed result cache and poison-job quarantine.  This module is
+its proof layer: instead of trusting a handful of hand-picked crash
 tests, it injects faults *deterministically* at every I/O and process
 boundary the durability layer depends on, then machine-checks the
 recovery against the five invariants of
@@ -13,8 +13,7 @@ Every fault is addressed by a ``(site, trigger, seed)`` triple:
 
 * ``site`` — which boundary to perturb (see :data:`SITES`);
 * ``trigger`` — the 0-based *occurrence* of that boundary event at
-  which the fault fires (the 3rd journal write, the 2nd checkpoint
-  save, ...);
+  which the fault fires (the 3rd journal write, the 2nd fsync, ...);
 * ``seed`` — drives the fault's free choices (where to cut a torn
   write, which byte to flip) through a private ``random.Random``.
 
@@ -25,12 +24,11 @@ damage, so any red matrix cell reproduces locally with::
 
 A scenario runs one *entry point* (``run_simulations``,
 ``optimize_wordlengths``, ``analyze_sensitivity``, ``FaultCampaign.run``
-or ``RefinementFlow.run(checkpoint=)``) twice against one working
-directory: **phase 1** armed (the fault fires; the entry may complete
-degraded, raise, or "die" via
-:class:`~repro.chaoshooks.ChaosCrash`), then **phase 2** disarmed —
-the restarted process, recovering from whatever the journal /
-checkpoint survived.  Phase 2's results must be bit-identical to a
+or ``RefinementFlow.run``) twice against one working directory:
+**phase 1** armed (the fault fires; the entry may complete degraded,
+raise, or "die" via :class:`~repro.chaoshooks.ChaosCrash`), then
+**phase 2** disarmed — the restarted process, recovering from whatever
+the journal survived.  Phase 2's results must be bit-identical to a
 memoized fault-free reference run.
 
 CLI::
@@ -74,7 +72,7 @@ from repro.robust.invariants import (InvariantCheck, batch_digest,
                                      check_exactness, check_monotonicity,
                                      check_termination, digest,
                                      journal_digests)
-from repro.robust.recovery import Checkpoint, Journal
+from repro.robust.recovery import Journal
 from repro.robust.retry import BackoffPolicy
 from repro.signal import Reg, Sig
 
@@ -94,8 +92,6 @@ SITES = (
     "worker.crash",            # pool worker os._exit mid-job
     "worker.hang",             # pool worker sleeps past its deadline
     "pool.break",              # all workers SIGKILLed mid-drain
-    "checkpoint.torn_save",    # death after temp write, before rename
-    "checkpoint.truncate",     # checkpoint file truncated on disk
 )
 
 #: Sites where phase 1 legitimately blames the victim job.
@@ -110,11 +106,8 @@ class ChaosInjector(ChaosHooks):
     """Fires exactly one fault, at one boundary occurrence, repeatably.
 
     Occurrences are counted per *stream* (all journal writes share one
-    stream, all checkpoint saves another); the fault fires when the
-    stream count reaches ``trigger``.  ``checkpoint.truncate`` is the
-    one *persistent* site — it re-fires on every later save too, so the
-    final on-disk checkpoint is guaranteed damaged no matter how many
-    stages follow the trigger.
+    stream, all fsyncs another); the fault fires once, when the stream
+    count reaches ``trigger``.
 
     All free choices come from a private PRNG seeded by the
     ``(site, trigger, seed)`` triple, so the injected damage is
@@ -257,31 +250,6 @@ class ChaosInjector(ChaosHooks):
             self._record("pool.drain", n, action="kill_workers",
                          workers=killed, delivered=n_delivered)
 
-    # -- checkpoints -------------------------------------------------------
-
-    def on_checkpoint_save(self, checkpoint):
-        if self.site != "checkpoint.torn_save":
-            return
-        n = self._tick("checkpoint.save")
-        if n == self.trigger:
-            self._record("checkpoint.save", n, action="crash")
-            raise ChaosCrash("process died between checkpoint temp "
-                             "write and rename")
-
-    def on_checkpoint_saved(self, checkpoint):
-        if self.site != "checkpoint.truncate":
-            return
-        n = self._tick("checkpoint.saved")
-        if n >= self.trigger:                     # persistent site
-            try:
-                size = os.path.getsize(checkpoint.path)
-            except OSError:
-                return
-            with open(checkpoint.path, "r+b") as fh:
-                fh.truncate(min(size, 7))
-            self._record("checkpoint.saved", n, action="truncate",
-                         size=size)
-
 
 # -- the probe workload ------------------------------------------------------
 
@@ -344,14 +312,13 @@ FAST_POLICY = PoolPolicy(max_retries=1,
                          deadline_grace=2.0)
 
 _JOURNAL_NAME = "journal.jsonl"
-_CHECKPOINT_NAME = "flow.ckpt"
 
 
 # -- entry-point adapters ----------------------------------------------------
 #
 # Each adapter runs one public fan-out entry against a working directory
-# (owning that directory's journal / checkpoint files) and reduces the
-# caller-observable result to a canonical digest.  ``diag`` collects
+# (owning that directory's journal file) and reduces the caller-observable
+# result to a canonical digest.  ``diag`` collects
 # stable-coded recovery events where the entry accepts a container.
 
 def _entry_run_simulations(workdir, workers, diag):
@@ -420,12 +387,12 @@ def _entry_campaign(workdir, workers, diag):
 
 
 def _entry_flow(workdir, workers, diag):
-    ck = Checkpoint(os.path.join(workdir, _CHECKPOINT_NAME))
     flow = RefinementFlow(probe_factory, input_types={"x": T_IN},
                           input_ranges={"x": (-1.0, 1.0)},
                           config=FlowConfig(n_samples=256, seed=9,
                                             lint_design=False))
-    result = flow.run(strict=True, checkpoint=ck)
+    result = flow.run(strict=True,
+                      journal=os.path.join(workdir, _JOURNAL_NAME))
     for ev in result.diagnostics.events:
         diag.events.append(ev)
     return digest(result.types)
@@ -441,24 +408,25 @@ ENTRIES = {
 
 #: Which sites make sense against which entry.  Journal sites run the
 #: entries that take ``journal=``; cache sites need the double-pass
-#: cache of ``run_simulations``; checkpoint sites are the flow's.
+#: cache of ``run_simulations``.
 SITE_ENTRIES = {
     "journal.torn_write": ("run_simulations", "optimize_wordlengths",
-                           "analyze_sensitivity", "fault_campaign"),
+                           "analyze_sensitivity", "fault_campaign",
+                           "refinement_flow"),
     "journal.enospc": ("run_simulations", "optimize_wordlengths",
-                       "analyze_sensitivity", "fault_campaign"),
+                       "analyze_sensitivity", "fault_campaign",
+                       "refinement_flow"),
     "journal.fsync_fail": ("run_simulations", "optimize_wordlengths",
-                           "analyze_sensitivity", "fault_campaign"),
+                           "analyze_sensitivity", "fault_campaign",
+                           "refinement_flow"),
     "journal.corrupt_record": ("run_simulations", "fault_campaign",
-                               "analyze_sensitivity"),
+                               "analyze_sensitivity", "refinement_flow"),
     "journal.compact_crash": ("run_simulations",),
     "cache.corrupt": ("run_simulations",),
     "cache.evict_race": ("run_simulations",),
     "worker.crash": ("run_simulations", "fault_campaign"),
     "worker.hang": ("run_simulations",),
     "pool.break": ("run_simulations", "fault_campaign"),
-    "checkpoint.torn_save": ("refinement_flow",),
-    "checkpoint.truncate": ("refinement_flow",),
 }
 
 
@@ -668,8 +636,8 @@ SMOKE_MATRIX = (
     ("analyze_sensitivity", "journal.torn_write", 2, 13),
     ("fault_campaign", "worker.crash", 2, 14),
     ("fault_campaign", "journal.corrupt_record", 1, 15),
-    ("refinement_flow", "checkpoint.torn_save", 2, 16),
-    ("refinement_flow", "checkpoint.truncate", 1, 17),
+    ("refinement_flow", "journal.torn_write", 2, 16),
+    ("refinement_flow", "journal.corrupt_record", 1, 17),
 )
 
 #: Extra cells for the full (slow-marked) matrix: wider trigger and
@@ -689,9 +657,9 @@ FULL_EXTRA = (
     ("fault_campaign", "journal.enospc", 2, 32),
     ("fault_campaign", "journal.fsync_fail", 1, 33),
     ("fault_campaign", "pool.break", 0, 34),
-    ("refinement_flow", "checkpoint.torn_save", 0, 35),
-    ("refinement_flow", "checkpoint.torn_save", 4, 36),
-    ("refinement_flow", "checkpoint.truncate", 3, 37),
+    ("refinement_flow", "journal.torn_write", 1, 35),
+    ("refinement_flow", "journal.enospc", 1, 36),
+    ("refinement_flow", "journal.fsync_fail", 0, 37),
 )
 
 

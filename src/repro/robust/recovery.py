@@ -1,21 +1,20 @@
-"""Crash-tolerant execution state: outcome journal and checkpoints.
+"""Crash-tolerant execution state: the write-ahead outcome journal.
 
 A refinement campaign is hours of independent simulations; a killed
-process must not lose the ones that already finished.  Two persistence
-primitives make every batch layer resumable:
-
-* :class:`Journal` — a fingerprint-keyed **write-ahead outcome journal**.
-  :func:`repro.parallel.run_simulations` appends every completed
-  :class:`~repro.parallel.runner.SimOutcome` to it *as the outcome
-  arrives* (not at batch end), so after a ``kill -9`` the same call
-  replays the finished jobs bit-exactly from disk and re-runs only the
-  missing ones.  The file is append-only JSONL with a versioned header;
-  every record carries its own SHA-256, so a torn tail (the one way an
-  append-only file can legitimately be damaged) is detected and dropped
-  on reopen instead of poisoning the replay.
-* :class:`Checkpoint` — atomic whole-state snapshots (temp file +
-  ``os.replace``) for coarse-grained search state, used by
-  ``RefinementFlow.run(checkpoint=...)`` to resume phase-by-phase.
+process must not lose the ones that already finished.  One persistence
+primitive makes every batch layer resumable: :class:`Journal`, a
+fingerprint-keyed **write-ahead outcome journal**.
+:func:`repro.parallel.run_simulations` appends every completed
+:class:`~repro.parallel.runner.SimOutcome` to it *as the outcome
+arrives* (not at batch end), so after a ``kill -9`` the same call
+replays the finished jobs bit-exactly from disk and re-runs only the
+missing ones.  Every entry point that fans out takes ``journal=``:
+``optimize_wordlengths``, ``analyze_sensitivity``, ``FaultCampaign.run``
+and ``RefinementFlow.run``, whose Fig. 4 loop is a chain of one-job
+batches.  The file is append-only JSONL with a versioned header; every
+record carries its own SHA-256, so a torn tail (the one way an
+append-only file can legitimately be damaged) is detected and dropped
+on reopen instead of poisoning the replay.
 
 Two robustness behaviors are part of the journal's contract (and are
 exercised by the chaos matrix, :mod:`repro.robust.chaos`):
@@ -41,7 +40,7 @@ a :class:`SimOutcome` holds full :class:`~repro.refine.monitors.SignalRecord`
 snapshots whose floats must replay to the last ulp — a lossy textual
 encoding would break the bit-identical-resume contract.
 
-Both classes never import the parallel runner, so
+The journal never imports the parallel runner, so
 ``repro.parallel`` <-> ``repro.robust`` stays acyclic: the runner takes
 an already-built journal object and only calls ``get``/``append``.
 """
@@ -65,7 +64,7 @@ from repro import chaoshooks
 from repro.core.errors import JournalError
 from repro.obs import counters as obs_counters
 
-__all__ = ["Journal", "Checkpoint", "JOURNAL_FORMAT", "JOURNAL_VERSION"]
+__all__ = ["Journal", "JOURNAL_FORMAT", "JOURNAL_VERSION"]
 
 JOURNAL_FORMAT = "repro-journal"
 JOURNAL_VERSION = 1
@@ -103,6 +102,21 @@ class Journal:
     ``"raise"`` wraps it in a :class:`JournalError`.  A non-``None``
     ``compact_threshold`` (bytes) arms :meth:`maybe_compact`, which the
     runner calls at the end of every batch.
+
+    A reopened journal replays what an earlier process appended (any
+    picklable outcome; the runner stores ``SimOutcome``):
+
+    >>> import os, tempfile
+    >>> tmp = tempfile.TemporaryDirectory()
+    >>> path = os.path.join(tmp.name, "runs", "flow.jsonl")
+    >>> with Journal(path) as journal:
+    ...     journal.append("job-key", {"sqnr_db": 40.8})
+    True
+    >>> reopened = Journal(path)
+    >>> reopened.get("job-key"), reopened.get("other-key")
+    ({'sqnr_db': 40.8}, None)
+    >>> reopened.close()
+    >>> tmp.cleanup()
     """
 
     def __init__(self, path, sync=True, on_io_error="degrade",
@@ -471,67 +485,3 @@ class Journal:
     def __repr__(self):
         return "Journal(%r, %d entrie(s), %d dropped)" % (
             self.path, len(self._entries), self.n_dropped)
-
-
-class Checkpoint:
-    """Atomic whole-state snapshot (pickle via temp file + rename).
-
-    Unlike the append-only :class:`Journal`, a checkpoint is replaced
-    wholesale on every :meth:`save`; ``os.replace`` makes the swap
-    atomic, so a reader only ever sees the previous complete state or
-    the new complete state — never a torn one.  :meth:`load` returns
-    ``None`` when no (readable) checkpoint exists; an unreadable file is
-    remembered in :attr:`corrupt` so callers can surface a diagnostic
-    instead of silently restarting.
-    """
-
-    def __init__(self, path):
-        self.path = os.fspath(path)
-        self.corrupt = False
-
-    def save(self, state):
-        parent = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(parent, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=parent, prefix=".ckpt-",
-                                   suffix=".tmp")
-        try:
-            with io.open(fd, "wb") as fh:
-                pickle.dump(state, fh,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-                fh.flush()
-                os.fsync(fh.fileno())
-            hook = chaoshooks.ACTIVE
-            if hook is not None:
-                hook.on_checkpoint_save(self)
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-            raise
-        obs_counters.inc("checkpoint.saves")
-        hook = chaoshooks.ACTIVE
-        if hook is not None:
-            hook.on_checkpoint_saved(self)
-
-    def load(self):
-        if not os.path.exists(self.path):
-            return None
-        try:
-            with io.open(self.path, "rb") as fh:
-                state = pickle.load(fh)
-        except Exception:
-            self.corrupt = True
-            return None
-        obs_counters.inc("checkpoint.loads")
-        return state
-
-    def remove(self):
-        try:
-            os.remove(self.path)
-        except OSError:
-            pass
-
-    def __repr__(self):
-        return "Checkpoint(%r)" % self.path

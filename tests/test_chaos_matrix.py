@@ -3,8 +3,8 @@
 Each cell of :data:`SMOKE_MATRIX` is one deterministic fault scenario
 (``entry:site:trigger:seed``) run through the two-phase
 inject-then-recover protocol; a cell passes only when every recovery
-invariant holds.  The smoke matrix covers all twelve fault sites and
-all five entry points and runs on every PR; the extended matrix rides
+invariant holds.  The smoke matrix covers all ten fault sites and all
+five entry points and runs on every PR; the extended matrix rides
 behind the ``slow`` marker (``-m slow``) like the other long campaigns.
 
 Fault-free reference runs are memoized per ``(entry, workers)`` inside
@@ -13,8 +13,9 @@ Fault-free reference runs are memoized per ``(entry, workers)`` inside
 
 import pytest
 
-from repro.robust.chaos import (FULL_EXTRA, SMOKE_MATRIX, make_scenario,
-                                run_scenario, scenario_from_sid)
+from repro.robust.chaos import (ENTRIES, FULL_EXTRA, SITES, SMOKE_MATRIX,
+                                _reference, make_scenario, run_scenario,
+                                scenario_from_sid)
 
 _SMOKE = [make_scenario(*cell) for cell in SMOKE_MATRIX]
 _FULL = [make_scenario(*cell) for cell in FULL_EXTRA]
@@ -57,6 +58,12 @@ def test_sid_roundtrip():
 
 def test_matrix_covers_everything():
     """The smoke matrix alone spans all sites and all entry points."""
-    from repro.robust.chaos import ENTRIES, SITES
     assert {s.site for s in _SMOKE} == set(SITES)
     assert {s.entry for s in _SMOKE} == set(ENTRIES)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_reference_journal_is_not_empty(entry):
+    """Every entry journals its jobs, so its durability and monotonicity
+    checks compare real records, never two empty journals."""
+    assert _reference(entry, 1)["journal"]

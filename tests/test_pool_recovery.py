@@ -280,36 +280,83 @@ class TestKillAndResume:
         assert resumed.n_simulations == fresh.n_simulations
 
 
-class TestFlowCheckpoint:
-    def test_flow_resumes_from_checkpoint(self, tmp_path):
-        from repro.refine.flow import FlowConfig, RefinementFlow
-        ck = tmp_path / "flow.ckpt"
-        flow = RefinementFlow(lms_factory, input_types={"x": T_IN},
-                              input_ranges={"x": (-2.0, 2.0)},
-                              config=FlowConfig(n_samples=200, seed=7))
-        first = flow.run(checkpoint=str(ck))
-        counters.reset()
-        again = flow.run(checkpoint=str(ck))
-        assert counters.get("flow.stage_replays") >= 5
-        assert again.types == first.types
-        assert again.verification.output_sqnr_db == \
-            first.verification.output_sqnr_db
-        # Replayed stages surface as DG203 journal diagnostics.
-        assert any(e.code == "DG203" for e in again.diagnostics.events)
+class TestFlowJournal:
+    """``RefinementFlow.run(journal=)`` resumes through the runner's
+    journal: every simulation of the Fig. 4 loop, the interval-tape
+    replays included, is one journaled job."""
 
-    def test_foreign_checkpoint_ignored(self, tmp_path):
+    @staticmethod
+    def _flow(seed=7):
         from repro.refine.flow import FlowConfig, RefinementFlow
-        ck = tmp_path / "flow.ckpt"
-        flow_a = RefinementFlow(lms_factory, input_types={"x": T_IN},
-                                input_ranges={"x": (-2.0, 2.0)},
-                                config=FlowConfig(n_samples=200, seed=7))
-        flow_a.run(checkpoint=str(ck))
-        # Different seed => different fingerprint => no resume.
-        flow_b = RefinementFlow(lms_factory, input_types={"x": T_IN},
-                                input_ranges={"x": (-2.0, 2.0)},
-                                config=FlowConfig(n_samples=200, seed=8))
+        # The user range on ``b`` makes the baseline record an interval
+        # tape and serves msb-iter-2 from it, as in E8.
+        return RefinementFlow(lms_factory, input_types={"x": T_IN},
+                              input_ranges={"x": (-1.5, 1.5)},
+                              user_ranges={"b": (-0.2, 0.2)},
+                              config=FlowConfig(n_samples=400, seed=seed,
+                                                auto_range=False))
+
+    @staticmethod
+    def _executions(monkeypatch):
+        """Labels of the simulations executed from now on."""
+        from repro.parallel import runner
+        executed = []
+        execute = runner._execute
+
+        def counting(config, factory, seeded):
+            executed.append(config.label)
+            return execute(config, factory, seeded)
+
+        monkeypatch.setattr(runner, "_execute", counting)
+        return executed
+
+    @staticmethod
+    def _same(a, b):
+        assert a.types == b.types
+        assert a.types_table() == b.types_table()
+        assert a.verification.output_sqnr_db == \
+            b.verification.output_sqnr_db
+        assert a.baseline_sqnr_db == b.baseline_sqnr_db
+
+    def test_completed_flow_resumes_without_simulating(self, tmp_path,
+                                                       monkeypatch):
+        path = str(tmp_path / "flow.jsonl")
+        executed = self._executions(monkeypatch)
+        first = self._flow().run(journal=path)
+        assert "msb-iter-2" not in executed      # served by tape replay
+        del executed[:]
         counters.reset()
-        result = flow_b.run(checkpoint=str(ck))
-        assert counters.get("flow.stage_replays") == 0
-        assert any("different flow setup" in e.message
-                   for e in result.diagnostics.events)
+        again = self._flow().run(journal=path)
+        assert executed == []
+        assert counters.get("journal.replays") >= 3
+        self._same(again, first)
+        codes = [e.code for e in again.diagnostics.events]
+        assert "DG219" not in codes
+        assert "DG203" in codes                   # journal replay
+
+    def test_foreign_journal_replays_nothing(self, tmp_path):
+        path = str(tmp_path / "flow.jsonl")
+        self._flow(seed=7).run(journal=path)
+        counters.reset()
+        # Different seed => different job fingerprints => no replay.
+        result = self._flow(seed=8).run(journal=path)
+        assert counters.get("journal.replays") == 0
+        assert all(e.code != "DG203" for e in result.diagnostics.events)
+        self._same(result, self._flow(seed=8).run())
+
+    def test_graceful_run_resumes_bit_identically(self, tmp_path,
+                                                  monkeypatch):
+        from repro.robust.invariants import digest
+
+        def numbers(result):
+            return digest((result.types, result.fallbacks,
+                           result.baseline_sqnr_db,
+                           result.verification.records))
+
+        path = str(tmp_path / "flow.jsonl")
+        first = self._flow().run(strict=False, journal=path)
+        executed = self._executions(monkeypatch)
+        again = self._flow().run(strict=False, journal=path)
+        assert executed == []
+        assert numbers(again) == numbers(first)
+        assert numbers(again) == numbers(self._flow().run(strict=False))

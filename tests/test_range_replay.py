@@ -8,7 +8,6 @@ tape cannot be trusted the iteration is simulated in full and a
 bit-identical to a full simulation.
 """
 
-import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +21,7 @@ from repro.parallel import SimConfig, fingerprint, run_simulations
 from repro.parallel.runner import _pool_width
 from repro.refine import Design, FlowConfig
 from repro.refine import flow as flow_module
+from repro.robust.recovery import Journal
 from repro.signal import DesignContext, Expr, Reg, Sig, cast
 from repro.signal.interval_tape import IntervalTape
 from tests.test_flow_runner import RecordingFlow
@@ -82,11 +82,11 @@ def _replay_events(res):
     return res.diagnostics.by_category("range-replay")
 
 
-def _check(design, reason):
+def _check(design, reason, journal=None):
     """Run the flow; msb-iter-2 must fall back with ``reason`` and still
     equal a full simulation bit for bit."""
     flow = _flow(design)
-    res = flow.run()
+    res = flow.run(journal=journal)
     assert res.msb.n_iterations == 2
     ev, = _replay_events(res)
     assert ev.code == "DG219"
@@ -261,18 +261,17 @@ class TestFallbacks:
     def test_expression_carried_across_a_tick(self):
         _check(CarriedExpr, "carried across ctx.tick()")
 
-    def test_job_ran_on_no_interpreted_engine(self, monkeypatch):
-        # A pool worker records into a copy of the tape: the flow's own
-        # tape stays empty.
-        real = flow_module.run_simulations
-
-        def elsewhere(factory, configs, **kw):
-            return real(factory,
-                        [replace(c, tape=pickle.loads(pickle.dumps(c.tape)))
-                         for c in configs], **kw)
-
-        monkeypatch.setattr(flow_module, "run_simulations", elsewhere)
-        _check(AccDesign, "ran on no interpreted engine")
+    def test_taped_job_served_from_the_journal(self, tmp_path):
+        # A run resumed after a crash between the taped baseline and
+        # msb-iter-2: the journal serves the baseline, so nothing
+        # records into its tape.
+        full = Journal(tmp_path / "full.jsonl")
+        _flow(AccDesign).run(journal=full)
+        crashed = Journal(tmp_path / "crashed.jsonl")
+        for key, outcome in full.entries().items():
+            if outcome.label == "baseline":
+                crashed.append(key, outcome)
+        _check(AccDesign, "served from the journal", journal=crashed)
 
     def test_replay_that_raises(self, monkeypatch):
         def boom(self, forced):

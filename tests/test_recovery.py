@@ -3,15 +3,11 @@
 The write-ahead :class:`Journal` must replay completed outcomes
 bit-exactly, detect and drop a torn tail (the only damage an
 append-only file can suffer), and refuse files it cannot have written.
-The :class:`Checkpoint` must swap states atomically and never resume a
-torn or foreign snapshot.  The :class:`SimCache` must evict by
-*recency of use*, not insertion order, so a long-running optimizer
-keeps its working set.
+The :class:`SimCache` must evict by *recency of use*, not insertion
+order, so a long-running optimizer keeps its working set.
 """
 
 import json
-import os
-import pickle
 
 import pytest
 
@@ -20,8 +16,7 @@ from repro.core.errors import JournalError
 from repro.dsp.lms import LmsEqualizerDesign
 from repro.obs import counters
 from repro.parallel import SimCache, SimConfig, fingerprint, run_simulations
-from repro.robust.recovery import (JOURNAL_FORMAT, JOURNAL_VERSION,
-                                   Checkpoint, Journal)
+from repro.robust.recovery import JOURNAL_FORMAT, JOURNAL_VERSION, Journal
 
 T_IN = DType("T_in", 9, 7, "tc", "saturate", "round")
 
@@ -176,37 +171,6 @@ class TestJournalRejectsForeignFiles:
         path.write_text(json.dumps(header) + "\n")
         with pytest.raises(JournalError):
             Journal(path)
-
-
-class TestCheckpoint:
-    def test_save_load_roundtrip(self, tmp_path):
-        ck = Checkpoint(tmp_path / "c.ckpt")
-        assert ck.load() is None
-        state = {"stage": "msb", "ranges": {"y": (-1.0, 1.0)}}
-        ck.save(state)
-        assert Checkpoint(ck.path).load() == state
-
-    def test_save_replaces_atomically(self, tmp_path):
-        ck = Checkpoint(tmp_path / "c.ckpt")
-        ck.save({"n": 1})
-        ck.save({"n": 2})
-        assert ck.load() == {"n": 2}
-        # No temp litter left behind.
-        assert os.listdir(tmp_path) == ["c.ckpt"]
-
-    def test_corrupt_checkpoint_returns_none_and_flags(self, tmp_path):
-        path = tmp_path / "c.ckpt"
-        path.write_bytes(b"\x80\x04 not a pickle")
-        ck = Checkpoint(path)
-        assert ck.load() is None
-        assert ck.corrupt
-
-    def test_remove(self, tmp_path):
-        ck = Checkpoint(tmp_path / "c.ckpt")
-        ck.save({"n": 1})
-        ck.remove()
-        assert ck.load() is None
-        ck.remove()   # idempotent
 
 
 class TestSimCacheLRU:
