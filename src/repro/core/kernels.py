@@ -40,7 +40,7 @@ _ROUNDING = ("round", "floor", "ceil", "trunc")
 _OVERFLOW = ("wrap", "saturate", "error")
 
 #: (n, f, signed, overflow, rounding) -> compiled kernel closure.
-_CACHE = {}
+_CACHE: dict = {}
 
 
 def make_scalar_kernel(n, f, signed=True, overflow="saturate",
@@ -73,23 +73,13 @@ def make_scalar_kernel(n, f, signed=True, overflow="saturate",
     mask = (1 << n) - 1
     off = (1 << (n - 1)) if signed else 0
     isfinite = math.isfinite
-    floor = math.floor
-    ceil = math.ceil
-    trunc = math.trunc
     spec = "<%d,%d,%s>" % (n, f, "tc" if signed else "us")
-
-    if rounding == "round":
-        def to_code(v):
-            return floor(v * scale + 0.5)
-    elif rounding == "floor":
-        def to_code(v):
-            return floor(v * scale)
-    elif rounding == "ceil":
-        def to_code(v):
-            return ceil(v * scale)
-    else:  # trunc
-        def to_code(v):
-            return trunc(v * scale)
+    # code = rnd(value * scale + half) for every mode: round is
+    # floor(x + 0.5); the other modes add 0.0, which changes x only when
+    # it is -0.0, and -0.0 and +0.0 map to the same integer code.
+    rnd = {"round": math.floor, "floor": math.floor, "ceil": math.ceil,
+           "trunc": math.trunc}[rounding]
+    half = 0.5 if rounding == "round" else 0.0
 
     def _bad(value):
         raise NonFiniteError(
@@ -101,7 +91,7 @@ def make_scalar_kernel(n, f, signed=True, overflow="saturate",
         def kernel(value):
             if not isfinite(value):
                 _bad(value)
-            code = to_code(value)
+            code = rnd(value * scale + half)
             if code > hi:
                 return hi_val, True
             if code < lo:
@@ -111,7 +101,7 @@ def make_scalar_kernel(n, f, signed=True, overflow="saturate",
         def kernel(value):
             if not isfinite(value):
                 _bad(value)
-            code = to_code(value)
+            code = rnd(value * scale + half)
             if code > hi or code < lo:
                 return (((code + off) & mask) - off) * inv, True
             return code * inv, False
@@ -119,7 +109,7 @@ def make_scalar_kernel(n, f, signed=True, overflow="saturate",
         def kernel(value):
             if not isfinite(value):
                 _bad(value)
-            code = to_code(value)
+            code = rnd(value * scale + half)
             if code > hi or code < lo:
                 raise FixedPointOverflowError(
                     "value %r overflows %s" % (value, spec), value=value)

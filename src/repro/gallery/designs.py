@@ -108,11 +108,11 @@ class GalleryDesignBase(Design):
             # encoder's exactness budget (repro.verify encodes every
             # traced constant as a dyadic code).
             blk = np.round(blk * 256.0) / 256.0
-            for row in blk:
-                if cls.stim_width == 1:
-                    yield float(row[0])
-                else:
-                    yield tuple(float(v) for v in row)
+            if cls.stim_width == 1:
+                for (v,) in blk.tolist():
+                    yield v
+            else:
+                yield from map(tuple, blk.tolist())
 
     @classmethod
     def samples(cls, seed, n, channel=None):

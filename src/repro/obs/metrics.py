@@ -131,7 +131,7 @@ def _record_metered(self, expr):
     if self.is_register and self._has_pending:
         stored = self._pend_fx
     else:
-        stored = self._fx
+        stored = self.fx
     e = in_fx - stored
     if e < 0.0:
         e = -e

@@ -795,7 +795,8 @@ class RefinementFlow:
         jobs from disk and simulates only the missing ones, to the same
         result.  Keys are job fingerprints, so a journal written by a
         different setup (other factory, config or annotations) replays
-        nothing.
+        nothing.  The run reports its journal replays as one DG203
+        event with their total.
         """
         from repro.robust.diagnostics import Diagnostics
         opened = journal is not None and not hasattr(journal, "append")
@@ -833,6 +834,8 @@ class RefinementFlow:
                              "%d overflow(s) on non-wrap types during "
                              "verification" % verification.total_overflows,
                              overflows=verification.total_overflows)
+                if journal is not None:
+                    _one_journal_event(diag, journal)
                 run_span.set(types=len(types), fallbacks=len(fallbacks),
                              sqnr_db=verification.output_sqnr_db,
                              diagnostics=len(diag))
@@ -924,6 +927,26 @@ class _RangeReplay:
         span.set(replayed=True, replay_ticks=tape.executed_ticks,
                  tape_ticks=tape.n_ticks, tape_shapes=tape.n_shapes)
         return outcome
+
+
+def _one_journal_event(diag, journal):
+    """Fold a run's journal-replay events (DG203) into one, in place.
+
+    Every flow simulation is its own one-job batch, so the runner
+    reports each journal-served job on its own; the run reports them
+    once, where the first was, with the total replayed count.
+    """
+    from repro.robust.diagnostics import DiagEvent
+    events = diag.by_category("journal")
+    if not events:
+        return
+    n = sum(e.data["replayed"] for e in events)
+    merged = DiagEvent(
+        "journal", "info", None,
+        "replayed %d completed simulation(s) of the run from journal %s"
+        % (n, getattr(journal, "path", "<memory>")), {"replayed": n})
+    diag.events = [merged if e is events[0] else e for e in diag.events
+                   if e.category != "journal" or e is events[0]]
 
 
 def _explosion_predicted(cfg, diagnostics):

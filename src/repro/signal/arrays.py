@@ -13,6 +13,7 @@ so array element assignment reads exactly like the paper's C++ code::
 from __future__ import annotations
 
 from repro.core.errors import DesignError
+from repro.signal.expr import Operand, as_expr
 from repro.signal.signal import Reg, Sig
 
 __all__ = ["SigArray", "RegArray"]
@@ -54,10 +55,10 @@ class SigArray:
 
     def __setitem__(self, i, value):
         sigs = self._sigs
-        if type(i) is int and -len(sigs) <= i < len(sigs):
-            sigs[i].assign(value)
-        else:
-            sigs[self._index(i)].assign(value)
+        if not (type(i) is int and -len(sigs) <= i < len(sigs)):
+            i = self._index(i)
+        sigs[i]._record(value if isinstance(value, Operand)
+                        else as_expr(value))
 
     def __len__(self):
         return len(self._sigs)

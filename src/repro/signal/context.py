@@ -185,7 +185,10 @@ class DesignContext:
         long run holds.
         """
         for r in self._registers:
-            r.commit()
+            if r._has_pending:
+                r.fx = r._pend_fx
+                r.fl = r._pend_fl
+                r._has_pending = False
         self.cycle += 1
         if not self.cycle & 511:
             for s in self._signals.values():

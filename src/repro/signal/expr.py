@@ -1,8 +1,9 @@
 """Expression values produced by overloaded operators.
 
 Per the paper, arithmetic between signals is carried out in floating
-point; quantization happens only at assignment.  Every operation
-produces an :class:`Expr` holding three parallel results:
+point; quantization happens only at assignment.  Every operation reads
+its operands and produces an :class:`Expr` holding three parallel
+results:
 
 * ``fx`` — the operation applied to the operands' *fixed-point* values
   (represented exactly in a double),
@@ -13,6 +14,11 @@ produces an :class:`Expr` holding three parallel results:
   shared empty interval when the context does not propagate ranges
   (``DesignContext.propagate``, off in a statistics-only or output-only
   run).
+
+An operand is anything satisfying the :class:`Operand` protocol: an
+``Expr``, or a :class:`~repro.signal.signal.Sig` read directly (a
+signal carries the same five attributes), so reading a signal costs no
+allocation.  Literals are wrapped by :func:`as_expr`.
 
 Relational operators compare the fixed-point values only, so the fixed
 and float simulations always take the same control decisions.
@@ -30,16 +36,25 @@ __all__ = ["Expr", "as_expr", "Operand"]
 
 
 class Operand:
-    """Mixin providing arithmetic/relational overloading.
+    """Operand protocol and the overloaded operators built on it.
 
-    Subclasses (``Expr``, ``Sig``) implement ``_to_expr()`` returning the
-    equivalent :class:`Expr`.
+    An operand exposes five plain attributes:
+
+    * ``fx`` and ``fl`` -- its fixed-point and float reference values,
+    * ``ival`` -- the interval a consumer propagates from it,
+    * ``ctx`` -- its :class:`~repro.signal.context.DesignContext`, or
+      None for a literal,
+    * ``node`` -- its provenance, read only while ``ctx`` has an
+      interval tape or a tracer: a ref on the tape, a node of the
+      traced graph, or None for a literal.
+
+    :class:`Expr` stores them; a :class:`~repro.signal.signal.Sig`
+    keeps its current values and its read interval in the same slots
+    (its ``node`` is a property), so an operation reads a signal
+    operand directly.
     """
 
     __slots__ = ()
-
-    def _to_expr(self):
-        raise NotImplementedError
 
     # -- arithmetic -----------------------------------------------------------
     #
@@ -53,60 +68,57 @@ class Operand:
     # EMPTY interval instead of any interval arithmetic.
 
     def __add__(self, other):
-        ea = self._to_expr()
-        eb = as_expr(other)
-        e = Expr.__new__(Expr)
-        e.fx = ea.fx + eb.fx
-        e.fl = ea.fl + eb.fl
-        ctx = e.ctx = ea.ctx if ea.ctx is not None else eb.ctx
-        e.ival = (iv_add(ea.ival, eb.ival) if ctx is None or ctx.propagate
+        eb = other if isinstance(other, Operand) else as_expr(other)
+        e = _new(Expr)
+        e.fx = self.fx + eb.fx
+        e.fl = self.fl + eb.fl
+        ctx = e.ctx = self.ctx if self.ctx is not None else eb.ctx
+        e.ival = (iv_add(self.ival, eb.ival) if ctx is None or ctx.propagate
                   else EMPTY)
         if ctx is None or (ctx.tape is None and ctx.tracer is None):
             e.node = None
         elif ctx.tape is not None:
-            e.node = ctx.tape.binop("add", ea, eb)
+            e.node = ctx.tape.binop("add", self, eb)
         else:
-            e.node = _trace_node(ctx, "add", (ea, eb))
+            e.node = _trace_node(ctx, "add", (self, eb))
         return e
 
     def __radd__(self, other):
         return _binop("add", other, self, lambda a, b: a + b)
 
     def __sub__(self, other):
-        ea = self._to_expr()
-        eb = as_expr(other)
-        e = Expr.__new__(Expr)
-        e.fx = ea.fx - eb.fx
-        e.fl = ea.fl - eb.fl
-        ctx = e.ctx = ea.ctx if ea.ctx is not None else eb.ctx
-        e.ival = (iv_sub(ea.ival, eb.ival) if ctx is None or ctx.propagate
+        eb = other if isinstance(other, Operand) else as_expr(other)
+        e = _new(Expr)
+        e.fx = self.fx - eb.fx
+        e.fl = self.fl - eb.fl
+        ctx = e.ctx = self.ctx if self.ctx is not None else eb.ctx
+        e.ival = (iv_sub(self.ival, eb.ival) if ctx is None or ctx.propagate
                   else EMPTY)
         if ctx is None or (ctx.tape is None and ctx.tracer is None):
             e.node = None
         elif ctx.tape is not None:
-            e.node = ctx.tape.binop("sub", ea, eb)
+            e.node = ctx.tape.binop("sub", self, eb)
         else:
-            e.node = _trace_node(ctx, "sub", (ea, eb))
+            e.node = _trace_node(ctx, "sub", (self, eb))
         return e
 
     def __rsub__(self, other):
         return _binop("sub", other, self, lambda a, b: a - b)
 
     def __mul__(self, other):
-        ea = self._to_expr()
-        eb = as_expr(other)
-        e = Expr.__new__(Expr)
-        e.fx = ea.fx * eb.fx
-        e.fl = ea.fl * eb.fl
-        ctx = e.ctx = ea.ctx if ea.ctx is not None else eb.ctx
-        e.ival = (iv_mul(ea.ival, eb.ival) if ctx is None or ctx.propagate
+        eb = other if isinstance(other, Operand) else as_expr(other)
+        e = _new(Expr)
+        e.fx = self.fx * eb.fx
+        e.fl = self.fl * eb.fl
+        ctx = e.ctx = self.ctx if self.ctx is not None else eb.ctx
+        e.ival = (iv_mul(self.ival, eb.ival) if ctx is None or ctx.propagate
                   else EMPTY)
         if ctx is None or (ctx.tape is None and ctx.tracer is None):
             e.node = None
         elif ctx.tape is not None:
-            e.node = ctx.tape.binop("mul", ea, eb)
+            e.node = ctx.tape.binop("mul", self, eb)
         else:
-            e.node = _trace_node(ctx, "mul", (ea, eb))
+            e.node = _trace_node(ctx, "mul", (self, eb))
         return e
 
     def __rmul__(self, other):
@@ -119,19 +131,18 @@ class Operand:
         return _binop("div", other, self, lambda a, b: a / b)
 
     def __neg__(self):
-        ea = self._to_expr()
-        e = Expr.__new__(Expr)
-        e.fx = -ea.fx
-        e.fl = -ea.fl
-        ctx = e.ctx = ea.ctx
-        e.ival = iv_neg(ea.ival) if ctx is None or ctx.propagate else EMPTY
+        e = _new(Expr)
+        e.fx = -self.fx
+        e.fl = -self.fl
+        ctx = e.ctx = self.ctx
+        e.ival = iv_neg(self.ival) if ctx is None or ctx.propagate else EMPTY
         e.node = (None if ctx is None
                   or (ctx.tape is None and ctx.tracer is None)
-                  else _trace_node(ctx, "neg", (ea,)))
+                  else _trace_node(ctx, "neg", (self,)))
         return e
 
     def __pos__(self):
-        return self._to_expr()
+        return self
 
     def __abs__(self):
         return _unop("abs", self, lambda a: abs(a))
@@ -149,16 +160,16 @@ class Operand:
     # -- relational (fixed-point values steer control) -----------------------
 
     def __lt__(self, other):
-        return self._to_expr().fx < _fx_of(other)
+        return self.fx < _fx_of(other)
 
     def __le__(self, other):
-        return self._to_expr().fx <= _fx_of(other)
+        return self.fx <= _fx_of(other)
 
     def __gt__(self, other):
-        return self._to_expr().fx > _fx_of(other)
+        return self.fx > _fx_of(other)
 
     def __ge__(self, other):
-        return self._to_expr().fx >= _fx_of(other)
+        return self.fx >= _fx_of(other)
 
     def eq(self, other):
         """Value equality on the fixed-point values.
@@ -166,16 +177,16 @@ class Operand:
         Named method instead of ``__eq__`` so signals stay hashable and
         usable as dict keys / registry entries.
         """
-        return self._to_expr().fx == _fx_of(other)
+        return self.fx == _fx_of(other)
 
     # -- conversions ------------------------------------------------------------
 
     def __float__(self):
-        return float(self._to_expr().fx)
+        return float(self.fx)
 
     def __bool__(self):
         """Truthiness of the fixed-point value (nonzero = true)."""
-        return self._to_expr().fx != 0.0
+        return self.fx != 0.0
 
 
 class Expr(Operand):
@@ -190,9 +201,6 @@ class Expr(Operand):
         self.ctx = ctx
         self.node = node
 
-    def _to_expr(self):
-        return self
-
     @property
     def error(self):
         """Current difference error: float reference minus fixed value."""
@@ -202,16 +210,21 @@ class Expr(Operand):
         return "Expr(fx=%g, fl=%g, ival=%r)" % (self.fx, self.fl, self.ival)
 
 
+#: Allocates an Expr without running ``__init__`` (the hot paths fill
+#: in every slot themselves).
+_new = object.__new__
+
+
 def as_expr(x):
-    """Coerce a signal, expression or numeric scalar to an :class:`Expr`."""
+    """Coerce ``x`` to an operand: a numeric scalar becomes an
+    :class:`Expr`, an :class:`Operand` (signal or expression) is
+    returned unchanged."""
     tx = type(x)
-    if tx is Expr:
-        return x
     if tx is float or tx is int:
         # Exact-type fast path for the overwhelmingly common literal
         # operands (coefficients, 0.0 resets, comparison constants).
         v = float(x)
-        e = Expr.__new__(Expr)
+        e = _new(Expr)
         e.fx = v
         e.fl = v
         # A NaN carries no range information; give it an empty interval
@@ -222,7 +235,7 @@ def as_expr(x):
         e.node = None
         return e
     if isinstance(x, Operand):
-        return x._to_expr()
+        return x
     if isinstance(x, numbers.Real):
         v = float(x)
         if math.isnan(v):
@@ -244,8 +257,11 @@ def _trace_node(ctx, opname, operands):
         return ctx.tape.op(opname, operands)
     if ctx.tracer is None:
         return None
-    in_nodes = [op.node if op.node is not None
-                else ctx.tracer.const_node(op.fx) for op in operands]
+    in_nodes = []
+    for op in operands:
+        node = op.node
+        in_nodes.append(node if node is not None
+                        else ctx.tracer.const_node(op.fx))
     return ctx.tracer.op_node(opname, in_nodes)
 
 

@@ -20,9 +20,11 @@ operand ref is
 
 * an ``int >= 0`` -- the position of the operation that produced it in
   the same tick,
-* the :class:`~repro.signal.signal.Sig` itself for a signal read (no
-  instruction of its own: the read is resolved when the operation
-  consumes it, the live-view semantics of the untraced path), or
+* the :class:`~repro.signal.signal.Sig` itself for a signal read (a
+  signal is its own operand, and its ``node`` is the signal while a tape
+  records; the read has no instruction of its own and is resolved when
+  the operation consumes it, the live-view semantics of the untraced
+  path), or
 * an ``int < 0`` -- ``-1 - k`` names the tick's ``k``-th literal, kept in
   a separate per-tick constants list.
 
@@ -132,11 +134,6 @@ class IntervalTape:
             (s._prop_ival.copy(),
              None if s._read_ival is None else s._read_ival.copy())
             for s in self._signals)
-        # Reads hand out one cached Expr per signal; while recording its
-        # provenance is the signal.
-        for s in self._signals:
-            if s._expr_cache is not None:
-                s._expr_cache.node = s
         ctx.tape = self
         if ctx.tracer is not None:
             self.distrust("the run is traced")
@@ -148,9 +145,6 @@ class IntervalTape:
             ctx.tape = None
             if self._ops:
                 self.tick()
-        for s in ctx.signals():
-            if s._expr_cache is not None:
-                s._expr_cache.node = None
         created = ctx.signals()[len(self._signals):]
         if created:
             self.distrust("signal %r was created inside run()"

@@ -53,6 +53,13 @@ this module is written for the interpreter, not for elegance:
 * the propagated range is accumulated by mutating one privately-owned
   :class:`~repro.core.interval.Interval` in place instead of allocating
   a union per assignment (``prop_interval()`` returns a snapshot copy),
+* a signal is its own operand (:class:`~repro.signal.expr.Operand`):
+  ``fx``, ``fl`` and ``ival`` are plain slots an operation reads
+  directly, so a read allocates nothing.  ``ival`` holds
+  :meth:`Sig.read_interval` and is re-bound wherever that interval
+  object changes (retyping, ``range()``, ``clear_annotations()``, a
+  reset of an untyped signal); growth of an untyped signal's read
+  range happens in place and needs no re-binding,
 * ``__slots__`` keeps instances dict-free.
 """
 
@@ -69,7 +76,7 @@ from repro.core.errors import DesignError, FixedPointOverflowError
 from repro.core.interval import Interval, fast_interval
 from repro.core.stats import ErrorStat, RangeStat
 from repro.signal.context import current_context
-from repro.signal.expr import Expr, Operand, as_expr
+from repro.signal.expr import Operand, as_expr
 
 __all__ = ["Sig", "Reg"]
 
@@ -122,11 +129,11 @@ class Sig(Operand):
     """
 
     __slots__ = (
-        "name", "dtype", "ctx", "role", "_fx", "_fl", "init_value",
+        "name", "dtype", "ctx", "role", "fx", "fl", "ival", "init_value",
         "_range_stat", "_val_stat", "_err_consumed", "_err_produced", "_cols",
         "overflow_count", "_forced_range", "_forced_error", "_fault_pre",
-        "_fault_post", "_prop_ival", "_read_ival", "_history", "_node",
-        "_kernel", "_err_mode", "_sat_lo", "_sat_hi", "_expr_cache",
+        "_fault_post", "_prop_ival", "_read_ival", "_history",
+        "_kernel", "_err_mode", "_sat_lo", "_sat_hi",
         "decl_site", "_obs", "_monitored",
     )
 
@@ -142,8 +149,11 @@ class Sig(Operand):
         #: (filename, lineno) where design code declared this signal.
         self.decl_site = _decl_site()
 
-        self._fx = float(init)
-        self._fl = float(init)
+        #: Current fixed-point value (exact in a double); a register's
+        #: value committed at the last clock edge.
+        self.fx = float(init)
+        #: Current floating-point reference value.
+        self.fl = float(init)
         self.init_value = float(init)
 
         # Monitors, read through the flushing properties below.
@@ -176,29 +186,18 @@ class Sig(Operand):
         self._monitored = True
 
         self._history = None
-        self._node = None
         self._bind_dtype(dtype)
         self.ctx.register_signal(self)
 
     def _bind_dtype(self, dtype):
         """Install ``dtype`` and rebuild the per-signal fast-path caches."""
         self.dtype = dtype
-        self._expr_cache = None
         if dtype is None:
             self._kernel = None
             self._err_mode = False
             self._sat_lo = None
             self._sat_hi = None
-            # Range visible to readers: propagated range plus the
-            # power-on value, maintained incrementally.
-            self._read_ival = fast_interval(self.init_value, self.init_value)
-            p = self._prop_ival
-            if p.lo <= p.hi:
-                r = self._read_ival
-                if p.lo < r.lo:
-                    r.lo = p.lo
-                if p.hi > r.hi:
-                    r.hi = p.hi
+            self._bind_read_ival()
             return
         self._err_mode = dtype.msbspec == "error"
         # error-mode signals quantize through the saturating variant and
@@ -212,22 +211,27 @@ class Sig(Operand):
         else:
             self._sat_lo = None
             self._sat_hi = None
+        self.ival = self.read_interval()
+
+    def _bind_read_ival(self):
+        """Rebuild an untyped signal's read range -- the propagated range
+        plus the power-on value, then grown in place by ``_record`` --
+        and re-bind ``ival``."""
+        r = fast_interval(self.init_value, self.init_value)
+        p = self._prop_ival
+        if p.lo <= p.hi:
+            if p.lo < r.lo:
+                r.lo = p.lo
+            if p.hi > r.hi:
+                r.hi = p.hi
+        self._read_ival = r
+        self.ival = self.read_interval()
 
     # -- value access ----------------------------------------------------------
 
     @property
-    def fx(self):
-        """Current fixed-point value (exact in a double)."""
-        return self._fx
-
-    @property
-    def fl(self):
-        """Current floating-point reference value."""
-        return self._fl
-
-    @property
     def value(self):
-        return self._fx
+        return self.fx
 
     def error(self, q=None):
         """Paper's dual-purpose ``error``: query or annotate.
@@ -237,12 +241,8 @@ class Sig(Operand):
         :meth:`error_spec` (the paper's ``x.error(q)`` annotation).
         """
         if q is None:
-            return self._fl - self._fx
+            return self.fl - self.fx
         return self.error_spec(q)
-
-    def _read(self):
-        """(fx, fl) pair visible to expressions reading this signal."""
-        return self._fx, self._fl
 
     def read_interval(self):
         """Range seen by downstream range propagation.
@@ -269,31 +269,15 @@ class Sig(Operand):
             return self._forced_range
         return self._prop_ival.copy()
 
-    def _to_expr(self):
+    @property
+    def node(self):
+        """Provenance of a read (the :class:`Operand` protocol): the
+        signal itself on an interval tape, its node in the traced graph
+        under a tracer, otherwise None."""
         ctx = self.ctx
         if ctx.tracer is not None:
-            e = Expr.__new__(Expr)
-            e.fx = self._fx
-            e.fl = self._fl
-            e.ival = self.read_interval()
-            e.ctx = ctx
-            e.node = ctx.tracer.sig_node(self)
-            return e
-        # Untraced reads reuse one Expr per signal: its interval is the
-        # live read view anyway, and fx/fl are refreshed per read.  The
-        # object is consumed immediately by the expression machinery, so
-        # sharing it between reads of the same signal is safe.
-        e = self._expr_cache
-        if e is None:
-            e = Expr.__new__(Expr)
-            e.ival = self.read_interval()
-            e.ctx = ctx
-            # On an interval tape a read's provenance is the signal.
-            e.node = self if ctx.tape is not None else None
-            self._expr_cache = e
-        e.fx = self._fx
-        e.fl = self._fl
-        return e
+            return ctx.tracer.sig_node(self)
+        return self if ctx.tape is not None else None
 
     # -- annotations --------------------------------------------------------------
 
@@ -305,7 +289,7 @@ class Sig(Operand):
         """
         self._annotated("range()")
         self._forced_range = Interval(lo, hi)
-        self._expr_cache = None
+        self.ival = self._forced_range
         return self
 
     def error_spec(self, q):
@@ -327,7 +311,7 @@ class Sig(Operand):
         self._annotated("clear_annotations()")
         self._forced_range = None
         self._forced_error = None
-        self._expr_cache = None
+        self.ival = self.read_interval()
         return self
 
     @property
@@ -368,11 +352,11 @@ class Sig(Operand):
 
     def assign(self, value):
         """Quantize-on-assign with simultaneous range & error monitoring."""
-        self._record(as_expr(value))
+        self._record(value if isinstance(value, Operand) else as_expr(value))
         return self
 
     def __ilshift__(self, value):
-        self._record(as_expr(value))
+        self._record(value if isinstance(value, Operand) else as_expr(value))
         return self
 
     def fault_pre(self, fn):
@@ -499,27 +483,9 @@ class Sig(Operand):
         self._range_stat.update_many((in_fx,))
         self._err_consumed.update_many((in_fl - in_fx,))
 
-    def _quantize(self, value):
-        """Reference entry point of the per-assignment quantization.
-
-        Kept for API compatibility and tests; ``_record`` inlines the
-        same kernel call.
-        """
-        kernel = self._kernel
-        if kernel is None:
-            return value, False
-        qfx, overflowed = kernel(value)
-        if (overflowed and self._err_mode
-                and self.ctx.overflow_action == "raise"):
-            raise FixedPointOverflowError(
-                "value %r overflows %s on signal %s"
-                % (value, self.dtype.spec(), self.name),
-                signal=self.name, value=value, dtype=self.dtype)
-        return qfx, overflowed
-
     def _store(self, fx, fl):
-        self._fx = fx
-        self._fl = fl
+        self.fx = fx
+        self.fl = fl
 
     # -- statistics ----------------------------------------------------------------------
 
@@ -580,8 +546,7 @@ class Sig(Operand):
         self._obs = None
         self._prop_ival = Interval()
         if self.dtype is None:
-            self._read_ival = fast_interval(self.init_value, self.init_value)
-            self._expr_cache = None
+            self._bind_read_ival()
         if self._history is not None:
             self._history.clear()
 
@@ -606,15 +571,16 @@ class Sig(Operand):
     def __repr__(self):
         spec = self.dtype.spec() if self.dtype is not None else "float"
         return "%s(%r, %s, fx=%g)" % (type(self).__name__, self.name, spec,
-                                      self._fx)
+                                      self.fx)
 
 
 class Reg(Sig):
     """Registered signal: assignments become visible at the next clock edge.
 
-    Reads always return the value committed at the most recent
-    :meth:`DesignContext.tick`; assignments go to a pending slot.  When a
-    register is not assigned during a cycle it holds its value.
+    Reads (``fx``, ``fl``) always return the value committed at the most
+    recent :meth:`DesignContext.tick`; assignments go to a pending slot,
+    which the tick moves into ``fx``/``fl``.  When a register is not
+    assigned during a cycle it holds its value.
     """
 
     __slots__ = ("_pend_fx", "_pend_fl", "_has_pending")
@@ -632,13 +598,6 @@ class Reg(Sig):
         self._pend_fl = fl
         self._has_pending = True
 
-    def commit(self):
-        """Clock edge: move the pending value into the visible slot."""
-        if self._has_pending:
-            self._fx = self._pend_fx
-            self._fl = self._pend_fl
-            self._has_pending = False
-
     @property
     def next_fx(self):
         """Pending fixed-point value (None when not assigned this cycle)."""
@@ -650,20 +609,11 @@ class Reg(Sig):
         v = float(value)
         if self.dtype is not None:
             v = self.dtype.saturating.quantize(v)
-        self._fx = v
-        self._fl = float(value)
+        self.fx = v
+        self.fl = float(value)
         self.init_value = float(value)
         self._has_pending = False
         if self.dtype is None:
-            # The power-on value seeds the readable range; rebuild it
-            # from the accumulated propagation plus the new init.
-            r = fast_interval(float(value), float(value))
-            p = self._prop_ival
-            if p.lo <= p.hi:
-                if p.lo < r.lo:
-                    r.lo = p.lo
-                if p.hi > r.hi:
-                    r.hi = p.hi
-            self._read_ival = r
-            self._expr_cache = None
+            # The power-on value seeds the readable range.
+            self._bind_read_ival()
         return self

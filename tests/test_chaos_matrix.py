@@ -13,9 +13,9 @@ Fault-free reference runs are memoized per ``(entry, workers)`` inside
 
 import pytest
 
-from repro.robust.chaos import (ENTRIES, FULL_EXTRA, SITES, SMOKE_MATRIX,
-                                _reference, make_scenario, run_scenario,
-                                scenario_from_sid)
+from repro.robust.chaos import (ENTRIES, FULL_EXTRA, SITE_ENTRIES, SITES,
+                                SMOKE_MATRIX, _reference, make_scenario,
+                                run_scenario, scenario_from_sid)
 
 _SMOKE = [make_scenario(*cell) for cell in SMOKE_MATRIX]
 _FULL = [make_scenario(*cell) for cell in FULL_EXTRA]
@@ -60,6 +60,17 @@ def test_matrix_covers_everything():
     """The smoke matrix alone spans all sites and all entry points."""
     assert {s.site for s in _SMOKE} == set(SITES)
     assert {s.entry for s in _SMOKE} == set(ENTRIES)
+
+
+def test_cells_pair_sites_with_allowed_entries():
+    """Every fault site has a row in ``SITE_ENTRIES`` naming only real
+    entry points, and every smoke and full cell runs its site against
+    an entry that row allows."""
+    assert set(SITE_ENTRIES) == set(SITES)
+    for site, entries in SITE_ENTRIES.items():
+        assert entries and set(entries) <= set(ENTRIES), site
+    for entry, site, _, _ in SMOKE_MATRIX + FULL_EXTRA:
+        assert entry in SITE_ENTRIES[site], (entry, site)
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRIES))

@@ -332,7 +332,10 @@ class TestFlowJournal:
         self._same(again, first)
         codes = [e.code for e in again.diagnostics.events]
         assert "DG219" not in codes
-        assert "DG203" in codes                   # journal replay
+        # One DG203 per run, not one per journal-served one-job batch.
+        replays = [e for e in again.diagnostics.events if e.code == "DG203"]
+        assert len(replays) == 1
+        assert replays[0].data["replayed"] == 3
 
     def test_foreign_journal_replays_nothing(self, tmp_path):
         path = str(tmp_path / "flow.jsonl")

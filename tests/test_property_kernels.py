@@ -104,6 +104,35 @@ class TestScalarKernelBitExact:
             assert quantize(v, n, f, signed=signed, overflow=overflow,
                             rounding=rounding) == ref_val
 
+    @pytest.mark.parametrize("rounding", ROUNDINGS)
+    @pytest.mark.parametrize("overflow", OVERFLOWS)
+    def test_signed_zeros_and_halfway_points(self, overflow, rounding):
+        """The kernels compute every mode as ``rnd(v * 2**f + half)``
+        with ``half`` 0.0 outside round-to-nearest; adding 0.0 turns a
+        -0.0 product into +0.0, which must not change the code.  Probe
+        both zeros, tiny values whose product underflows to -0.0 on a
+        coarse grid, and exact half-LSB ties of both signs."""
+        ties = [k + d for k in range(-4, 4) for d in (0.25, 0.5, 0.75)]
+        tiny = [0.0, -0.0, math.ulp(0.0), -math.ulp(0.0)]
+        for n, f in ((8, 0), (8, 4), (12, -3), (53, 40)):
+            lsb = math.ldexp(1.0, -f)
+            for signed in (True, False):
+                for v in tiny + [t * lsb for t in ties]:
+                    _assert_kernel_matches(v, n, f, signed, overflow,
+                                           rounding)
+        # Both zeros, and a product that underflows to -0.0 (f = -3),
+        # quantize to +0.0 in every mode.
+        for v, f in ((0.0, 4), (-0.0, 4), (-0.0, -3), (-math.ulp(0.0), -3)):
+            assert v * math.ldexp(1.0, f) == 0.0
+            qv, ovf = scalar_kernel(8, f, True, overflow, rounding)(v)
+            assert (qv, math.copysign(1.0, qv), ovf) == (0.0, 1.0, False)
+        # Exact ties at f = 4: round goes up, the other modes keep
+        # their direction.
+        kernel = scalar_kernel(8, 4, True, overflow, rounding)
+        tie = {"round": (0.0625, 0.0), "floor": (0.0, -0.0625),
+               "ceil": (0.0625, 0.0), "trunc": (0.0, 0.0)}[rounding]
+        assert (kernel(0.03125)[0], kernel(-0.03125)[0]) == tie
+
     def test_non_finite_raises(self):
         kernel = scalar_kernel(8, 4)
         for bad in (math.nan, math.inf, -math.inf):
