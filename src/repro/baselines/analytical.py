@@ -28,8 +28,7 @@ from repro.core.dtype import DType
 from repro.core.errors import RefinementError
 from repro.core.interval import Interval
 from repro.sfg.analyze import propagate_ranges
-from repro.sfg.build import trace
-from repro.signal.context import DesignContext
+from repro.sfg.build import record_design
 
 __all__ = ["AnalyticalRefiner", "AnalyticalResult", "propagate_error_bounds"]
 
@@ -157,17 +156,9 @@ class AnalyticalRefiner:
         self.max_frac_bits = int(max_frac_bits)
         self.seed = seed
 
-    def _capture_graph(self):
-        ctx = DesignContext("analytical", seed=self.seed)
-        with ctx:
-            design = self.factory()
-            design.build(ctx)
-            with trace(ctx) as tracer:
-                design.run(ctx, self.trace_samples)
-        return tracer.sfg
-
     def run(self):
-        sfg = self._capture_graph()
+        sfg, _ = record_design(self.factory, self.trace_samples,
+                               seed=self.seed)
         analysis = propagate_ranges(
             sfg, input_ranges=self.input_ranges,
             forced_ranges=self.declared_ranges)

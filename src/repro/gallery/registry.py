@@ -309,21 +309,16 @@ def lint_entry(entry, config=None, samples=32):
     bits, wrap hazards, coarse grids) see the refinement result.
     """
     from repro.lint.core import run_lint
-    from repro.sfg import trace
+    from repro.sfg import record_design
 
-    ctx = DesignContext("gallery-lint-%s" % entry.name,
-                        overflow_action="record", guard_action="sanitize")
-    with ctx:
-        design = entry.cls(seed=entry.base_seed)
-        design.build(ctx)
-        Annotations(dtypes=entry.dtypes, ranges=entry.ranges,
-                    errors=entry.errors).apply(ctx)
-        with trace(ctx) as tracer:
-            design.run(ctx, samples)
+    sfg, _ = record_design(lambda: entry.cls(seed=entry.base_seed), samples,
+                           Annotations(dtypes=entry.dtypes,
+                                       ranges=entry.ranges,
+                                       errors=entry.errors).apply)
     outputs = set(entry.extra_outputs)
     if entry.output:
         outputs.add(entry.output)
-    return run_lint(tracer.sfg, input_ranges=entry.envelope,
+    return run_lint(sfg, input_ranges=entry.envelope,
                     outputs=outputs, design_name=entry.name,
                     config=config)
 

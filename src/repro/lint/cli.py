@@ -25,8 +25,7 @@ from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
 from repro.lint.core import SEVERITY_ORDER, LintConfig, run_lint
 from repro.lint.output import to_json_dict, to_sarif_dict
 from repro.refine.flow import Annotations
-from repro.sfg import trace
-from repro.signal.context import DesignContext
+from repro.sfg import record_design
 
 __all__ = ["main", "lint_design", "DesignEntry", "design_registry"]
 
@@ -104,25 +103,15 @@ def _artifact_of(design):
 
 
 def lint_design(entry, config=None, samples=None):
-    """Build, trace and lint one :class:`DesignEntry`.
-
-    The design runs with sanitizing guards and recorded overflows so a
-    deliberately broken fixture never aborts the lint pass — the linter
-    judges structure, not simulated values.
-    """
+    """Record and lint one :class:`DesignEntry`
+    (:func:`~repro.sfg.build.record_design`)."""
     n = samples if samples is not None else entry.samples
-    ctx = DesignContext("lint-%s" % entry.name, overflow_action="record",
-                        guard_action="sanitize")
-    with ctx:
-        design = entry.factory()
-        design.build(ctx)
-        Annotations(ranges=entry.ranges).apply(ctx)
-        with trace(ctx) as tracer:
-            design.run(ctx, n)
+    sfg, design = record_design(entry.factory, n,
+                                Annotations(ranges=entry.ranges).apply)
     outputs = set(entry.extra_outputs)
     if getattr(design, "output", None):
         outputs.add(design.output)
-    return run_lint(tracer.sfg, input_ranges=entry.input_ranges,
+    return run_lint(sfg, input_ranges=entry.input_ranges,
                     outputs=outputs, design_name=entry.name,
                     artifact=_artifact_of(design), config=config)
 

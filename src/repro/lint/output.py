@@ -2,8 +2,8 @@
 
 SARIF output carries everything CI annotation needs: an automation run
 id, full per-rule metadata (``tool.driver.rules``) and a physical
-location for every result — the signal's declaration site when the
-tracer captured one, the design's source file otherwise.
+location for every result — the declaration site of the recorded
+signal when there is one, the design's source file otherwise.
 """
 
 from __future__ import annotations

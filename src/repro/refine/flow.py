@@ -39,7 +39,6 @@ from repro.refine.lsbrules import LsbPolicy, decide_lsb, detect_divergence
 from repro.refine.msbrules import MsbPolicy, decide_msb
 from repro.refine.report import (format_lsb_table, format_msb_table,
                                  format_types_table)
-from repro.signal.context import DesignContext
 from repro.signal.interval_tape import IntervalTape
 
 __all__ = ["Design", "Annotations", "FlowConfig", "RefinementFlow",
@@ -664,33 +663,30 @@ class RefinementFlow:
     # -- static analysis ----------------------------------------------------------
 
     def lint(self, n_samples=None, config=None):
-        """Static pre-flight check: lint the traced design structure.
+        """Static pre-flight check: lint the recorded design structure.
 
         Applies the same a-priori knowledge the flow itself starts from
         (input types, preset types, input ranges and the user's
-        ``range()`` annotations), traces a short run and returns a
+        ``range()`` annotations), records a short run and returns a
         :class:`~repro.lint.core.LintReport`.  An FX001 finding here
         predicts the MSB explosion the simulation phases would hit —
         without running them.
         """
         from repro.lint.core import run_lint
-        from repro.sfg import trace
+        from repro.sfg import record_design
         cfg = self.cfg
         n = n_samples if n_samples is not None else cfg.lint_samples
-        ctx = DesignContext("lint", seed=cfg.seed, overflow_action="record",
-                            guard_action="sanitize")
-        with ctx:
-            design = self.factory()
-            design.build(ctx)
+
+        def annotate(ctx):
             known = {s.name for s in ctx.signals()}
             ranges = {k: v for k, v in self.user_ranges.items()
                       if k in known or any(s.startswith(k + "[")
                                            for s in known)}
             Annotations(dtypes={**self.input_types, **self.preset_types},
                         ranges=ranges).apply(ctx)
-            with trace(ctx) as tracer:
-                design.run(ctx, n)
-        return run_lint(tracer.sfg, input_ranges=self.input_ranges,
+
+        sfg, design = record_design(self.factory, n, annotate, seed=cfg.seed)
+        return run_lint(sfg, input_ranges=self.input_ranges,
                         design_name=getattr(design, "name", "design"),
                         config=config)
 

@@ -1,12 +1,10 @@
-"""Trace-based construction of the signal flow graph.
+"""Recording a design's signal flow graph.
 
-A :class:`Tracer` attaches to a :class:`~repro.signal.context.DesignContext`;
-while attached, every overloaded operation and every assignment adds
-(structurally deduplicated) nodes and edges to an :class:`~repro.sfg.graph.SFG`.
-Running a couple of iterations of the algorithm under trace is enough to
-capture the full static structure — exactly the "signal flowgraph out of
-the source code" the paper's analytical method needs, obtained without a
-C parser.
+:func:`trace` records a run onto an interval tape, the one recorder of
+the overloaded operators, and builds the graph from it.  A couple of
+iterations of the algorithm capture its full static structure: the
+"signal flowgraph out of the source code" that the paper's analytical
+method needs, obtained without a C parser.
 """
 
 from __future__ import annotations
@@ -15,48 +13,60 @@ from contextlib import contextmanager
 
 from repro.core.errors import DesignError
 from repro.sfg.graph import SFG
+from repro.signal.context import DesignContext
+from repro.signal.interval_tape import IntervalTape
 
-__all__ = ["Tracer", "trace"]
-
-
-class Tracer:
-    """Collects an :class:`SFG` from overloaded-operator executions."""
-
-    def __init__(self):
-        self.sfg = SFG()
-
-    # Interface used by repro.signal.expr / repro.signal.signal ----------
-
-    def sig_node(self, sig):
-        return self.sfg.sig_node(sig.name, sig.is_register, payload=sig)
-
-    def const_node(self, value):
-        return self.sfg.const_node(value)
-
-    def op_node(self, opname, operand_nodes):
-        return self.sfg.op_node(opname, operand_nodes)
-
-    def assign_edge(self, src_node, sig):
-        self.sfg.sig_node(sig.name, sig.is_register, payload=sig)
-        return self.sfg.assign_edge(src_node, sig.name, sig.is_register)
+__all__ = ["trace", "record_design"]
 
 
 @contextmanager
-def trace(ctx, tracer=None):
-    """Attach a tracer to ``ctx`` for the duration of the ``with`` block.
+def trace(ctx):
+    """Record ``ctx`` onto an
+    :class:`~repro.signal.interval_tape.IntervalTape` for the ``with``
+    block; on exit the tape's ``.sfg`` is :meth:`SFG.from_tape` of it:
 
-    Returns the tracer, whose ``.sfg`` holds the captured graph::
+    >>> from repro.signal import DesignContext, Reg, Sig
+    >>> with DesignContext("doc") as ctx:
+    ...     x, acc = Sig("x"), Reg("acc")
+    ...     with trace(ctx) as t:
+    ...         for v in (0.5, 0.25):
+    ...             _ = x.assign(v)
+    ...             _ = acc.assign(acc + x * 0.5)
+    ...             ctx.tick()
+    >>> t.sfg
+    SFG(6 nodes, 7 edges, 2 signals)
+    >>> t.sfg.feedback_signals()
+    ['acc']
 
-        with trace(ctx) as t:
-            design.run(ctx, 4)      # a few iterations suffice
-        graph = t.sfg
+    A nested ``trace()``, or one on a context whose tape is already
+    recording, raises :class:`~repro.core.errors.DesignError`.
     """
-    if ctx.tracer is not None:
-        raise DesignError("context %r already has an active tracer"
+    if ctx.tape is not None:
+        raise DesignError("context %r is already recording an interval tape"
                           % ctx.name)
-    tracer = tracer if tracer is not None else Tracer()
-    ctx.tracer = tracer
+    tape = IntervalTape()
+    tape.start(ctx)
     try:
-        yield tracer
+        yield tape
     finally:
-        ctx.tracer = None
+        tape.finish()
+    tape.sfg = SFG.from_tape(tape)
+
+
+def record_design(make, n, annotate=None, seed=0):
+    """``(sfg, design)``: build ``make()``, run ``annotate(ctx)`` (such
+    as ``Annotations(...).apply``) and record ``n`` samples.
+
+    Overflows are recorded and non-finite values sanitized, so a broken
+    design never aborts the recording: the graph is its structure.
+    """
+    ctx = DesignContext("record", seed=seed, overflow_action="record",
+                        guard_action="sanitize")
+    with ctx:
+        design = make()
+        design.build(ctx)
+        if annotate is not None:
+            annotate(ctx)
+        with trace(ctx) as tape:
+            design.run(ctx, n)
+    return tape.sfg, design

@@ -3,8 +3,9 @@
 The analytical MSB method of the paper (Section 4.1) evaluates signal
 ranges "by constructing a signal flowgraph out of the source code and
 analyzing the data flow using the same range propagation mechanism".
-In this environment the graph is captured by *tracing* overloaded
-operations (see :mod:`repro.sfg.build`) and stored here as a
+In this environment the graph is built from the interval tape of a
+short recorded run (:meth:`SFG.from_tape`, recorded by
+:func:`repro.sfg.build.trace`) and stored here as a
 :class:`~repro.sfg.digraph.DiGraph` of typed nodes.
 
 Node kinds:
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field
 from repro.core.errors import DesignError
 from repro.sfg.digraph import (DiGraph, condensed_components, simple_cycles,
                                strongly_connected_components)
+from repro.signal.interval_tape import ASSIGN
 
 __all__ = ["Node", "SFG"]
 
@@ -53,6 +55,30 @@ class SFG:
         self._operands = {}
 
     # -- construction -----------------------------------------------------
+
+    @classmethod
+    def from_tape(cls, tape):
+        """The graph of a recorded
+        :class:`~repro.signal.interval_tape.IntervalTape`, built from its
+        distinct records in recording order: node ids follow the order
+        in which the run first met each signal, literal and operation
+        (see :func:`repro.sfg.build.trace`)."""
+        g = cls()
+        nodes = []
+
+        def node(ref):
+            if type(ref) is int:
+                return nodes[ref]
+            if type(ref) is tuple:
+                return g.const_node(ref[0])
+            return g.sig_node(ref.name, ref.is_register, payload=ref)
+
+        for label, *refs in tape.distinct_records():
+            ins = [node(r) for r in refs]
+            nodes.append(g.op_node(label, ins) if label != ASSIGN
+                         else g.assign_edge(ins[0], ins[1].label,
+                                            ins[1].kind == "reg"))
+        return g
 
     def _new_node(self, kind, label, key, payload=None):
         if key in self._by_key:

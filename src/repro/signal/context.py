@@ -114,7 +114,6 @@ class DesignContext:
         self.guard_trip_count = 0
         self.watchdog = None
         self.cycle = 0
-        self.tracer = None
         #: interval tape recording this run
         #: (:mod:`repro.signal.interval_tape`), or None.
         self.tape = None

@@ -45,8 +45,8 @@ class Operand:
     * ``ctx`` -- its :class:`~repro.signal.context.DesignContext`, or
       None for a literal,
     * ``node`` -- its provenance, read only while ``ctx`` has an
-      interval tape or a tracer: a ref on the tape, a node of the
-      traced graph, or None for a literal.
+      interval tape (:mod:`repro.signal.interval_tape`): a ref on the
+      tape, or None for a literal.
 
     :class:`Expr` stores them; a :class:`~repro.signal.signal.Sig`
     keeps its current values and its read interval in the same slots
@@ -60,9 +60,9 @@ class Operand:
     #
     # add/sub/mul/neg are the per-sample hot path of every monitored
     # simulation; they inline the interval arithmetic and build the
-    # result Expr without re-validating floats; only a listening tracer
-    # or interval tape costs them a call (one IntervalTape.binop for
-    # add/sub/mul on a tape).  Rarer operations (div, shifts) keep the
+    # result Expr without re-validating floats; only a recording
+    # interval tape costs them a call (one IntervalTape.binop for
+    # add/sub/mul).  Rarer operations (div, shifts) keep the
     # generic _binop/_unop route.  A context that does not propagate
     # ranges (a statistics-only or output-only run) gets the shared
     # EMPTY interval instead of any interval arithmetic.
@@ -75,12 +75,8 @@ class Operand:
         ctx = e.ctx = self.ctx if self.ctx is not None else eb.ctx
         e.ival = (iv_add(self.ival, eb.ival) if ctx is None or ctx.propagate
                   else EMPTY)
-        if ctx is None or (ctx.tape is None and ctx.tracer is None):
-            e.node = None
-        elif ctx.tape is not None:
-            e.node = ctx.tape.binop("add", self, eb)
-        else:
-            e.node = _trace_node(ctx, "add", (self, eb))
+        e.node = (None if ctx is None or ctx.tape is None
+                  else ctx.tape.binop("add", self, eb))
         return e
 
     def __radd__(self, other):
@@ -94,12 +90,8 @@ class Operand:
         ctx = e.ctx = self.ctx if self.ctx is not None else eb.ctx
         e.ival = (iv_sub(self.ival, eb.ival) if ctx is None or ctx.propagate
                   else EMPTY)
-        if ctx is None or (ctx.tape is None and ctx.tracer is None):
-            e.node = None
-        elif ctx.tape is not None:
-            e.node = ctx.tape.binop("sub", self, eb)
-        else:
-            e.node = _trace_node(ctx, "sub", (self, eb))
+        e.node = (None if ctx is None or ctx.tape is None
+                  else ctx.tape.binop("sub", self, eb))
         return e
 
     def __rsub__(self, other):
@@ -113,12 +105,8 @@ class Operand:
         ctx = e.ctx = self.ctx if self.ctx is not None else eb.ctx
         e.ival = (iv_mul(self.ival, eb.ival) if ctx is None or ctx.propagate
                   else EMPTY)
-        if ctx is None or (ctx.tape is None and ctx.tracer is None):
-            e.node = None
-        elif ctx.tape is not None:
-            e.node = ctx.tape.binop("mul", self, eb)
-        else:
-            e.node = _trace_node(ctx, "mul", (self, eb))
+        e.node = (None if ctx is None or ctx.tape is None
+                  else ctx.tape.binop("mul", self, eb))
         return e
 
     def __rmul__(self, other):
@@ -136,9 +124,8 @@ class Operand:
         e.fl = -self.fl
         ctx = e.ctx = self.ctx
         e.ival = iv_neg(self.ival) if ctx is None or ctx.propagate else EMPTY
-        e.node = (None if ctx is None
-                  or (ctx.tape is None and ctx.tracer is None)
-                  else _trace_node(ctx, "neg", (self,)))
+        e.node = (None if ctx is None or ctx.tape is None
+                  else ctx.tape.op("neg", (self,)))
         return e
 
     def __pos__(self):
@@ -250,19 +237,10 @@ def _fx_of(x):
 
 def _trace_node(ctx, opname, operands):
     """Provenance of an operation's result: its ref on the context's
-    interval tape, its node in the traced graph, or None."""
-    if ctx is None:
+    interval tape, or None."""
+    if ctx is None or ctx.tape is None:
         return None
-    if ctx.tape is not None:
-        return ctx.tape.op(opname, operands)
-    if ctx.tracer is None:
-        return None
-    in_nodes = []
-    for op in operands:
-        node = op.node
-        in_nodes.append(node if node is not None
-                        else ctx.tracer.const_node(op.fx))
-    return ctx.tracer.op_node(opname, in_nodes)
+    return ctx.tape.op(opname, operands)
 
 
 def _binop(opname, a, b, vfn, ifn=None):

@@ -1,4 +1,4 @@
-"""Interval tape: the interval side of one run, replayable under new ranges.
+"""Interval tape: the one recording of a run, replayable under new ranges.
 
 A ``range()`` annotation only seeds or freezes quasi-analytical range
 propagation; the fixed-point values steer control flow, so a run with
@@ -7,37 +7,40 @@ and assignments and differs only in its intervals (see
 ``tests/test_property_ranges.py``).  An :class:`IntervalTape` records
 that sequence once and :meth:`IntervalTape.replay` re-evaluates just the
 interval arithmetic under a new set of forced ranges, at a small
-fraction of a full dual float/fixed simulation.
+fraction of a full dual float/fixed simulation.  The same recording is
+the run's structure: :func:`repro.sfg.trace` records onto a tape and
+builds the signal flow graph from :meth:`IntervalTape.distinct_records`.
 
 Recording
 ---------
 While ``ctx.tape`` is set, every operation appends one ``(op, ref,
-ref)`` triple to the current tick's list (the add/sub/mul dunders
-through :meth:`IntervalTape.binop`, every other operation through
-``_trace_node`` and :meth:`IntervalTape.op`) and every monitored
-assignment (``Sig._record``) appends ``("=", signal, ref)``.  An
-operand ref is
+...)`` record, with one ref per operand, to the current tick's list (the
+add/sub/mul dunders through :meth:`IntervalTape.binop`, every other
+operation through :meth:`IntervalTape.op`) and every assignment
+(``Sig._record``) appends ``("=", signal, ref)``.  An operand ref is
 
 * an ``int >= 0`` -- the position of the operation that produced it in
   the same tick,
 * the :class:`~repro.signal.signal.Sig` itself for a signal read (a
-  signal is its own operand, and its ``node`` is the signal while a tape
-  records; the read has no instruction of its own and is resolved when
-  the operation consumes it, the live-view semantics of the untraced
-  path), or
+  signal's ``node`` is the signal while a tape records; the read is
+  resolved when the operation consumes it, the live-view semantics of
+  the untaped path),
 * an ``int < 0`` -- ``-1 - k`` names the tick's ``k``-th literal, kept in
-  a separate per-tick constants list.
+  a separate per-tick constants list (an operand with no provenance is
+  the literal of its value), or
+* ``(position,)`` -- an operation of an earlier tick, by absolute
+  position.
 
 ``DesignContext.tick()`` closes the tick (:meth:`IntervalTape.tick`);
-its tuple of triples (its *shape*) is interned, so a loop whose
+its tuple of records (its *shape*) is interned, so a loop whose
 structure does not change stores one shape and one constants tuple per
 tick.
 
-A tape that cannot be trusted stops recording and keeps the reason in
-:attr:`IntervalTape.reason`: a signal created, re-typed, re-ranged,
-re-annotated or reset inside ``run()``; an operand with no provenance
-whose interval is not the point of its value; an expression carried
-across ``ctx.tick()``.
+A tape whose intervals cannot be trusted keeps the reason in
+:attr:`IntervalTape.reason` and refuses to replay, but goes on recording
+the structure: a signal created, re-typed, re-ranged, re-annotated or
+reset inside ``run()``; an operand with no provenance whose interval is
+not the point of its value; an expression carried across ``ctx.tick()``.
 
 Replay
 ------
@@ -45,12 +48,13 @@ Per shape, assignments to forced targets are dropped (a forced range
 freezes propagation, so the full simulation does no interval work for
 them either); every operation is evaluated with the
 :mod:`repro.core.interval` functions (and
-:func:`repro.core.interval.eval_op` for the rarer operations), so an
-interval bound that turns NaN raises exactly where the full simulation
-raises, and each live assignment folds its interval into the target
-exactly as ``Sig._record`` does.  The interval state only grows, so a
-tick whose (shape, constants) pair already executed without changing
-anything is skipped until the state changes again.
+:func:`repro.core.interval.eval_op` for the rarer operations, which
+ignores ``select``'s condition), so an interval bound that turns NaN
+raises exactly where the full simulation raises, and each live
+assignment folds its interval into the target exactly as
+``Sig._record`` does.  The interval state only grows, so a tick whose
+(shape, constants) pair already executed without changing anything is
+skipped until the state changes again.
 """
 
 from __future__ import annotations
@@ -115,6 +119,8 @@ class IntervalTape:
         self._ops = []
         self._consts = []
         self._base = 0
+        #: the recorded signal flow graph, set by :func:`repro.sfg.trace`.
+        self.sfg = None
 
     @property
     def n_ticks(self):
@@ -135,8 +141,6 @@ class IntervalTape:
              None if s._read_ival is None else s._read_ival.copy())
             for s in self._signals)
         ctx.tape = self
-        if ctx.tracer is not None:
-            self.distrust("the run is traced")
 
     def finish(self):
         """Stop recording; trailing work after the last tick is one tick."""
@@ -152,11 +156,9 @@ class IntervalTape:
         self.recorded = True
 
     def distrust(self, reason):
-        """Mark the tape unreplayable and stop recording."""
+        """Mark the tape unreplayable; it goes on recording the structure."""
         if self.reason is None:
             self.reason = reason
-        if self.ctx is not None and self.ctx.tape is self:
-            self.ctx.tape = None
 
     def tick(self):
         """Close the current tick (``DesignContext.tick()`` calls this):
@@ -173,24 +175,23 @@ class IntervalTape:
         self._consts.clear()
 
     def _ref(self, e):
-        """Ref of operand ``e`` in the current tick (None once the tape
-        is distrusted)."""
+        """Ref of operand ``e`` in the current tick."""
         node = e.node
         if node is None:
+            v = e.fx
             iv = e.ival
-            v = iv.lo
-            if v == e.fx and iv.hi == v:
-                consts = self._consts
-                consts.append(v)
-                return -len(consts)
-            self.distrust("an operand expression has no provenance and "
-                          "interval %r, not the point of its value %r"
-                          % (iv, e.fx))
-            return None
+            if iv.lo != v or iv.hi != v:
+                self.distrust("an operand expression has no provenance and "
+                              "interval %r, not the point of its value %r"
+                              % (iv, v))
+            consts = self._consts
+            consts.append(v)
+            return -len(consts)
         if type(node) is int:
-            node -= self._base
-            if node < 0:
+            if node < self._base:
                 self.distrust("an expression was carried across ctx.tick()")
+                return (node,)
+            return node - self._base
         return node
 
     def binop(self, label, ea, eb):
@@ -217,23 +218,51 @@ class IntervalTape:
         return base + len(ops) - 1
 
     def op(self, label, operands):
-        """Record one operation; returns the ref of its result."""
-        # At most two operands shape an interval: select's condition
-        # does not (its range is the union of the branches).
-        if len(operands) > 1:
-            return self.binop(label, operands[-2], operands[-1])
+        """Record one operation over every operand; returns the ref of
+        its result."""
         ops = self._ops
-        ops.append((label, self._ref(operands[0]), None))
+        ops.append((label,) + tuple([self._ref(e) for e in operands]))
         return self._base + len(ops) - 1
 
     def assign(self, sig, expr):
-        """Record one monitored assignment."""
+        """Record one assignment."""
         r = expr.node
         if type(r) is int and r >= self._base:
             r -= self._base
         elif r is None or type(r) is int:
             r = self._ref(expr)
         self._ops.append((ASSIGN, sig, r))
+
+    def distinct_records(self):
+        """The recorded structure: each distinct record once, in
+        first-occurrence order.
+
+        A record is ``(label, operand, ...)``, an assignment ``("=",
+        source, signal)``.  An operand is a signal, a literal as a
+        1-tuple ``(value,)``, or the ``int`` index of the record that
+        produced it among the records yielded.  A record that repeats
+        an earlier one, operand for operand, adds no structure and is
+        not yielded again.
+        """
+        shapes = list(self._shapes)
+        index = {}
+        where = []      # per recorded position: its record's index
+
+        def operand(r):
+            if type(r) is int:
+                return where[base + r] if r >= 0 else (consts[-1 - r],)
+            return where[r[0]] if type(r) is tuple else r
+
+        for sid, consts in zip(self._tick_shapes, self._tick_consts):
+            base = len(where)
+            for r in shapes[sid]:
+                key = ((ASSIGN, operand(r[2]), r[1]) if r[0] == ASSIGN
+                       else (r[0],) + tuple(map(operand, r[1:])))
+                i = index.get(key)
+                if i is None:
+                    i = index[key] = len(index)
+                    yield key
+                where.append(i)
 
     # -- replay ----------------------------------------------------------
 
@@ -294,14 +323,15 @@ def _compile(shape, forced, state):
     """
     n = len(shape)
     consts = set()
-    for label, a, b in shape:
+    for rec in shape:
+        label = rec[0]
         if label == ASSIGN:
-            operands = () if a in forced else (b,)
+            operands = () if rec[1] in forced else rec[2:]
         elif label in _COMPARISONS:
             # A comparison's interval is [0, 1] whatever its operands.
             operands = ()
         else:
-            operands = (a, b)
+            operands = rec[1:]
         for r in operands:
             if type(r) is int and r < 0:
                 consts.add(-1 - r)
@@ -312,24 +342,24 @@ def _compile(shape, forced, state):
     def slot(r):
         if type(r) is int:
             return r if r >= 0 else n - 1 - r
-        if r is None:
-            return None
         if r not in slots:
             slots[r] = len(regs)
             regs.append(_read_interval(r, forced, state))
         return slots[r]
 
     steps = []
-    for i, (label, a, b) in enumerate(shape):
+    for i, rec in enumerate(shape):
+        label = rec[0]
         if label == ASSIGN:
-            if a not in forced:
-                prop, read = state[a]
-                steps.append(_assign_step(slot(b), prop, read, a._sat_lo,
-                                          a._sat_hi))
+            sig = rec[1]
+            if sig not in forced:
+                prop, read = state[sig]
+                steps.append(_assign_step(slot(rec[2]), prop, read,
+                                          sig._sat_lo, sig._sat_hi))
         elif label in _COMPARISONS:
-            steps.append(_op_step(label, i, None, None))
+            steps.append(_op_step(label, i, ()))
         else:
-            steps.append(_op_step(label, i, slot(a), slot(b)))
+            steps.append(_op_step(label, i, [slot(r) for r in rec[1:]]))
     return steps, consts, regs, n
 
 
@@ -343,23 +373,21 @@ def _read_interval(sig, forced, state):
     return state[sig][1]
 
 
-def _op_step(label, out, ia, ib):
+def _op_step(label, out, ins):
     fn = _FAST_OPS.get(label)
     if fn is not None:
+        ia, ib = ins
+
         def step(regs):
             regs[out] = fn(regs[ia], regs[ib])
     elif label == "neg":
+        (ia,) = ins
+
         def step(regs):
             regs[out] = iv_neg(regs[ia])
-    elif label in _COMPARISONS:
-        def step(regs):
-            regs[out] = eval_op(label, ())
-    elif ib is None:
-        def step(regs):
-            regs[out] = eval_op(label, [regs[ia]])
     else:
         def step(regs):
-            regs[out] = eval_op(label, [regs[ia], regs[ib]])
+            regs[out] = eval_op(label, [regs[i] for i in ins])
     return step
 
 

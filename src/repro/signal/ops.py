@@ -30,11 +30,11 @@ def _ctx_of(*exprs):
         if e.ctx is not None:
             return e.ctx
     # All operands are literals (e.g. ``select(flag, 1.0, -1.0)``): fall
-    # back to the active context so tracing (or an interval tape) still
-    # sees the operation.
+    # back to the active context so its interval tape still sees the
+    # operation.
     from repro.signal.context import current_context
     ctx = current_context()
-    return ctx if ctx.tracer is not None or ctx.tape is not None else None
+    return ctx if ctx.tape is not None else None
 
 
 def _propagates(ctx):
@@ -77,8 +77,8 @@ def cast(value, dtype):
     e = as_expr(value)
     qfx = dtype.saturating.kernel(e.fx)[0] if dtype.msbspec != "wrap" \
         else dtype.quantize(e.fx)
-    # A cast of a literal is an operation over it, so a tape or tracer
-    # sees it even though no signal is involved.
+    # A cast of a literal is an operation over it, so a tape sees it
+    # even though no signal is involved.
     ctx = _ctx_of(e)
     ival = e.ival
     if not _propagates(ctx):

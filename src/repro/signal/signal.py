@@ -215,9 +215,15 @@ class Sig(Operand):
 
     def _bind_read_ival(self):
         """Rebuild an untyped signal's read range -- the propagated range
-        plus the power-on value, then grown in place by ``_record`` --
-        and re-bind ``ival``."""
+        plus the power-on and the current (a register's committed)
+        value, then grown in place by ``_record`` -- and re-bind
+        ``ival``."""
+        v = self.fx
         r = fast_interval(self.init_value, self.init_value)
+        if v < r.lo:
+            r.lo = v
+        elif v > r.hi:
+            r.hi = v
         p = self._prop_ival
         if p.lo <= p.hi:
             if p.lo < r.lo:
@@ -272,12 +278,8 @@ class Sig(Operand):
     @property
     def node(self):
         """Provenance of a read (the :class:`Operand` protocol): the
-        signal itself on an interval tape, its node in the traced graph
-        under a tracer, otherwise None."""
-        ctx = self.ctx
-        if ctx.tracer is not None:
-            return ctx.tracer.sig_node(self)
-        return self if ctx.tape is not None else None
+        signal itself while an interval tape records, otherwise None."""
+        return self if self.ctx.tape is not None else None
 
     # -- annotations --------------------------------------------------------------
 
@@ -465,12 +467,6 @@ class Sig(Operand):
             self._history.append((qfx, fl))
         if ctx.tape is not None:
             ctx.tape.assign(self, expr)
-        tracer = ctx.tracer
-        if tracer is not None:
-            src = expr.node
-            if src is None:
-                src = tracer.const_node(in_fx)
-            tracer.assign_edge(src, self)
 
     def _record_aborted(self, in_fx, in_fl):
         """Monitor an assignment that raises on overflow.

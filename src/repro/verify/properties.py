@@ -32,8 +32,7 @@ from __future__ import annotations
 from repro.obs import counters as obs_counters
 from repro.obs import trace as obs_trace
 from repro.refine.flow import Annotations
-from repro.sfg import trace
-from repro.signal.context import DesignContext
+from repro.sfg import record_design
 from repro.verify import bv
 from repro.verify.backends import VerifyBudget, VerifyProblem, \
     resolve_backend
@@ -67,21 +66,12 @@ class TracedDesign:
 
 def trace_design(factory, samples=TRACE_SAMPLES, ranges=None,
                  dtypes=None, name=None):
-    """Build and trace a Design factory for verification.
-
-    Runs with sanitizing guards and recorded overflows (like the
-    linter) — the checker judges the captured structure, not the traced
-    sample values.
-    """
-    ctx = DesignContext("verify-trace", overflow_action="record",
-                        guard_action="sanitize")
-    with ctx:
-        design = factory()
-        design.build(ctx)
-        Annotations(dtypes=dtypes or {}, ranges=ranges or {}).apply(ctx)
-        with trace(ctx) as tracer:
-            design.run(ctx, samples)
-    return TracedDesign(tracer.sfg,
+    """Record a Design factory for verification
+    (:func:`~repro.sfg.build.record_design`)."""
+    sfg, design = record_design(factory, samples,
+                                Annotations(dtypes=dtypes or {},
+                                            ranges=ranges or {}).apply)
+    return TracedDesign(sfg,
                         name or getattr(design, "name", "design"),
                         getattr(design, "inputs", ()),
                         getattr(design, "output", None),

@@ -174,9 +174,8 @@ def test_taped_read_records_the_signal_as_provenance(ctx):
 
 def test_traced_read_is_the_signal_node(ctx):
     x = Sig("x")
-    with trace(ctx) as t:
-        node = x.node
-        assert node is t.sfg.sig_node("x")
+    with trace(ctx):
+        assert x.node is x
         assert (x + 1.0).node is not None
     assert x.node is None
 

@@ -11,7 +11,7 @@ from repro.hdl import build_netlist
 from repro.lint import run_lint
 from repro.signal import DesignContext, Reg, Sig, cast, select
 from repro.signal.ops import gt
-from repro.sfg import SFG, Tracer, propagate_ranges, trace
+from repro.sfg import SFG, propagate_ranges, trace
 from repro.verify import bv
 from repro.verify.encode import Envelope, StepEncoder
 
@@ -127,7 +127,7 @@ class TestTracing:
     def test_tracer_detached_after_block(self, ctx):
         with trace(ctx):
             pass
-        assert ctx.tracer is None
+        assert ctx.tape is None
 
     def test_select_traced(self, ctx):
         a = Sig("a")

@@ -298,6 +298,27 @@ class TestResetStats:
         assert a.range_stat.is_empty
         assert ctx.overflow_log == []
 
+    def test_reset_keeps_the_held_value_readable(self, ctx):
+        # Range propagation from a reset signal must cover the value it
+        # still holds, not only its power-on value.
+        c, y = Sig("c"), Sig("y")
+        c.assign(1.2)
+        ctx.reset_stats()
+        y.assign(c * 1.0)
+        assert y.fx == 1.2
+        assert y.prop_interval() == Interval(0, 1.2)
+
+    def test_untyping_keeps_the_committed_value_readable(self, ctx):
+        r, y = Reg("r", T85), Sig("y")
+        r.assign(-0.75)
+        ctx.tick()
+        r.assign(0.5)               # pending: not readable yet
+        r.set_dtype(None)
+        assert r.read_interval() == Interval(-0.75, 0)
+        y.assign(r + 0.0)
+        assert y.fx == -0.75
+        assert y.prop_interval() == Interval(-0.75, 0)
+
 
 class TestWatch:
     def test_history_records_pairs(self, ctx):
