@@ -2,7 +2,6 @@
 
 from repro.hdl.netlist import (Net, Netlist, OpInstance, UnsupportedOpError,
                                build_netlist, const_dtype, derive_op_dtype)
-from repro.hdl.pysim import NetlistSimulator
 from repro.hdl.testbench import collect_vectors, generate_testbench
 from repro.hdl.vhdlgen import (fixed_point_package, generate_design,
                                generate_entity, vhdl_identifier)
@@ -21,5 +20,4 @@ __all__ = [
     "vhdl_identifier",
     "collect_vectors",
     "generate_testbench",
-    "NetlistSimulator",
 ]

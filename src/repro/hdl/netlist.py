@@ -1,77 +1,28 @@
 """RTL netlist extraction from a traced signal flow graph.
 
 Bridges the refinement result and the VHDL generator: every signal gets
-its synthesized :class:`DType`, every operation node gets a derived
-intermediate format wide enough to hold its exact result (no rounding
-inside expressions — quantization happens only at signal assignment,
-matching the simulation semantics).
+its synthesized :class:`DType`, every literal its exact code and every
+operation node the format of its exact result, all from the lowering
+rules of :mod:`repro.core.opformat` (no rounding inside expressions --
+quantization happens only at signal assignment, matching the simulation
+semantics and the verifier's encoding).  A signal with no recorded
+driver is driven by the literal it holds; a register resets to its
+quantized power-on code.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.core import word
 from repro.core.dtype import DType
 from repro.core.errors import DesignError
+from repro.core.opformat import (UnsupportedOpError, const_dtype,
+                                 derive_op_dtype, held_value, literal_code,
+                                 power_on_code)
+from repro.sfg.graph import Node
 
 __all__ = ["Net", "OpInstance", "Netlist", "build_netlist",
            "UnsupportedOpError", "derive_op_dtype", "const_dtype"]
-
-
-class UnsupportedOpError(DesignError):
-    """The traced operation has no RTL mapping (e.g. division)."""
-
-
-def const_dtype(value, max_frac_bits=32):
-    """Minimal two's-complement format holding a literal exactly-ish."""
-    f = word.needed_frac_bits(value, cap=max_frac_bits)
-    msb = word.required_msb(min(value, 0.0), max(value, 0.0))
-    if msb is None:
-        msb = 0
-    return DType("const", msb + f + 1, f, "tc", "wrap", "round")
-
-
-def derive_op_dtype(label, operand_dtypes):
-    """Exact (lossless) result format of one operation."""
-    if label in ("add", "sub"):
-        a, b = operand_dtypes
-        f = max(a.f, b.f)
-        msb = max(a.msb, b.msb) + 1
-        return DType(label, msb + f + 1, f, "tc", "wrap", "round")
-    if label == "mul":
-        a, b = operand_dtypes
-        f = a.f + b.f
-        msb = a.msb + b.msb + 1
-        return DType(label, msb + f + 1, f, "tc", "wrap", "round")
-    if label in ("neg", "abs"):
-        (a,) = operand_dtypes
-        return DType(label, a.n + 1, a.f, "tc", "wrap", "round")
-    if label in ("min", "max"):
-        a, b = operand_dtypes
-        f = max(a.f, b.f)
-        msb = max(a.msb, b.msb)
-        return DType(label, msb + f + 1, f, "tc", "wrap", "round")
-    if label in ("gt", "ge", "lt", "le"):
-        return DType(label, 2, 0, "tc", "wrap", "round")
-    if label == "select":
-        branches = operand_dtypes[-2:]
-        f = max(d.f for d in branches)
-        msb = max(d.msb for d in branches)
-        return DType(label, msb + f + 1, f, "tc", "wrap", "round")
-    if label.startswith("shl") or label.startswith("shr"):
-        (a,) = operand_dtypes
-        k = int(label[3:]) * (1 if label.startswith("shl") else -1)
-        return DType(label, a.n, max(0, a.f - k), "tc", "wrap", "round")
-    cast_dt = DType.from_cast_label(label)
-    if cast_dt is not None:
-        return cast_dt
-    if label == "div":
-        raise UnsupportedOpError(
-            "division has no direct RTL mapping; restructure the design "
-            "(reciprocal LUT / shift approximation) before HDL generation")
-    raise UnsupportedOpError("no RTL mapping for traced op %r" % label)
 
 
 @dataclass
@@ -84,6 +35,7 @@ class Net:
     is_input: bool
     is_output: bool
     driver: object = None   # Node driving this net (None for inputs)
+    init: int = 0           # a register's power-on code
 
 
 @dataclass
@@ -103,7 +55,7 @@ class Netlist:
         self.sfg = sfg
         self.nets = nets          # name -> Net
         self.ops = ops            # node -> OpInstance
-        self.consts = consts      # node -> (value, DType)
+        self.consts = consts      # node -> (code, DType)
 
     def inputs(self):
         return [n for n in self.nets.values() if n.is_input]
@@ -122,7 +74,11 @@ class Netlist:
         return self.nets[node.label].dtype
 
 
-def build_netlist(sfg, types, inputs=(), outputs=(), max_const_frac=32):
+def _literal(node):
+    return literal_code(node.payload)[0], const_dtype(node.payload)
+
+
+def build_netlist(sfg, types, inputs=(), outputs=()):
     """Resolve formats for every node of ``sfg``.
 
     ``types`` maps every signal name to its :class:`DType`; ``inputs``
@@ -131,21 +87,28 @@ def build_netlist(sfg, types, inputs=(), outputs=(), max_const_frac=32):
     inputs = set(inputs)
     outputs = set(outputs)
     nets = {}
+    consts = {}
     for node in sfg.signal_nodes():
         name = node.label
         if name not in types:
             raise DesignError("no fixed-point type for signal %r" % name)
         drivers = sfg.preds(node)
-        nets[name] = Net(name, types[name], node.kind == "reg",
-                         name in inputs, name in outputs,
-                         driver=drivers[-1] if drivers else None)
+        net = nets[name] = Net(name, types[name], node.kind == "reg",
+                               name in inputs, name in outputs,
+                               driver=drivers[-1] if drivers else None)
+        sig = sfg.sig_payload(name)
+        if net.is_register:
+            net.init = power_on_code(net.dtype, 0.0 if sig is None
+                                     else sig.init_value)
+        elif net.driver is None and not net.is_input:
+            value = held_value(sig)
+            net.driver = Node(-1 - len(consts), "const", repr(value), value)
+            consts[net.driver] = _literal(net.driver)
 
-    consts = {}
     ops = {}
     for node in sfg.condensed_order():
         if node.kind == "const":
-            consts[node] = (node.payload,
-                            const_dtype(node.payload, max_const_frac))
+            consts[node] = _literal(node)
         elif node.kind == "op":
             operand_nodes = sfg.preds(node)
             operand_types = []

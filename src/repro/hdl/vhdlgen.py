@@ -9,15 +9,19 @@ fixed-point types produced by the refinement flow:
   signal per refined net, concurrent assignments for the combinational
   operations and a single clocked process for all registers.
 
-Expressions are evaluated in exact intermediate formats (see
-:mod:`repro.hdl.netlist`); rounding/overflow handling is applied only at
-signal assignments, mirroring the simulator's quantize-on-assign
-semantics, so the generated RTL is bit-true to the verified fixed-point
-simulation.
+Expressions are evaluated in the exact intermediate formats of
+:mod:`repro.core.opformat` (through :mod:`repro.hdl.netlist`);
+rounding/overflow handling is applied only at signal assignments, with
+each LSB mode's exact rule (:func:`repro.core.word.shift_round_code`),
+mirroring the simulator's quantize-on-assign semantics.  The verifier
+encodes the same lowering, so
+:meth:`repro.verify.encode.StepEncoder.step` run on concrete input
+codes is the golden model of the generated RTL.
 """
 
 from __future__ import annotations
 
+from repro.core import word
 from repro.core.errors import DesignError
 from repro.hdl.netlist import build_netlist
 
@@ -59,6 +63,10 @@ package %(pkg)s is
   function f_round(v : signed; s : natural) return signed;
   -- Truncate toward minus infinity by dropping s fraction bits.
   function f_floor(v : signed; s : natural) return signed;
+  -- Round toward plus infinity by dropping s fraction bits.
+  function f_ceil(v : signed; s : natural) return signed;
+  -- Round toward zero by dropping s fraction bits.
+  function f_trunc(v : signed; s : natural) return signed;
   -- Saturate to n bits.
   function f_saturate(v : signed; n : positive) return signed;
   -- Wrap (drop high bits) to n bits.
@@ -82,7 +90,8 @@ package body %(pkg)s is
     if s = 0 then
       return v;
     end if;
-    w := resize(v, v'length + 1) + to_signed(2 ** (s - 1), v'length + 1);
+    w := resize(v, v'length + 1)
+         + shift_left(to_signed(1, v'length + 1), s - 1);
     return w(w'length - 1 downto s);
   end function;
 
@@ -92,6 +101,19 @@ package body %(pkg)s is
       return v;
     end if;
     return v(v'length - 1 downto s);
+  end function;
+
+  function f_ceil(v : signed; s : natural) return signed is
+  begin
+    return -f_floor(-resize(v, v'length + 1), s);
+  end function;
+
+  function f_trunc(v : signed; s : natural) return signed is
+  begin
+    if v < 0 then
+      return f_ceil(v, s);
+    end if;
+    return resize(f_floor(v, s), v'length + 1 - s);
   end function;
 
   function f_saturate(v : signed; n : positive) return signed is
@@ -118,6 +140,14 @@ end package body %(pkg)s;
 """ % {"pkg": PACKAGE_NAME}
 
 
+def _literal(code, n):
+    """An ``n``-bit signed literal; beyond VHDL's 32-bit ``integer``
+    range, a bit string."""
+    if abs(code) < 2 ** 31:
+        return "to_signed(%d, %d)" % (code, n)
+    return "signed'(\"%s\")" % word.to_bits(code, n)
+
+
 class _ExprEmitter:
     """Emits one VHDL expression per operation node."""
 
@@ -129,9 +159,8 @@ class _ExprEmitter:
     def ref(self, node):
         """VHDL reference of a node's value (emitting it if needed)."""
         if node.kind == "const":
-            value, dt = self.netlist.consts[node]
-            code = int(round(value * (2.0 ** dt.f)))
-            return "to_signed(%d, %d)" % (code, dt.n), dt
+            code, dt = self.netlist.consts[node]
+            return _literal(code, dt.n), dt
         if node.kind in ("sig", "reg"):
             net = self.netlist.nets[node.label]
             return vhdl_identifier(node.label), net.dtype
@@ -186,9 +215,8 @@ class _ExprEmitter:
             rel = {"gt": ">", "ge": ">=", "lt": "<", "le": "<="}[label]
             rhs = ("to_signed(1, 2) when %s %s %s else to_signed(0, 2)"
                    % (a, rel, b))
-        elif label.startswith("shl") or label.startswith("shr"):
-            k = int(label[3:]) * (1 if label.startswith("shl") else -1)
-            rhs = "resize(f_shift(%s, %d), %d)" % (ins[0][0], k, dt.n)
+        elif label.startswith(("shl", "shr")):
+            rhs = ins[0][0]      # the code is unchanged; only f moves
         elif label.startswith("cast<"):
             rhs = self._quantize(ins[0][0], ins[0][1], dt)
         else:
@@ -207,8 +235,7 @@ class _ExprEmitter:
         out = expr
         shift = src_dt.f - dst_dt.f
         if shift > 0:
-            fn = "f_floor" if dst_dt.lsbspec == "floor" else "f_round"
-            out = "%s(%s, %d)" % (fn, out, shift)
+            out = "f_%s(%s, %d)" % (dst_dt.lsbspec, out, shift)
             width = src_dt.n - shift + (0 if dst_dt.lsbspec == "floor" else 1)
         elif shift < 0:
             out = "f_shift(%s, %d)" % (out, -shift)
@@ -278,7 +305,9 @@ def generate_entity(name, sfg, types, inputs, outputs, clock="clk",
         for net in netlist.registers():
             target = vhdl_identifier(net.name) + ("_int" if net.is_output
                                                   else "")
-            resets.append("        %s <= (others => '0');" % target)
+            resets.append("        %s <= %s;" % (
+                target, "(others => '0')" if net.init == 0
+                else _literal(net.init, net.dtype.n)))
         reg_process = """
   registers : process (%(clk)s)
   begin

@@ -117,6 +117,9 @@ class DesignContext:
         #: interval tape recording this run
         #: (:mod:`repro.signal.interval_tape`), or None.
         self.tape = None
+        #: positions recorded by the tapes that finished on this context;
+        #: the next tape numbers its operations after them.
+        self.tape_positions = 0
         #: quasi-analytical range propagation on (off in a statistics-only
         #: or output-only job, see :meth:`monitor_only`).
         self.propagate = True

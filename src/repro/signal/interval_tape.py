@@ -28,8 +28,12 @@ operation through :meth:`IntervalTape.op`) and every assignment
 * an ``int < 0`` -- ``-1 - k`` names the tick's ``k``-th literal, kept in
   a separate per-tick constants list (an operand with no provenance is
   the literal of its value), or
-* ``(position,)`` -- an operation of an earlier tick, by absolute
-  position.
+* ``(position,)`` -- an operation of an earlier tick, by its position
+  in the tape.
+
+Positions continue from the tapes recorded earlier on the same context
+(``DesignContext.tape_positions``), so an expression an earlier tape
+produced is recognised and recorded as the literal of its value.
 
 ``DesignContext.tick()`` closes the tick (:meth:`IntervalTape.tick`);
 its tuple of records (its *shape*) is interned, so a loop whose
@@ -40,7 +44,8 @@ A tape whose intervals cannot be trusted keeps the reason in
 :attr:`IntervalTape.reason` and refuses to replay, but goes on recording
 the structure: a signal created, re-typed, re-ranged, re-annotated or
 reset inside ``run()``; an operand with no provenance whose interval is
-not the point of its value; an expression carried across ``ctx.tick()``.
+not the point of its value; an expression carried across ``ctx.tick()``
+or from an earlier tape.
 
 Replay
 ------
@@ -118,7 +123,7 @@ class IntervalTape:
         self._tick_consts = []
         self._ops = []
         self._consts = []
-        self._base = 0
+        self._origin = self._base = 0
         #: the recorded signal flow graph, set by :func:`repro.sfg.trace`.
         self.sfg = None
 
@@ -135,6 +140,7 @@ class IntervalTape:
     def start(self, ctx):
         """Snapshot the interval state of ``ctx`` and start recording."""
         self.ctx = ctx
+        self._origin = self._base = ctx.tape_positions
         self._signals = tuple(ctx.signals())
         self._initial = tuple(
             (s._prop_ival.copy(),
@@ -149,6 +155,7 @@ class IntervalTape:
             ctx.tape = None
             if self._ops:
                 self.tick()
+            ctx.tape_positions = self._base
         created = ctx.signals()[len(self._signals):]
         if created:
             self.distrust("signal %r was created inside run()"
@@ -177,6 +184,10 @@ class IntervalTape:
     def _ref(self, e):
         """Ref of operand ``e`` in the current tick."""
         node = e.node
+        if type(node) is int and node < self._origin:
+            self.distrust("an expression recorded by an earlier tape was "
+                          "reused")
+            node = None
         if node is None:
             v = e.fx
             iv = e.ival
@@ -190,7 +201,7 @@ class IntervalTape:
         if type(node) is int:
             if node < self._base:
                 self.distrust("an expression was carried across ctx.tick()")
-                return (node,)
+                return (node - self._origin,)
             return node - self._base
         return node
 

@@ -7,7 +7,13 @@ exact, and the engine's semantics coincide with pure integer arithmetic
 on codes.  This module exploits that: it walks the traced SFG in
 ``condensed_order`` and re-expresses one clock tick as
 :mod:`repro.verify.bv` expressions over ``(code, f)`` pairs —
-:class:`Wire` — where the carried value is ``code * 2**-f``.
+:class:`Wire` — where the carried value is ``code * 2**-f``.  Every
+``f`` comes from the lowering rules of :mod:`repro.core.opformat`, which
+also size the generated VHDL, so a verdict is about the RTL's
+arithmetic, and :meth:`StepEncoder.step` on concrete input codes (its
+``bv`` constructors fold constants eagerly) is the RTL's golden model.
+A signal with no recorded driver reads the value it holds, quantized
+through its type.
 
 Quantization (the ``Sig`` assignment path and ``cast`` ops) becomes
 
@@ -32,9 +38,10 @@ from __future__ import annotations
 
 import math
 
-from repro.core import word
 from repro.core.dtype import DType
 from repro.core.errors import ReproError
+from repro.core.opformat import (UnsupportedOpError, derive_op_dtype,
+                                 held_value, literal_code, power_on_code)
 from repro.verify import bv
 
 __all__ = [
@@ -183,6 +190,8 @@ class StepEncoder:
         self._order = sfg.condensed_order()
 
         # dtype / init per signal: explicit map wins, else traced payload.
+        # A signal with no recorded driver starts (and stays) at the
+        # value it holds.
         self._dtypes = {}
         self._inits = {}
         for node in sfg.signal_nodes():
@@ -191,8 +200,11 @@ class StepEncoder:
             if dtypes and node.label in dtypes:
                 dt = dtypes[node.label]
             self._dtypes[node.label] = dt
-            self._inits[node.label] = (0.0 if payload is None
-                                       else payload.init_value)
+            if node.kind == "sig" and not sfg.preds(node):
+                self._inits[node.label] = held_value(payload)
+            else:
+                self._inits[node.label] = (0.0 if payload is None
+                                           else payload.init_value)
 
         self._check_structure()
 
@@ -269,17 +281,9 @@ class StepEncoder:
     def exact_wire(self, value, what="constant"):
         """Exact dyadic ``(code, f)`` of a float (every double is dyadic)."""
         value = float(value)
-        if value == 0.0:
-            return Wire(bv.const(0), 0)
         if not math.isfinite(value):
             raise EncodingUnsupported("non-finite %s %r" % (what, value))
-        mant, e = math.frexp(abs(value))
-        code = int(mant * (1 << 53))          # exact 53-bit mantissa
-        tz = (code & -code).bit_length() - 1
-        code >>= tz
-        f = 53 - e - tz
-        if value < 0.0:
-            code = -code
+        code, f = literal_code(value)
         return self._wire(bv.const(code), f, what)
 
     def input_var(self, name, step):
@@ -305,11 +309,8 @@ class StepEncoder:
         w = self.exact_wire(spec.init_value, "init of %r" % name)
         if spec.dtype is None:
             return w
-        # set_init() quantizes through the saturating variant.
-        rounded = word.shift_round_code(w.code.lo, w.f - spec.dtype.f,
-                                        spec.dtype.lsbspec)
-        code = word.saturate_code(rounded, spec.dtype.n, spec.dtype.signed)
-        return Wire(bv.const(code), spec.dtype.f)
+        return Wire(bv.const(power_on_code(spec.dtype, spec.init_value)),
+                    spec.dtype.f)
 
     def zero_state(self):
         return {name: Wire(bv.const(0), 0) for name in self.states}
@@ -360,19 +361,20 @@ class StepEncoder:
     # -- one clock tick ------------------------------------------------------
 
     def step(self, state, inputs, events=None, step_index=0,
-             quantized=True):
+             quantized=True, wires=None):
         """Symbolically execute one tick.
 
         ``state`` / ``inputs`` map register / input names to their
         :class:`Wire`; returns ``(new_state, sig_wires)`` where
         ``sig_wires`` covers every traced signal (registers read as
         their pre-tick value, exactly like the engine).  Each typed
-        assignment appends a :class:`QuantEvent` to ``events``.  With
+        assignment appends a :class:`QuantEvent` to ``events``; a
+        ``wires`` dict receives every graph node's :class:`Wire`.  With
         ``quantized=False`` the same dataflow is executed with every
         quantizer removed — the float-reference track.
         """
         self._quantized = quantized
-        wires = {}
+        wires = {} if wires is None else wires
         for node in self._order:
             if node.kind == "const":
                 wires[node] = self.exact_wire(node.payload,
@@ -388,8 +390,12 @@ class StepEncoder:
                     continue
                 driver = self._driver[name]
                 if driver is None:
-                    wires[node] = self.exact_wire(
-                        self._inits[name], "init of %r" % name)
+                    what = "held value of %r" % name
+                    w = self.exact_wire(self._inits[name], what)
+                    dt = self._dtypes.get(name)
+                    if dt is not None and quantized:
+                        w = self.quantize_wire(w, dt, what)[0]
+                    wires[node] = w
                     continue
                 wires[node] = self._assign(name, wires[driver], events,
                                            step_index, quantized)
@@ -418,13 +424,10 @@ class StepEncoder:
 
     # -- op dispatch ---------------------------------------------------------
 
-    def _align(self, wa, wb, what):
-        f = max(wa.f, wb.f)
-        a = wa.code if wa.f == f else self._gate(
-            bv.shl(wa.code, f - wa.f), what)
-        b = wb.code if wb.f == f else self._gate(
-            bv.shl(wb.code, f - wb.f), what)
-        return a, b, f
+    def _align(self, wires, f, what):
+        """Codes of ``wires`` on the common grid ``2**-f``."""
+        return [w.code if w.f == f else
+                self._gate(bv.shl(w.code, f - w.f), what) for w in wires]
 
     def _op_wire(self, node, wires):
         label = node.label
@@ -436,9 +439,24 @@ class StepEncoder:
             raise EncodingUnsupported(
                 "op %r is not LTI; response-error proofs cover linear "
                 "time-invariant designs only" % (label,))
+        if label == "div":
+            raise EncodingUnsupported(
+                "division has no exact fixed-point bit-vector encoding")
+        if label == "select" and len(ops) != 3:
+            raise EncodingUnsupported(
+                "select with an untraced (plain bool) condition; "
+                "use repro.signal.ops.gt/ge/lt/le to keep the "
+                "condition in the dataflow")
+        try:
+            dt = derive_op_dtype(label, [
+                DType("wire", bv.width_bits(w.code), w.f) for w in ops])
+        except UnsupportedOpError:
+            raise EncodingUnsupported("op %r is outside the encodable "
+                                      "fragment" % (label,)) from None
+        f = dt.f
 
         if label == "add" or label == "sub":
-            a, b, f = self._align(ops[0], ops[1], what)
+            a, b = self._align(ops, f, what)
             fn = bv.add if label == "add" else bv.sub
             return self._wire(fn(a, b), f, what)
         if label == "mul":
@@ -447,42 +465,27 @@ class StepEncoder:
                 raise EncodingUnsupported(
                     "signal-by-signal multiply is nonlinear; "
                     "response-error proofs need a constant coefficient")
-            return self._wire(bv.mul(ops[0].code, ops[1].code),
-                              ops[0].f + ops[1].f, what)
+            return self._wire(bv.mul(ops[0].code, ops[1].code), f, what)
         if label == "neg":
-            return self._wire(bv.neg(ops[0].code), ops[0].f, what)
+            return self._wire(bv.neg(ops[0].code), f, what)
         if label == "abs":
             a = ops[0].code
             return self._wire(
-                bv.ite(bv.lt(a, bv.const(0)), bv.neg(a), a),
-                ops[0].f, what)
-        if label.startswith("shl") and label[3:].lstrip("-").isdigit():
-            return Wire(ops[0].code, ops[0].f - int(label[3:]))
-        if label.startswith("shr") and label[3:].lstrip("-").isdigit():
-            return Wire(ops[0].code, ops[0].f + int(label[3:]))
+                bv.ite(bv.lt(a, bv.const(0)), bv.neg(a), a), f, what)
         if label in ("min", "max"):
-            a, b, f = self._align(ops[0], ops[1], what)
+            a, b = self._align(ops, f, what)
             cond = bv.le(a, b) if label == "min" else bv.ge(a, b)
             return self._wire(bv.ite(cond, a, b), f, what)
         if label == "select":
-            if len(ops) != 3:
-                raise EncodingUnsupported(
-                    "select with an untraced (plain bool) condition; "
-                    "use repro.signal.ops.gt/ge/lt/le to keep the "
-                    "condition in the dataflow")
             cond = bv.bnot(bv.eq(ops[0].code, bv.const(0)))
-            a, b, f = self._align(ops[1], ops[2], what)
+            a, b = self._align(ops[1:], f, what)
             return self._wire(bv.ite(cond, a, b), f, what)
         if label in ("gt", "ge", "lt", "le"):
-            a, b, _f = self._align(ops[0], ops[1], what)
+            a, b = self._align(ops, max(ops[0].f, ops[1].f), what)
             cond = {"gt": bv.gt, "ge": bv.ge,
                     "lt": bv.lt, "le": bv.le}[label](a, b)
-            return Wire(bv.ite(cond, bv.const(1), bv.const(0)), 0)
+            return Wire(bv.ite(cond, bv.const(1), bv.const(0)), f)
         if label.startswith("cast"):
-            dt = DType.from_cast_label(label)
-            if dt is None:
-                raise EncodingUnsupported("unparsable cast label %r"
-                                          % (label,))
             # Non-wrap casts run the saturating kernel and never log
             # overflow (see repro.signal.ops.cast) — drop the condition.
             # The float-reference track passes through casts untouched.
@@ -492,8 +495,4 @@ class StepEncoder:
                 dt = dt.saturating
             out, _over = self.quantize_wire(ops[0], dt, what)
             return out
-        if label == "div":
-            raise EncodingUnsupported(
-                "division has no exact fixed-point bit-vector encoding")
-        raise EncodingUnsupported("op %r is outside the encodable "
-                                  "fragment" % (label,))
+        return Wire(ops[0].code, f)           # shl / shr: f moves only

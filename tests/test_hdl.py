@@ -108,7 +108,8 @@ def _balanced(text):
 class TestPackage:
     def test_contains_helpers(self):
         pkg = fixed_point_package()
-        for fn in ("f_shift", "f_round", "f_floor", "f_saturate", "f_wrap"):
+        for fn in ("f_shift", "f_round", "f_floor", "f_ceil", "f_trunc",
+                   "f_saturate", "f_wrap"):
             assert fn in pkg
         assert "package body" in pkg
 
@@ -193,3 +194,79 @@ class TestLmsGeneration:
         # Every refined signal appears as a VHDL identifier.
         for name in ("w", "b", "v[3]", "d[0]"):
             assert vhdl_identifier(name) in text
+
+
+def _entity(body, types, inputs=("x",), outputs=("y",)):
+    ctx = DesignContext("hdl-emit", seed=0)
+    with ctx:
+        with trace(ctx) as t:
+            body(ctx)
+    return generate_entity("e", t.sfg, types, list(inputs), list(outputs))
+
+
+class TestLowering:
+    """The emitter follows the one lowering table."""
+
+    @pytest.mark.parametrize("lsbspec", ["trunc", "ceil", "floor", "round"])
+    def test_each_mode_has_its_own_rounding(self, lsbspec):
+        T_Y = DType("T_y", 6, 2, "tc", "saturate", lsbspec)
+
+        def body(ctx):
+            x, y = Sig("x", T8), Sig("y", T_Y)
+            x.assign(-1.40625)
+            y.assign(x * 1.0)
+
+        text = _entity(body, {"x": T8, "y": T_Y})
+        assert "y_int <= f_saturate(resize(f_%s(" % lsbspec in text
+        if lsbspec in ("trunc", "ceil"):
+            assert "f_round(" not in text.split("begin", 1)[1]
+
+    def test_shift_moves_only_the_binary_point(self):
+        T_X = DType("T_x", 8, 1)
+
+        def body(ctx):
+            x, y = Sig("x", T_X), Sig("y", DType("T_y", 12, 0))
+            x.assign(0.5)
+            y.assign(x << 3)
+
+        text = _entity(body, {"x": T_X, "y": DType("T_y", 12, 0)})
+        assert "  op_2 <= x;" in text
+        assert derive_op_dtype("shl3", [T_X]).f == -2
+        assert derive_op_dtype("shr2", [T_X]).f == 3
+
+    def test_wide_literal_is_a_bit_string(self):
+        def body(ctx):
+            x, y = Sig("x", T8), Sig("y", T8)
+            x.assign(0.5)
+            y.assign(x * 0.9)
+
+        text = _entity(body, {"x": T8, "y": T8})
+        assert "3865470566" not in text
+        assert "signed'(\"0111001100110011" in text
+        assert const_dtype(0.9).f == 53
+
+    def test_undriven_signal_is_driven_by_its_held_value(self):
+        ctx = DesignContext("hdl-held", seed=0)
+        with ctx:
+            x, c, y = Sig("x", T8), Sig("c", T8), Sig("y", T8)
+            c.assign(0.28125)           # before recording: no driver
+            with trace(ctx) as t:
+                x.assign(0.5)
+                y.assign(x * c)
+        types = {"x": T8, "c": T8, "y": T8}
+        nl = build_netlist(t.sfg, types, ["x"], ["y"])
+        assert nl.nets["c"].driver.payload == 0.28125
+        text = generate_entity("e", t.sfg, types, ["x"], ["y"])
+        # 0.28125 is code 9 on the 2**-5 grid, quantized as assigned.
+        assert "  c <= f_saturate(resize(to_signed(9, 5), 9), 8);" in text
+
+    def test_register_resets_to_its_power_on_code(self):
+        ctx = DesignContext("hdl-init", seed=0)
+        with ctx:
+            x, acc = Sig("x", T8), Reg("acc", T8, init=0.75)
+            with trace(ctx) as t:
+                x.assign(0.5)
+                acc.assign(acc + x)
+        text = generate_entity("e", t.sfg, {"x": T8, "acc": T8}, ["x"],
+                               ["acc"])
+        assert "acc_int <= to_signed(24, 8);" in text

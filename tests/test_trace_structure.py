@@ -67,6 +67,23 @@ def test_expression_carried_across_a_tick(ctx):
     _refused(t, "an expression was carried across ctx.tick()")
 
 
+def test_expression_from_an_earlier_tape(ctx):
+    x, y, z = Sig("x"), Sig("y"), Sig("z")
+    earlier = IntervalTape()
+    earlier.start(ctx)
+    x.assign(0.5)
+    e = x * 2.0
+    earlier.finish()
+    with trace(ctx) as t:
+        z.assign(0.25)
+        y.assign(e)
+        ctx.tick()
+    assert _structure(t.sfg) == [
+        ("const", "0.25", []), ("sig", "z", ["0.25"]),
+        ("const", "1.0", []), ("sig", "y", ["1.0"])]
+    _refused(t, "an expression recorded by an earlier tape was reused")
+
+
 def test_operand_without_provenance(ctx):
     x, y = Sig("x"), Sig("y")
     with trace(ctx) as t:

@@ -205,3 +205,24 @@ class TestStep:
         enc.step(enc.initial_state(), {"x": enc.input_var("x", 0)},
                  events, step_index=0, quantized=False)
         assert events == []
+
+
+class TestHeldValue:
+    """A signal with no recorded driver reads the value it holds."""
+
+    def test_coefficient_set_in_build(self):
+        from repro.gallery import factory, get_design
+        from repro.verify.encode import Wire
+
+        entry = get_design("polyphase-fir")
+        traced = trace_design(factory(entry), dtypes=entry.dtypes)
+        sig = traced.sfg.sig_payload("pe.c[1]")
+        assert not traced.sfg.preds(traced.sfg.node_for_signal("pe.c[1]"))
+        assert sig.fx == 0.28125
+        enc = StepEncoder(traced.sfg, traced.inputs,
+                          Envelope(entry.envelope))
+        ins = {name: enc.input_var(name, 0) for name in enc.input_specs}
+        _state, sigs = enc.step(enc.initial_state(), ins)
+        w = sigs["pe.c[1]"]
+        assert isinstance(w, Wire) and w.code.op == "const"
+        assert w.code.lo * 2.0 ** -w.f == 0.28125
