@@ -34,7 +34,7 @@ from repro.core import (
     required_msb,
 )
 from repro.core.quantize import quantize
-from repro.parallel import SimCache, SimConfig, SimOutcome, run_simulations
+from repro.parallel import SimConfig, SimOutcome, run_simulations
 from repro.signal import (
     DesignContext,
     Expr,
@@ -59,6 +59,14 @@ sigarray = SigArray
 regarray = RegArray
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name):
+    if name == "SimCache":    # resolved lazily, as in repro.parallel
+        from repro.parallel import SimCache
+        return SimCache
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
 
 __all__ = [
     "DType",

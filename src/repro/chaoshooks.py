@@ -1,8 +1,8 @@
 """Zero-overhead-when-disabled chaos hook slots for the durability layer.
 
-The durability machinery (write-ahead :class:`~repro.robust.recovery.Journal`,
-the :class:`~repro.parallel.runner.SimCache` and the parallel runner's
-pool loop) exposes a handful of *fault-injection points* at its I/O and
+The durability machinery (the write-ahead
+:class:`~repro.robust.recovery.Journal` and the parallel runner's pool
+loop) exposes a handful of *fault-injection points* at its I/O and
 process boundaries.  Each point costs exactly one module-attribute load
 plus an ``is None`` check when no injector is installed::
 
@@ -12,8 +12,7 @@ plus an ``is None`` check when no injector is installed::
 
 so production runs pay nothing measurable, while
 :class:`repro.robust.chaos.ChaosInjector` can deterministically tear a
-journal write, fail an fsync, corrupt a cached payload or kill a pool
-worker — all addressed by a
+journal write, fail an fsync or kill a pool worker — all addressed by a
 ``(site, trigger, seed)`` triple.
 
 This module deliberately imports **nothing** from the rest of the
@@ -23,10 +22,10 @@ package: it is shared by :mod:`repro.parallel.runner` and
 importable from either while the other is mid-import.
 
 Hooks are *advisory for values, authoritative for failures*: a hook may
-rewrite the value it is passed (a journal line, a cache payload, a job
-config) or raise — :class:`ChaosCrash` to simulate sudden process
-death, :class:`OSError` to simulate an infrastructure error the caller
-is expected to survive.
+rewrite the value it is passed (a journal line, a job config) or
+raise — :class:`ChaosCrash` to simulate sudden process death,
+:class:`OSError` to simulate an infrastructure error the caller is
+expected to survive.
 """
 
 from __future__ import annotations
@@ -63,8 +62,8 @@ class ChaosHooks:
 
     def on_job(self, position, config):
         """A job is about to execute; return the (possibly rewritten)
-        config.  ``position`` counts executed jobs of the batch (cache
-        and journal hits excluded), in submission order."""
+        config.  ``position`` counts executed jobs of the batch (store
+        hits excluded), in submission order."""
         return config
 
     def on_pool_drain(self, pool, n_delivered):
@@ -86,18 +85,6 @@ class ChaosHooks:
     def on_journal_replace(self, journal):
         """An atomic journal rewrite (torn-tail repair or compaction)
         is about to ``os.replace``; may raise :class:`ChaosCrash`."""
-
-    # -- result cache ------------------------------------------------------
-
-    def on_cache_store(self, key, payload):
-        """A pickled outcome is about to be stored (its checksum is
-        already taken); return the (possibly corrupted) payload."""
-        return payload
-
-    def on_cache_lookup(self, key):
-        """A present cache entry is about to be read; return True to
-        make it vanish (a simulated concurrent eviction)."""
-        return False
 
 
 #: The installed injector, or None (the fast path).  Read it once into a
@@ -124,8 +111,8 @@ def armed(hooks):
 
     >>> import repro.chaoshooks as ch
     >>> class Noisy(ChaosHooks):
-    ...     def on_cache_lookup(self, key):
-    ...         return True
+    ...     def on_journal_fsync(self, journal):
+    ...         raise OSError("fsync failed")
     >>> with armed(Noisy()) as h:
     ...     ch.ACTIVE is h
     True

@@ -36,6 +36,7 @@ from repro.obs import trace as obs_trace
 from repro.parallel import SimConfig, run_simulations
 from repro.robust.faults import BitFlip, InputScale, NanInject
 from repro.robust.invariants import digest as _digest
+from repro.robust.recovery import opened
 
 __all__ = [
     "CHANNEL_MODELS", "FAULT_CAMPAIGNS",
@@ -202,6 +203,7 @@ def run_matrix(designs=None, channels=None, campaigns=None, seeds=None,
     Axes default to :data:`SMOKE_AXES` (``smoke=True``, the pinned CI
     grid) or :data:`FULL_AXES`.  ``journal`` (path or Journal) makes
     the run resumable: completed cells replay bit-exactly on a rerun.
+    A path is opened once for the whole grid and closed on return.
     ``analyze=False`` skips the per-design lint/verify/reference pass
     (the resume tests exercise only the simulation grid).
     """
@@ -229,9 +231,10 @@ def run_matrix(designs=None, channels=None, campaigns=None, seeds=None,
 
     cells = []
     outcomes = []
-    with obs_trace.span("gallery.matrix", mode=mode, designs=len(names),
-                        channels=len(channels), campaigns=len(campaigns),
-                        seeds=len(seeds)) as span:
+    with opened(journal) as store, obs_trace.span(
+            "gallery.matrix", mode=mode, designs=len(names),
+            channels=len(channels), campaigns=len(campaigns),
+            seeds=len(seeds)) as span:
         for name in names:
             entry = reg[name]
             with obs_trace.span("gallery.design", design=name):
@@ -254,7 +257,7 @@ def run_matrix(designs=None, channels=None, campaigns=None, seeds=None,
                     outs = run_simulations(
                         factory(entry, spec), configs,
                         seeded_factory=seeded_factory(entry, spec),
-                        journal=journal, workers=workers)
+                        journal=store, workers=workers)
                     for (camp, seed), out in zip(grid, outs):
                         cells.append(_cell_record(
                             entry, ch_name, camp, seed, n, out))

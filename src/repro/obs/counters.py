@@ -36,17 +36,18 @@ Well-known names:
 ``parallel.pickling_fallbacks``
     jobs run in-process because they could not cross the pipe.
 ``journal.appends`` / ``journal.replays`` / ``journal.dropped_records``
-    write-ahead journal activity (see :mod:`repro.robust.recovery`).
+    write-ahead journal activity (see :mod:`repro.robust.recovery`);
+    ``journal.appends`` counts durable (file) appends only.
 ``journal.io_errors`` / ``journal.compactions``
     appends degraded to in-memory after an OSError / atomic
     journal-compaction rewrites.
 ``cache.hits`` / ``cache.misses``
-    :class:`~repro.parallel.runner.SimCache` lookup tallies across all
-    instances (per-instance numbers: :meth:`SimCache.stats`).
-``cache.corrupt``
-    :class:`~repro.parallel.runner.SimCache` entries evicted on
-    checksum mismatch (recomputed instead of unpickling garbage);
-    each corrupt hit also counts as a ``cache.misses``.
+    :class:`~repro.robust.recovery.Journal` lookup tallies across all
+    instances (per-instance numbers: :meth:`Journal.stats`); a hit that
+    serves an entry loaded from the file for the first time counts as
+    ``journal.replays`` instead.  (The cache's checksum-failure counter
+    is retired: the in-memory store keeps outcomes, not checksummed
+    payloads.)
 ``journal.compact_contended``
     compactions skipped because another process held the journal's
     cross-process compaction lock (the winner's rewrite serves both).

@@ -20,10 +20,12 @@ strategies, picked automatically:
 * **serial fallback** — when ``fork`` is unavailable (Windows/macOS
   spawn), only one CPU is visible, or ``workers <= 1``, the same jobs
   run in-process.  Bit-identical results either way.
-* **result cache** — an optional :class:`SimCache` keyed by a
-  fingerprint of (design factory, annotations, samples, seed, faults).
-  The optimizer re-probes many type maps it has already measured; the
-  cache turns those into dictionary hits.
+* **result store** — an optional :class:`repro.robust.recovery.Journal`
+  keyed by a fingerprint of (design factory, annotations, samples,
+  seed, faults).  The optimizer re-probes many type maps it has already
+  measured; the store turns those into dictionary hits.  Without a path
+  it lives in memory (``journal=Journal()``, or ``cache=``, the older
+  name of the same argument).
 
 Fault tolerance (see :mod:`repro.robust.recovery` and
 ``docs/robustness.md``):
@@ -44,10 +46,11 @@ Fault tolerance (see :mod:`repro.robust.recovery` and
 * **pipe-failure fallback** — a job whose config or outcome cannot be
   pickled re-runs in-process, alone; the rest of the batch stays in the
   pool.
-* **write-ahead journal** — with ``journal=``, every completed outcome
-  is appended to a :class:`repro.robust.recovery.Journal` the moment it
-  arrives; re-running the same batch after a ``kill -9`` replays the
-  journaled outcomes bit-exactly and executes only the missing jobs.
+* **write-ahead journal** — with a file-backed store (``journal=`` a
+  path, or a ``Journal(path)``), every completed outcome is written
+  ahead the moment it arrives; re-running the same batch after a
+  ``kill -9`` replays the journaled outcomes bit-exactly and executes
+  only the missing jobs.
 
 Recovery events are tallied in :mod:`repro.obs.counters`
 (``parallel.retries``, ``parallel.quarantined``,
@@ -60,11 +63,11 @@ retry).
 Environment knobs: ``REPRO_WORKERS`` overrides the auto worker count,
 ``REPRO_PARALLEL=0`` forces the serial path.
 
-The per-job boundaries (job dispatch, pool harvest, cache store/lookup)
-consult :data:`repro.chaoshooks.ACTIVE` — a single attribute load plus
+The per-job boundaries (job dispatch, pool harvest) consult
+:data:`repro.chaoshooks.ACTIVE` — a single attribute load plus
 ``is None`` check when disarmed — so :mod:`repro.robust.chaos` can
-deterministically rewrite jobs, break pools mid-drain or corrupt cache
-entries.  The per-sample hot path has no hook sites.
+deterministically rewrite jobs or break pools mid-drain.  The
+per-sample hot path has no hook sites.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ import pickle
 import signal as _signal
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -89,8 +92,8 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.signal.context import DesignContext
 
-__all__ = ["SimConfig", "SimOutcome", "SimCache", "PoolPolicy",
-           "run_simulations", "default_workers", "fingerprint"]
+__all__ = ["SimConfig", "SimOutcome", "PoolPolicy", "run_simulations",
+           "default_workers", "fingerprint"]
 
 #: ``SimConfig.monitors`` values: every signal with range propagation,
 #: every signal's statistics alone, or the output alone.
@@ -459,7 +462,7 @@ def _fork_available():
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-# -- fingerprint cache -------------------------------------------------------
+# -- fingerprint -------------------------------------------------------------
 
 def _callable_fingerprint(fn):
     """Best-effort stable identity of a factory callable.
@@ -497,9 +500,9 @@ def _dtype_key(dt):
 
 
 def fingerprint(design_factory, config, seeded_factory=None):
-    """Cache key of one job: design identity + everything that shapes it.
+    """Store key of one job: design identity + everything that shapes it.
 
-    Identical jobs collide (that is the point of the cache); any knob
+    Identical jobs collide (that is the point of the store); any knob
     that could change the numbers separates them.  ``deadline_seconds``
     and the watchdog budgets are deliberately excluded: a budget
     decides whether a run completes, never what a completed run
@@ -550,130 +553,6 @@ def fingerprint(design_factory, config, seeded_factory=None):
     if config.monitors != "all":
         feed("monitors", config.monitors)
     return h.hexdigest()
-
-
-class SimCache:
-    """In-memory LRU result cache for :func:`run_simulations`.
-
-    Keys are :func:`fingerprint` digests; values are completed
-    :class:`SimOutcome` objects (failed runs are never cached).  Pass
-    the same instance across :func:`analyze_sensitivity` /
-    :func:`optimize_wordlengths` calls to skip re-measuring type maps
-    the refinement loop has already probed.  At ``max_entries`` the
-    least-recently-*used* entry is evicted (a hit refreshes its
-    recency), so a long-running optimizer keeps its working set even
-    when the total probe count far exceeds the capacity.
-
-    Entries are stored as ``(pickled payload, sha256)`` pairs and the
-    checksum is verified on every hit: a corrupted payload (bit rot, a
-    buggy sharer of the process, the chaos injector) is detected,
-    evicted and counted (:attr:`n_corrupt`, ``cache.corrupt`` counter)
-    — the lookup becomes a miss and the job recomputes instead of the
-    caller unpickling garbage.  An outcome that cannot be pickled is
-    silently not cached (the batch still returns it normally).  The
-    cost is one pickle round-trip per *job-level* hit, far below the
-    simulation it saves.
-    """
-
-    def __init__(self, max_entries=4096):
-        self.max_entries = int(max_entries)
-        if self.max_entries < 1:
-            raise ValueError("max_entries must be >= 1, got %r"
-                             % (max_entries,))
-        self.hits = 0
-        self.misses = 0
-        #: entries evicted because their checksum no longer matched.
-        self.n_corrupt = 0
-        self._store = OrderedDict()
-
-    def _drop_corrupt(self, key):
-        del self._store[key]
-        self.n_corrupt += 1
-        self.misses += 1
-        obs_counters.inc("cache.corrupt")
-        obs_counters.inc("cache.misses")
-
-    def get(self, key):
-        entry = self._store.get(key)
-        if entry is not None:
-            hook = chaoshooks.ACTIVE
-            if hook is not None and hook.on_cache_lookup(key):
-                # Simulated concurrent eviction: the entry vanishes
-                # between the presence check and the read.
-                del self._store[key]
-                entry = None
-        if entry is None:
-            self.misses += 1
-            obs_counters.inc("cache.misses")
-            return None
-        payload, sha = entry
-        if hashlib.sha256(payload).hexdigest() != sha:
-            self._drop_corrupt(key)
-            return None
-        try:
-            outcome = pickle.loads(payload)
-        except Exception:
-            # A payload that checksums but does not unpickle means the
-            # entry was stored corrupt; treat it the same way.
-            self._drop_corrupt(key)
-            return None
-        self.hits += 1
-        obs_counters.inc("cache.hits")
-        self._store.move_to_end(key)
-        return outcome
-
-    def put(self, key, outcome):
-        if outcome.error is not None:
-            return
-        try:
-            payload = pickle.dumps(outcome,
-                                   protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            return
-        # Checksum the clean payload *before* the chaos hook may damage
-        # it — otherwise injected corruption would be undetectable.
-        sha = hashlib.sha256(payload).hexdigest()
-        hook = chaoshooks.ACTIVE
-        if hook is not None:
-            payload = hook.on_cache_store(key, payload)
-        if key in self._store:
-            self._store.move_to_end(key)
-        elif len(self._store) >= self.max_entries:
-            self._store.popitem(last=False)   # least recently used
-        self._store[key] = (payload, sha)
-
-    def stats(self):
-        """Measurable snapshot of the cache's effectiveness.
-
-        Returned dict: ``entries`` / ``max_entries`` (occupancy),
-        ``hits`` / ``misses`` / ``n_corrupt`` (lifetime tallies) and
-        ``hit_rate`` (0.0 when the cache was never consulted).  The
-        same tallies stream into the ``cache.hits`` / ``cache.misses``
-        / ``cache.corrupt`` process-wide counters
-        (:mod:`repro.obs.counters`); this snapshot is the view of one
-        cache, e.g. the run-scoped cache of one refinement run.
-        """
-        total = self.hits + self.misses
-        return {
-            "entries": len(self._store),
-            "max_entries": self.max_entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "n_corrupt": self.n_corrupt,
-            "hit_rate": (self.hits / total) if total else 0.0,
-        }
-
-    def clear(self):
-        self._store.clear()
-        self.hits = 0
-        self.misses = 0
-        self.n_corrupt = 0
-
-    def __len__(self):
-        return len(self._store)
-
-    def __contains__(self, key):
-        return key in self._store
 
 
 # -- the runner --------------------------------------------------------------
@@ -970,13 +849,16 @@ def run_simulations(design_factory, configs, workers=None, cache=None,
     design per job; ``configs`` is an iterable of :class:`SimConfig`.
     ``workers=None`` auto-sizes to the visible CPUs (serial on a 1-CPU
     box); any explicit ``workers >= 2`` forces a pool when ``fork`` is
-    available.  ``cache`` is an optional :class:`SimCache`.
+    available.
 
-    ``journal`` (a :class:`repro.robust.recovery.Journal` or a path)
-    makes the batch resumable: completed outcomes are appended to the
-    journal *as they arrive* and replayed bit-exactly — without
-    re-simulating — on any later call that produces the same job
-    fingerprints.  ``diagnostics`` (a
+    ``journal`` (a :class:`repro.robust.recovery.Journal` or a path) is
+    the batch's outcome store, looked up once per job; ``cache`` is an
+    older name for the same argument, and naming two different stores
+    raises :class:`ValueError`.  A file-backed journal makes the batch
+    resumable: completed outcomes are appended *as they arrive* and
+    replayed bit-exactly — without re-simulating — on any later call
+    that produces the same job fingerprints.  A path is opened for this
+    call and closed before it returns.  ``diagnostics`` (a
     :class:`repro.robust.diagnostics.Diagnostics`) collects stable-coded
     recovery events; ``pool_policy`` tunes retry/quarantine behaviour
     (:class:`PoolPolicy`).
@@ -988,71 +870,53 @@ def run_simulations(design_factory, configs, workers=None, cache=None,
     :class:`~repro.core.errors.WorkerCrashError` after the healthy rest
     of the batch has completed and been journaled.
     """
-    configs = list(configs)
+    from repro.robust.recovery import opened
+    with opened(journal, cache) as store:
+        return _run_batch(design_factory, list(configs), workers, store,
+                          seeded_factory, diagnostics, pool_policy)
+
+
+def _run_batch(design_factory, configs, workers, journal, seeded_factory,
+               diagnostics, pool_policy):
+    """:func:`run_simulations` against an open store (or None)."""
     results = [None] * len(configs)
-
-    if journal is not None and not hasattr(journal, "append"):
-        from repro.robust.recovery import Journal
-        journal = Journal(journal)
-
-    need_key = cache is not None or journal is not None
-    n_corrupt0 = getattr(cache, "n_corrupt", 0)
     pending = []
-    n_cached = 0
-    n_replayed = 0
+    replays0 = 0 if journal is None else journal.replays
     for idx, cfg in enumerate(configs):
         key = None
-        if need_key:
+        if journal is not None:
             key = fingerprint(design_factory, cfg, seeded_factory)
-            hit = cache.get(key) if cache is not None else None
-            if hit is None and journal is not None:
-                hit = journal.get(key)
-                if hit is not None:
-                    n_replayed += 1
-                    if cache is not None:
-                        cache.put(key, hit)
-            else:
-                if hit is not None:
-                    n_cached += 1
+            hit = journal.get(key)
             if hit is not None:
-                # Cached/journaled outcomes keep their original label;
-                # re-label so the caller sees the name it asked for.
+                # Stored outcomes keep their original label; re-label
+                # so the caller sees the name it asked for.
                 results[idx] = hit if hit.label == cfg.label \
                     else replace(hit, label=cfg.label)
                 continue
         pending.append((idx, key, cfg))
+    n_replayed = 0 if journal is None else journal.replays - replays0
+    n_cached = len(configs) - len(pending) - n_replayed
 
     hook = chaoshooks.ACTIVE
     if hook is not None:
         # Fault injection rewrites jobs *after* fingerprinting, so the
-        # cache/journal keys of a chaos run match the fault-free run —
-        # recovery must land on the same entries.
+        # store keys of a chaos run match the fault-free run — recovery
+        # must land on the same entries.
         pending = [(idx, key, hook.on_job(pos, cfg))
                    for pos, (idx, key, cfg) in enumerate(pending)]
 
     with obs_trace.span("parallel.batch", jobs=len(configs),
                         cached=n_cached, replayed=n_replayed) as batch_span:
         if n_replayed:
-            obs_counters.inc("journal.replays", n_replayed)
             batch_span.event("journal.replay", count=n_replayed,
-                             path=getattr(journal, "path", None))
+                             path=journal.path)
             if diagnostics is not None:
                 diagnostics.add(
                     "journal", "info", None,
                     "replayed %d completed outcome(s) from journal %s; "
                     "%d job(s) still to run"
-                    % (n_replayed, getattr(journal, "path", "<memory>"),
-                       len(pending)),
+                    % (n_replayed, journal.path, len(pending)),
                     replayed=n_replayed, pending=len(pending))
-        n_corrupt = getattr(cache, "n_corrupt", 0) - n_corrupt0
-        if n_corrupt:
-            batch_span.event("cache.corrupt", count=n_corrupt)
-            if diagnostics is not None:
-                diagnostics.add(
-                    "cache-corrupt", "warning", None,
-                    "%d cached outcome(s) failed checksum verification; "
-                    "evicted and recomputed" % n_corrupt,
-                    count=n_corrupt)
         if not pending:
             batch_span.set(mode="replayed" if n_replayed else "cached",
                            executed=0)
@@ -1075,12 +939,9 @@ def run_simulations(design_factory, configs, workers=None, cache=None,
                         % (cfg.label, cfg.deadline_seconds or 0.0,
                            outcome.error),
                         label=cfg.label, deadline=cfg.deadline_seconds)
-            if cache is not None and key is not None:
-                cache.put(key, outcome)
-            if journal is not None and key is not None:
+            if journal is not None:
                 journal.append(key, outcome)
-                if (getattr(journal, "degraded", False)
-                        and not getattr(journal, "_degrade_noted", True)):
+                if journal.degraded and not journal._degrade_noted:
                     # One warning for the whole fan-out, not one per job.
                     journal._degrade_noted = True
                     batch_span.event("journal.degraded",
@@ -1156,8 +1017,8 @@ def run_simulations(design_factory, configs, workers=None, cache=None,
                     rec.extend(outcome.obs_events)
 
         if journal is not None:
-            skipped_before = getattr(journal, "n_compact_skipped", 0)
-            dropped = getattr(journal, "maybe_compact", lambda: 0)()
+            skipped_before = journal.n_compact_skipped
+            dropped = journal.maybe_compact()
             if dropped:
                 batch_span.event("journal.compact", dropped=dropped)
                 if diagnostics is not None:
@@ -1166,7 +1027,7 @@ def run_simulations(design_factory, configs, workers=None, cache=None,
                         "journal %s compacted: %d superseded record(s) "
                         "dropped" % (journal.path, dropped),
                         dropped=dropped)
-            elif getattr(journal, "n_compact_skipped", 0) > skipped_before:
+            elif journal.n_compact_skipped > skipped_before:
                 batch_span.event("journal.compact_contended")
                 if diagnostics is not None:
                     diagnostics.add(

@@ -33,8 +33,7 @@ from repro.core.dtype import DType
 from repro.core.errors import DesignError, RefinementError
 from repro.core.interval import Interval
 from repro.obs import trace as obs_trace
-from repro.parallel.runner import (SimCache, SimConfig, fingerprint,
-                                   run_simulations)
+from repro.parallel.runner import SimConfig, fingerprint, run_simulations
 from repro.refine.lsbrules import LsbPolicy, decide_lsb, detect_divergence
 from repro.refine.msbrules import MsbPolicy, decide_msb
 from repro.refine.report import (format_lsb_table, format_msb_table,
@@ -291,9 +290,8 @@ class RefinementFlow:
         self.user_errors = dict(user_errors or {})
         self.preset_types = dict(preset_types or {})
         self.cfg = config if config is not None else FlowConfig()
-        #: result cache of the run() in progress (None outside run()).
-        self._cache = None
-        #: interval tapes of the run() in progress (None outside run()).
+        #: outcome store and interval tapes of the run() in progress
+        #: (None outside run()).
         self._replay = None
 
     # -- simulation helper -------------------------------------------------
@@ -305,7 +303,7 @@ class RefinementFlow:
         Every flow simulation takes the error-statistics snapshot at
         ``n_samples // 2`` (the divergence growth test), so an LSB
         iteration that repeats the last MSB iteration's annotations is
-        the same job, served from the run's cache.  Inside ``run()`` an
+        the same job, served from the run's store.  Inside ``run()`` an
         MSB-phase job records an interval tape when a later MSB
         iteration may follow, and a job that differs from a recorded one
         only in its ranges is replayed from that tape instead of
@@ -318,7 +316,7 @@ class RefinementFlow:
         statistics-only (``SimConfig(monitors="stats")``): their records
         carry no ``prop``.  Every other job propagates ranges; an LSB
         job without error annotations is the last MSB iteration's job,
-        served from the cache.
+        served from the run's store.
         """
         cfg = config if config is not None else self.cfg
         stats_only = label == "verify" or (
@@ -332,9 +330,9 @@ class RefinementFlow:
                         max_watchdog_cycles=cfg.max_watchdog_cycles,
                         max_wall_seconds=cfg.max_wall_seconds,
                         monitors="stats" if stats_only else "all")
-        cache = self._cache
-        hits = cache.hits if cache is not None else 0
         replay = self._replay
+        store = None if replay is None else replay.store
+        hits = 0 if store is None else store.hits - store.replays
         with obs_trace.span("refine.simulate", label=label,
                             samples=cfg.n_samples) as sp:
             outcome = None if replay is None else replay.serve(job, sp)
@@ -343,8 +341,7 @@ class RefinementFlow:
                         and self._msb_job(annotations, cfg)):
                     job = replay.with_tape(job)
                 outcome, = run_simulations(
-                    self.factory, [job], workers=1, cache=cache,
-                    journal=None if replay is None else replay.journal,
+                    self.factory, [job], workers=1, journal=store,
                     diagnostics=None if replay is None
                     else replay.diagnostics)
                 if replay is not None:
@@ -353,7 +350,8 @@ class RefinementFlow:
                    guard_trips=outcome.guard_trips,
                    overflows=sum(r.overflow_count
                                  for r in outcome.records.values()),
-                   cached=cache is not None and cache.hits > hits)
+                   cached=store is not None
+                   and store.hits - store.replays > hits)
         return outcome
 
     def _msb_job(self, annotations, cfg):
@@ -638,7 +636,7 @@ class RefinementFlow:
         derived.  Ranges only seed interval propagation, so they leave
         the SQNR unchanged; with them, the job is the first MSB
         iteration's whenever no such user errors apply, and ``run()``
-        serves that iteration from its cache.
+        serves that iteration from its outcome store.
         """
         given = expand_names(set(self.input_types) | set(self.preset_types),
                              set(self.user_errors))
@@ -778,11 +776,12 @@ class RefinementFlow:
         returned result carries a populated
         :class:`~repro.robust.diagnostics.Diagnostics`.
 
-        Every simulation of the run goes through one
-        :class:`~repro.parallel.SimCache`, created for this call, so a
+        Every simulation of the run goes through one outcome store, so a
         stage that repeats an earlier stage's job (the first LSB
-        iteration after a resolved MSB phase) is served from it.
-        Nothing is cached between runs.
+        iteration after a resolved MSB phase) is served from it.  The
+        store is ``journal`` when given, otherwise a path-less
+        :class:`~repro.robust.recovery.Journal` created for this call:
+        nothing is then shared between runs.
 
         ``journal`` (a :class:`repro.robust.recovery.Journal` or a path)
         makes the flow *resumable*, as it does every other fan-out
@@ -795,18 +794,15 @@ class RefinementFlow:
         event with their total.
         """
         from repro.robust.diagnostics import Diagnostics
-        opened = journal is not None and not hasattr(journal, "append")
-        if opened:
-            from repro.robust.recovery import Journal
-            journal = Journal(journal)
+        from repro.robust.recovery import Journal, opened
         diag = Diagnostics()
         run_span = obs_trace.span(
             "refine.run", strict=strict,
             design=getattr(self.factory, "__name__", str(self.factory)))
-        self._cache = SimCache()
-        self._replay = _RangeReplay(self.factory, self._cache, diag, journal)
-        try:
-            with run_span:
+        with opened(journal) as store, run_span:
+            self._replay = _RangeReplay(
+                self.factory, Journal() if store is None else store, diag)
+            try:
                 if self.cfg.lint_design:
                     self._lint_into(diag)
                 if self.cfg.verify_design:
@@ -830,16 +826,12 @@ class RefinementFlow:
                              "%d overflow(s) on non-wrap types during "
                              "verification" % verification.total_overflows,
                              overflows=verification.total_overflows)
-                if journal is not None:
-                    _one_journal_event(diag, journal)
+                _one_journal_event(diag, self._replay.store)
                 run_span.set(types=len(types), fallbacks=len(fallbacks),
                              sqnr_db=verification.output_sqnr_db,
                              diagnostics=len(diag))
-        finally:
-            self._cache = None
-            self._replay = None
-            if opened:
-                journal.close()
+            finally:
+                self._replay = None
         return RefinementResult(msb, lsb, types, verification, baseline,
                                 diagnostics=diag, fallbacks=fallbacks)
 
@@ -853,17 +845,16 @@ class _RangeReplay:
     and ``forced_range`` of its records differ.  Its outcome is the taped
     job's with those two fields replayed
     (:meth:`~repro.signal.interval_tape.IntervalTape.replay`), stored in
-    the run's cache under the job's own fingerprint, and appended to the
-    run's journal, if any.  Whenever the tape cannot be trusted the job
-    is simulated in full and a ``range-replay`` diagnostic (DG219) says
-    why.
+    the run's outcome store under the job's own fingerprint.  Whenever
+    the tape cannot be trusted the job is simulated in full and a
+    ``range-replay`` diagnostic (DG219) says why.
     """
 
-    def __init__(self, factory, cache, diagnostics, journal=None):
+    def __init__(self, factory, store, diagnostics):
         self.factory = factory
-        self.cache = cache
+        #: the run's outcome store (a :class:`Journal`, maybe path-less).
+        self.store = store
         self.diagnostics = diagnostics
-        self.journal = journal
         #: False once the lint pre-flight ran and found no range
         #: explosion (FX001): no auto-range annotation, hence no second
         #: MSB iteration, will follow the first.
@@ -893,8 +884,7 @@ class _RangeReplay:
         if taped is None:
             return None
         key = self._key(job)
-        if key in self.cache or (self.journal is not None
-                                 and key in self.journal):
+        if key in self.store:
             return None
         outcome, tape = taped
         if not tape.recorded:
@@ -917,9 +907,7 @@ class _RangeReplay:
                                                             reason),
                 label=job.label, reason=reason)
             return None
-        self.cache.put(key, outcome)
-        if self.journal is not None:
-            self.journal.append(key, outcome)
+        self.store.append(key, outcome)
         span.set(replayed=True, replay_ticks=tape.executed_ticks,
                  tape_ticks=tape.n_ticks, tape_shapes=tape.n_shapes)
         return outcome
@@ -940,7 +928,7 @@ def _one_journal_event(diag, journal):
     merged = DiagEvent(
         "journal", "info", None,
         "replayed %d completed simulation(s) of the run from journal %s"
-        % (n, getattr(journal, "path", "<memory>")), {"replayed": n})
+        % (n, journal.path), {"replayed": n})
     diag.events = [merged if e is events[0] else e for e in diag.events
                    if e.category != "journal" or e is events[0]]
 

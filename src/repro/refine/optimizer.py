@@ -53,16 +53,19 @@ def optimize_wordlengths(design_factory, types, input_types, target_db,
 
     Each greedy iteration probes every candidate signal; the probes of
     one iteration are independent and run as one
-    :func:`repro.parallel.run_simulations` batch (``workers`` /
-    ``cache`` forwarded).  With a shared :class:`~repro.parallel.SimCache`
-    the optimizer also skips any type map it has already measured.
+    :func:`repro.parallel.run_simulations` batch (``workers``
+    forwarded).  ``journal`` (a :class:`repro.robust.recovery.Journal`
+    or path; ``cache`` is an older name for it) is the outcome store of
+    every batch: with a shared path-less ``Journal()`` the optimizer
+    also skips any type map it has already measured.
 
-    ``journal`` (a :class:`repro.robust.recovery.Journal` or path) makes
-    the search *resumable*: every probe outcome is journaled as it
-    completes, and because the greedy search is deterministic — same
-    inputs, same probe sequence — re-running the call after a crash
-    replays the already-measured probes from disk and continues from the
-    first missing one, converging to a bit-identical result.
+    A file-backed journal makes the search *resumable*: every probe
+    outcome is journaled as it completes, and because the greedy search
+    is deterministic — same inputs, same probe sequence — re-running
+    the call after a crash replays the already-measured probes from
+    disk and continues from the first missing one, converging to a
+    bit-identical result.  A path is opened once for the call and
+    closed before it returns.
 
     Every probe is an output-only job (``SimConfig(monitors="output")``):
     it measures the output alone and propagates no ranges.  ``engine``
@@ -76,9 +79,6 @@ def optimize_wordlengths(design_factory, types, input_types, target_db,
     names = sorted(signals if signals is not None else types)
     sims = 0
     moves = []
-    if journal is not None and not hasattr(journal, "append"):
-        from repro.robust.recovery import Journal
-        journal = Journal(journal)
 
     def probe_batch(trials):
         """SQNR of several candidate type maps, one fan-out batch."""
@@ -90,11 +90,8 @@ def optimize_wordlengths(design_factory, types, input_types, target_db,
                              monitors="output")
                    for trial in trials]
         outcomes = run_simulations(design_factory, configs,
-                                   workers=workers, cache=cache,
-                                   journal=journal)
+                                   workers=workers, journal=store)
         return [o.records[o.output].sqnr_db() for o in outcomes]
-
-    current_sqnr = probe_batch([types])[0]
 
     def grown(name):
         dt = types[name]
@@ -108,38 +105,42 @@ def optimize_wordlengths(design_factory, types, input_types, target_db,
         trial[name] = dt.with_(n=dt.n - 1, f=dt.f - 1)
         return trial
 
-    # Repair phase: grow the most effective signal until on target.
-    while current_sqnr < target_db and len(moves) < max_moves:
-        sqnrs = probe_batch([grown(name) for name in names])
-        best = None
-        for name, sqnr in zip(names, sqnrs):
-            if best is None or sqnr > best[1]:
-                best = (name, sqnr)
-        name, sqnr = best
-        if sqnr <= current_sqnr + 1e-9:
-            break  # no signal helps: give up repairing
-        dt = types[name]
-        types[name] = dt.with_(n=dt.n + 1, f=dt.f + 1)
-        current_sqnr = sqnr
-        moves.append(("add", name, types[name].f, sqnr))
+    from repro.robust.recovery import opened
+    with opened(journal, cache) as store:
+        current_sqnr = probe_batch([types])[0]
 
-    # Reclaim phase: shrink the cheapest signal while above target.
-    improved = True
-    while improved and len(moves) < max_moves:
-        improved = False
-        shrinkable = [name for name in names
-                      if types[name].f > 0 and types[name].n > 1]
-        sqnrs = probe_batch([shrunk(name) for name in shrinkable])
-        best = None
-        for name, sqnr in zip(shrinkable, sqnrs):
-            if sqnr >= target_db and (best is None or sqnr > best[1]):
-                best = (name, sqnr)
-        if best is not None:
+        # Repair phase: grow the most effective signal until on target.
+        while current_sqnr < target_db and len(moves) < max_moves:
+            sqnrs = probe_batch([grown(name) for name in names])
+            best = None
+            for name, sqnr in zip(names, sqnrs):
+                if best is None or sqnr > best[1]:
+                    best = (name, sqnr)
             name, sqnr = best
+            if sqnr <= current_sqnr + 1e-9:
+                break  # no signal helps: give up repairing
             dt = types[name]
-            types[name] = dt.with_(n=dt.n - 1, f=dt.f - 1)
+            types[name] = dt.with_(n=dt.n + 1, f=dt.f + 1)
             current_sqnr = sqnr
-            moves.append(("drop", name, types[name].f, sqnr))
-            improved = True
+            moves.append(("add", name, types[name].f, sqnr))
+
+        # Reclaim phase: shrink the cheapest signal while above target.
+        improved = True
+        while improved and len(moves) < max_moves:
+            improved = False
+            shrinkable = [name for name in names
+                          if types[name].f > 0 and types[name].n > 1]
+            sqnrs = probe_batch([shrunk(name) for name in shrinkable])
+            best = None
+            for name, sqnr in zip(shrinkable, sqnrs):
+                if sqnr >= target_db and (best is None or sqnr > best[1]):
+                    best = (name, sqnr)
+            if best is not None:
+                name, sqnr = best
+                dt = types[name]
+                types[name] = dt.with_(n=dt.n - 1, f=dt.f - 1)
+                current_sqnr = sqnr
+                moves.append(("drop", name, types[name].f, sqnr))
+                improved = True
 
     return OptimizeResult(types, current_sqnr, target_db, sims, moves)

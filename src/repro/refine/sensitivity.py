@@ -73,12 +73,13 @@ def analyze_sensitivity(design_factory, types, input_types, signals=None,
     the fixed input formats.  ``signals`` restricts the sweep (defaults to
     every synthesized signal).  Cost: two simulations per signal plus one
     baseline; the whole batch is fanned out through
-    :func:`repro.parallel.run_simulations` (``workers`` / ``cache``
+    :func:`repro.parallel.run_simulations` (``workers`` / ``journal``
     forwarded), so wall-clock scales with the core count while the
     numbers stay bit-identical to a serial sweep.  ``journal`` (a
-    :class:`repro.robust.recovery.Journal` or path) journals each probe
-    as it completes and replays completed probes bit-exactly when the
-    sweep is re-run after a crash.
+    :class:`repro.robust.recovery.Journal` or path; ``cache`` is an
+    older name for it) is the sweep's outcome store: a file-backed one
+    journals each probe as it completes and replays completed probes
+    bit-exactly when the sweep is re-run after a crash.
 
     Every probe is an output-only job (``SimConfig(monitors="output")``):
     it measures the output alone and propagates no ranges.  ``engine``

@@ -13,8 +13,9 @@ stimuli misbehave:
 * :mod:`repro.robust.retry` — escalation ladder and conservative
   fallback types behind ``RefinementFlow.run(strict=False)``, plus the
   :class:`BackoffPolicy` used between crash retries in the pool;
-* :mod:`repro.robust.recovery` — the write-ahead outcome
-  :class:`Journal` behind every resumable entry
+* :mod:`repro.robust.recovery` — the outcome store :class:`Journal`:
+  in memory without a path (the runner's result cache), write-ahead on
+  disk behind every resumable entry with one
   (``run_simulations(journal=...)``, ``optimize_wordlengths(journal=...)``,
   ``RefinementFlow.run(journal=...)``);
 * :mod:`repro.robust.invariants` + :mod:`repro.robust.chaos` — the

@@ -1,13 +1,12 @@
 """Deterministic infrastructure-fault injection + recovery verification.
 
-The simulator's durability machinery is a write-ahead outcome journal,
-a checksummed result cache and poison-job quarantine.  This module is
-its proof layer: instead of trusting a handful of hand-picked crash
-tests, it injects faults *deterministically* at every I/O and process
-boundary the durability layer depends on, then machine-checks the
-recovery against the five invariants of
-:mod:`repro.robust.invariants` (durability, exactness, attribution,
-monotonicity, termination).
+The simulator's durability machinery is a write-ahead outcome journal
+and poison-job quarantine.  This module is its proof layer: instead of
+trusting a handful of hand-picked crash tests, it injects faults
+*deterministically* at every I/O and process boundary the durability
+layer depends on, then machine-checks the recovery against the five
+invariants of :mod:`repro.robust.invariants` (durability, exactness,
+attribution, monotonicity, termination).
 
 Every fault is addressed by a ``(site, trigger, seed)`` triple:
 
@@ -59,8 +58,7 @@ from repro.chaoshooks import ChaosCrash, ChaosHooks
 from repro.core.dtype import DType
 from repro.core.errors import ReproError
 from repro.obs import counters as obs_counters
-from repro.parallel.runner import (PoolPolicy, SimCache, SimConfig,
-                                   run_simulations)
+from repro.parallel.runner import PoolPolicy, SimConfig, run_simulations
 from repro.refine.flow import Design, FlowConfig, RefinementFlow
 from repro.refine.optimizer import optimize_wordlengths
 from repro.refine.sensitivity import analyze_sensitivity
@@ -87,8 +85,6 @@ SITES = (
     "journal.fsync_fail",      # fsync after a good write raises EIO
     "journal.corrupt_record",  # record bytes garbled on the way to disk
     "journal.compact_crash",   # process dies during an atomic rewrite
-    "cache.corrupt",           # cached payload bit-flipped in memory
-    "cache.evict_race",        # entry vanishes between check and read
     "worker.crash",            # pool worker os._exit mid-job
     "worker.hang",             # pool worker sleeps past its deadline
     "pool.break",              # all workers SIGKILLed mid-drain
@@ -195,29 +191,6 @@ class ChaosInjector(ChaosHooks):
             self._record("journal.replace", n, action="crash")
             raise ChaosCrash("process died during atomic journal rewrite")
 
-    # -- cache -------------------------------------------------------------
-
-    def on_cache_store(self, key, payload):
-        if self.site != "cache.corrupt":
-            return payload
-        n = self._tick("cache.store")
-        if n != self.trigger:
-            return payload
-        pos = self.rng.randrange(len(payload))
-        self._record("cache.store", n, action="bit_flip", offset=pos,
-                     key=key[:12])
-        return payload[:pos] + bytes([payload[pos] ^ 0x40]) \
-            + payload[pos + 1:]
-
-    def on_cache_lookup(self, key):
-        if self.site != "cache.evict_race":
-            return False
-        n = self._tick("cache.lookup")
-        if n == self.trigger:
-            self._record("cache.lookup", n, action="evict", key=key[:12])
-            return True
-        return False
-
     # -- workers / pool ----------------------------------------------------
 
     def on_job(self, position, config):
@@ -322,13 +295,12 @@ _JOURNAL_NAME = "journal.jsonl"
 # stable-coded recovery events where the entry accepts a container.
 
 def _entry_run_simulations(workdir, workers, diag):
-    """Two passes over one batch, sharing a cache and a journal.
+    """Two passes over one batch through one journal.
 
-    The second pass turns cache faults into *observed* recoveries: a
-    corrupted or raced-away entry must fall through to the journal (or
-    recompute) and still produce bit-identical outcomes.
+    The second pass is served from the journal the first one filled, so
+    a fault that degraded or damaged it must still give bit-identical
+    outcomes.
     """
-    cache = SimCache()
     journal = Journal(os.path.join(workdir, _JOURNAL_NAME),
                       compact_threshold=4096)
     try:
@@ -336,11 +308,11 @@ def _entry_run_simulations(workdir, workers, diag):
                              n_samples=96, seed=100 + i)
                    for i in range(6)]
         first = run_simulations(probe_factory, configs, workers=workers,
-                                cache=cache, journal=journal,
-                                diagnostics=diag, pool_policy=FAST_POLICY)
+                                journal=journal, diagnostics=diag,
+                                pool_policy=FAST_POLICY)
         second = run_simulations(probe_factory, configs, workers=workers,
-                                 cache=cache, journal=journal,
-                                 diagnostics=diag, pool_policy=FAST_POLICY)
+                                 journal=journal, diagnostics=diag,
+                                 pool_policy=FAST_POLICY)
     finally:
         journal.close()
     return digest([batch_digest(first), batch_digest(second)])
@@ -407,8 +379,7 @@ ENTRIES = {
 }
 
 #: Which sites make sense against which entry.  Journal sites run the
-#: entries that take ``journal=``; cache sites need the double-pass
-#: cache of ``run_simulations``.
+#: entries that take ``journal=``.
 SITE_ENTRIES = {
     "journal.torn_write": ("run_simulations", "optimize_wordlengths",
                            "analyze_sensitivity", "fault_campaign",
@@ -422,8 +393,6 @@ SITE_ENTRIES = {
     "journal.corrupt_record": ("run_simulations", "fault_campaign",
                                "analyze_sensitivity", "refinement_flow"),
     "journal.compact_crash": ("run_simulations",),
-    "cache.corrupt": ("run_simulations",),
-    "cache.evict_race": ("run_simulations",),
     "worker.crash": ("run_simulations", "fault_campaign"),
     "worker.hang": ("run_simulations",),
     "pool.break": ("run_simulations", "fault_campaign"),
@@ -626,8 +595,6 @@ SMOKE_MATRIX = (
     ("run_simulations", "journal.fsync_fail", 2, 3),
     ("run_simulations", "journal.corrupt_record", 2, 4),
     ("run_simulations", "journal.compact_crash", 0, 5),
-    ("run_simulations", "cache.corrupt", 1, 6),
-    ("run_simulations", "cache.evict_race", 2, 7),
     ("run_simulations", "worker.crash", 1, 8),
     ("run_simulations", "worker.hang", 2, 9),
     ("run_simulations", "pool.break", 1, 10),
@@ -647,7 +614,6 @@ FULL_EXTRA = (
     ("run_simulations", "journal.torn_write", 4, 22),
     ("run_simulations", "journal.enospc", 0, 23),
     ("run_simulations", "journal.corrupt_record", 4, 24),
-    ("run_simulations", "cache.corrupt", 3, 25),
     ("run_simulations", "worker.crash", 4, 26),
     ("run_simulations", "pool.break", 3, 27),
     ("optimize_wordlengths", "journal.fsync_fail", 2, 28),

@@ -39,7 +39,8 @@ CATEGORY_CODES = {
     "retry": "DG204",
     # Degraded-mode durability + chaos injection (repro.robust.chaos).
     "journal-degraded": "DG205",
-    "cache-corrupt": "DG206",
+    # DG206 is retired (it named the removed in-memory cache's checksum
+    # failure) and must never be reused.
     "chaos": "DG207",
     "journal-compact": "DG208",
     # DG209 is retired (it named the removed compiled engine's

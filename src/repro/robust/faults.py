@@ -531,15 +531,16 @@ class FaultCampaign:
 
         The baseline and the per-fault runs are independent and go out
         as one :func:`repro.parallel.run_simulations` batch (``workers``
-        / ``cache`` forwarded; ``workers=None`` auto-sizes to the
+        / ``journal`` forwarded; ``workers=None`` auto-sizes to the
         visible CPUs, falling back to an in-process serial loop).  The
         numbers are identical either way — each run carries its own
         seed, and fault fire counts travel back inside the outcomes.
 
-        ``journal`` (a :class:`repro.robust.recovery.Journal` or path)
-        makes the campaign resumable: per-fault outcomes are journaled
-        as they complete, and a re-run after a crash replays them
-        bit-exactly.  ``diagnostics`` collects the runner's recovery
+        ``journal`` (a :class:`repro.robust.recovery.Journal` or path;
+        ``cache`` is an older name for it) is the campaign's outcome
+        store: a file-backed one makes the campaign resumable, as
+        per-fault outcomes are journaled as they complete and a re-run
+        after a crash replays them bit-exactly.  ``diagnostics`` collects the runner's recovery
         events (deadline hits, quarantines, retries, replays) with
         their stable ``DG2xx`` codes; ``pool_policy`` tunes
         retry/quarantine behaviour.

@@ -1,20 +1,24 @@
-"""Crash-tolerant execution state: the write-ahead outcome journal.
+"""The one outcome store: an in-memory cache or a write-ahead journal.
 
-A refinement campaign is hours of independent simulations; a killed
-process must not lose the ones that already finished.  One persistence
-primitive makes every batch layer resumable: :class:`Journal`, a
-fingerprint-keyed **write-ahead outcome journal**.
+A refinement campaign is hours of independent simulations, and most of
+its loops re-ask for jobs they have already run; a killed process must
+not lose the ones that already finished.  One store answers both:
+:class:`Journal`, keyed by :func:`repro.parallel.runner.fingerprint`.
+``Journal()`` (no path) is the in-memory result store of one call or
+session, bounded by ``max_entries`` (least recently used first).
+``Journal(path)`` also writes every outcome ahead to a file:
 :func:`repro.parallel.run_simulations` appends every completed
-:class:`~repro.parallel.runner.SimOutcome` to it *as the outcome
-arrives* (not at batch end), so after a ``kill -9`` the same call
-replays the finished jobs bit-exactly from disk and re-runs only the
-missing ones.  Every entry point that fans out takes ``journal=``:
-``optimize_wordlengths``, ``analyze_sensitivity``, ``FaultCampaign.run``
-and ``RefinementFlow.run``, whose Fig. 4 loop is a chain of one-job
-batches.  The file is append-only JSONL with a versioned header; every
-record carries its own SHA-256, so a torn tail (the one way an
-append-only file can legitimately be damaged) is detected and dropped
-on reopen instead of poisoning the replay.
+:class:`~repro.parallel.runner.SimOutcome` *as the outcome arrives*
+(not at batch end), so after a ``kill -9`` the same call replays the
+finished jobs bit-exactly from disk and re-runs only the missing ones.
+Every entry point that fans out takes ``journal=`` (a store or a path;
+:func:`opened` turns a path into a journal for the length of the call):
+``optimize_wordlengths``, ``analyze_sensitivity``, ``FaultCampaign.run``,
+``run_matrix`` and ``RefinementFlow.run``, whose Fig. 4 loop is a chain
+of one-job batches.  The file is append-only JSONL with a versioned
+header; every record carries its own SHA-256, so a torn tail (the one
+way an append-only file can legitimately be damaged) is detected and
+dropped on reopen instead of poisoning the replay.
 
 Two robustness behaviors are part of the journal's contract (and are
 exercised by the chaos matrix, :mod:`repro.robust.chaos`):
@@ -38,7 +42,9 @@ can tear a write, fail an fsync or crash mid-rename deterministically.
 Outcome payloads are pickled (then base64-wrapped into the JSON line):
 a :class:`SimOutcome` holds full :class:`~repro.refine.monitors.SignalRecord`
 snapshots whose floats must replay to the last ulp — a lossy textual
-encoding would break the bit-identical-resume contract.
+encoding would break the bit-identical-resume contract.  In memory the
+store keeps the outcome objects themselves: outcomes and their records
+are frozen, so a served outcome is the stored one.
 
 The journal never imports the parallel runner, so
 ``repro.parallel`` <-> ``repro.robust`` stays acyclic: the runner takes
@@ -54,6 +60,8 @@ import json
 import os
 import pickle
 import tempfile
+from collections import OrderedDict
+from contextlib import contextmanager
 
 try:                                   # POSIX advisory locks
     import fcntl
@@ -64,7 +72,7 @@ from repro import chaoshooks
 from repro.core.errors import JournalError
 from repro.obs import counters as obs_counters
 
-__all__ = ["Journal", "JOURNAL_FORMAT", "JOURNAL_VERSION"]
+__all__ = ["Journal", "JOURNAL_FORMAT", "JOURNAL_VERSION", "opened"]
 
 JOURNAL_FORMAT = "repro-journal"
 JOURNAL_VERSION = 1
@@ -78,16 +86,28 @@ def _encode(obj):
 
 
 class Journal:
-    """Fingerprint-keyed write-ahead journal of completed outcomes.
+    """Fingerprint-keyed store of completed outcomes, optionally on disk.
 
-    ``path`` is created (with its parent directory) on first use; an
-    existing journal is loaded and its records become immediately
-    replayable through :meth:`get`.  ``sync=True`` (default) fsyncs
-    after every append — one completed simulation outcome survives even
-    a machine crash; pass ``sync=False`` to trade that for lower
-    latency (a ``kill -9`` still loses nothing, only an OS crash can).
+    Without a ``path`` the journal is the in-memory result store of
+    :func:`repro.parallel.run_simulations`: pass the same instance
+    across :func:`analyze_sensitivity` / :func:`optimize_wordlengths`
+    calls to skip re-measuring type maps already probed.  At
+    ``max_entries`` the least-recently-*used* entry is evicted (a hit
+    or a re-append refreshes its recency), so a long-running optimizer
+    keeps its working set even when the total probe count far exceeds
+    the capacity.
 
-    Only *completed* outcomes (``outcome.error is None``) are journaled:
+    With a ``path`` it is also a write-ahead journal: the file is
+    created (with its parent directory) on first use; an existing
+    journal is loaded and its records become immediately replayable
+    through :meth:`get`.  A file-backed journal keeps every entry
+    (``max_entries`` does not apply), so :meth:`compact` loses nothing.
+    ``sync=True`` (default) fsyncs after every append — one completed
+    simulation outcome survives even a machine crash; pass
+    ``sync=False`` to trade that for lower latency (a ``kill -9`` still
+    loses nothing, only an OS crash can).
+
+    Only *completed* outcomes (``outcome.error is None``) are stored:
     errors may be environment-dependent (a deadline hit on a loaded
     machine, a crashed worker) and must re-run on resume.
 
@@ -95,6 +115,11 @@ class Journal:
     :func:`repro.parallel.runner.fingerprint` digests, which already
     encode the design factory identity — so one journal file can back
     any number of sweeps over any number of designs.
+
+    Lookups are tallied on the instance (:meth:`stats`) and in
+    :mod:`repro.obs.counters`: a miss counts ``cache.misses``; a hit
+    counts ``journal.replays`` the first time it serves an entry loaded
+    from the file, ``cache.hits`` otherwise.
 
     ``on_io_error`` selects what an :class:`OSError` during an append
     does: ``"degrade"`` (default) switches to in-memory-only operation
@@ -115,16 +140,23 @@ class Journal:
     >>> reopened = Journal(path)
     >>> reopened.get("job-key"), reopened.get("other-key")
     ({'sqnr_db': 40.8}, None)
+    >>> reopened.replays, reopened.stats()["hit_rate"]
+    (1, 0.5)
     >>> reopened.close()
     >>> tmp.cleanup()
     """
 
-    def __init__(self, path, sync=True, on_io_error="degrade",
-                 compact_threshold=None):
+    def __init__(self, path=None, sync=True, on_io_error="degrade",
+                 compact_threshold=None, max_entries=4096):
         if on_io_error not in ("degrade", "raise"):
             raise ValueError("on_io_error must be 'degrade' or 'raise', "
                              "got %r" % (on_io_error,))
-        self.path = os.fspath(path)
+        if path is None and int(max_entries) < 1:
+            raise ValueError("max_entries must be >= 1, got %r"
+                             % (max_entries,))
+        self.path = None if path is None else os.fspath(path)
+        #: LRU capacity of a path-less store (None: unbounded, on disk).
+        self.max_entries = int(max_entries) if path is None else None
         self.sync = bool(sync)
         #: the header's ``meta`` map, carried through compaction.
         self.meta = {}
@@ -132,6 +164,8 @@ class Journal:
         self.compact_threshold = compact_threshold
         self.hits = 0
         self.misses = 0
+        #: hits that served an entry loaded from the file, first time.
+        self.replays = 0
         #: records dropped on load because of a torn/corrupt tail.
         self.n_dropped = 0
         #: compactions skipped because another process held the lock.
@@ -142,13 +176,15 @@ class Journal:
         #: the OSError that caused the degrade, for diagnostics.
         self.io_error = None
         self._degrade_noted = False   # runner emitted DG205 already
-        self._entries = {}
+        self._entries = OrderedDict()
+        self._unserved = set()        # loaded keys no lookup served yet
         self._n_records = 0           # record lines on disk (incl. stale)
         self._fh = None
-        parent = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(parent, exist_ok=True)
-        self._load()
-        self._open_append()
+        if self.path is not None:
+            parent = os.path.dirname(os.path.abspath(self.path))
+            os.makedirs(parent, exist_ok=True)
+            self._load()
+            self._open_append()
         self._last_compact_size = self.size_bytes()
 
     # -- loading -----------------------------------------------------------
@@ -181,6 +217,7 @@ class Journal:
                 break
             key, label, outcome = rec
             self._entries[key] = outcome
+            self._unserved.add(key)
             self._n_records += 1
 
     def _parse_header(self, line):
@@ -287,17 +324,26 @@ class Journal:
                                "in-memory" % (self.path, exc)) from exc
 
     def append(self, key, outcome):
-        """Journal one completed outcome (no-op for failed outcomes).
+        """Store one completed outcome (no-op for failed outcomes).
 
-        Returns True when the outcome is replayable through :meth:`get`
-        afterwards — including on the degraded in-memory path; only the
+        A file-backed journal writes it ahead first.  Returns True when
+        the outcome is replayable through :meth:`get` afterwards —
+        including on the degraded in-memory path; only the
         ``journal.appends`` counter distinguishes a durable append.
         """
         if getattr(outcome, "error", None) is not None:
             return False
-        if self.degraded:
-            self._entries[key] = outcome
-            return True
+        if self.path is not None and not self.degraded:
+            self._write_record(key, outcome)
+        self._unserved.discard(key)
+        self._entries[key] = outcome
+        if self.max_entries is not None:
+            self._entries.move_to_end(key)
+            if len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)   # least recently used
+        return True
+
+    def _write_record(self, key, outcome):
         if self._fh is None:
             raise JournalError("journal %s is closed" % self.path)
         payload, sha = _encode(outcome)
@@ -308,12 +354,9 @@ class Journal:
             self._write_line(json.dumps(rec, sort_keys=True))
         except OSError as exc:
             self._degrade(exc)
-            self._entries[key] = outcome
-            return True
-        self._entries[key] = outcome
+            return
         self._n_records += 1
         obs_counters.inc("journal.appends")
-        return True
 
     # -- compaction --------------------------------------------------------
 
@@ -366,7 +409,9 @@ class Journal:
                 pass
 
     def size_bytes(self):
-        """Current on-disk size (0 when the file does not exist)."""
+        """Current on-disk size (0 when there is no file)."""
+        if self.path is None:
+            return 0
         try:
             return os.path.getsize(self.path)
         except OSError:
@@ -445,12 +490,42 @@ class Journal:
     # -- lookup ------------------------------------------------------------
 
     def get(self, key):
+        """The stored outcome of ``key``, or None (see the class doc
+        for how each lookup is counted)."""
         outcome = self._entries.get(key)
         if outcome is None:
             self.misses += 1
+            obs_counters.inc("cache.misses")
+            return None
+        self.hits += 1
+        if key in self._unserved:
+            self._unserved.discard(key)
+            self.replays += 1
+            obs_counters.inc("journal.replays")
         else:
-            self.hits += 1
+            obs_counters.inc("cache.hits")
+        if self.max_entries is not None:
+            self._entries.move_to_end(key)
         return outcome
+
+    def stats(self):
+        """Measurable snapshot of the store's effectiveness.
+
+        Returned dict: ``entries`` / ``max_entries`` (occupancy; None
+        for a file-backed journal), ``hits`` / ``misses`` (lifetime
+        lookup tallies, replays included in ``hits``), ``n_corrupt``
+        (records dropped on load, :attr:`n_dropped`) and ``hit_rate``
+        (0.0 when the store was never consulted).
+        """
+        total = self.hits + self.misses
+        return {
+            "entries": len(self._entries),
+            "max_entries": self.max_entries,
+            "hits": self.hits,
+            "misses": self.misses,
+            "n_corrupt": self.n_dropped,
+            "hit_rate": (self.hits / total) if total else 0.0,
+        }
 
     def entries(self):
         """Snapshot of all replayable outcomes, ``{key: outcome}``."""
@@ -485,3 +560,38 @@ class Journal:
     def __repr__(self):
         return "Journal(%r, %d entrie(s), %d dropped)" % (
             self.path, len(self._entries), self.n_dropped)
+
+
+@contextmanager
+def opened(journal=None, cache=None):
+    """The one outcome store of a call: a :class:`Journal` or None.
+
+    ``journal`` and ``cache`` are two names for that store (``cache=``
+    is the older one); naming two different objects raises
+    :class:`ValueError`.  A path is opened here, once, and closed when
+    the block exits; a journal object passes through and stays open, as
+    its owner opened it.
+
+    >>> store = Journal()
+    >>> with opened(cache=store) as s:
+    ...     s is store
+    True
+    >>> with opened(Journal(), Journal()):
+    ...     pass
+    Traceback (most recent call last):
+    ...
+    ValueError: journal= and cache= name one store; got two objects
+    """
+    if cache is not None:
+        if journal is not None and journal is not cache:
+            raise ValueError("journal= and cache= name one store; got "
+                             "two objects")
+        journal = cache
+    if journal is None or isinstance(journal, Journal):
+        yield journal
+        return
+    store = Journal(journal)
+    try:
+        yield store
+    finally:
+        store.close()

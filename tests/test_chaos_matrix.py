@@ -3,7 +3,7 @@
 Each cell of :data:`SMOKE_MATRIX` is one deterministic fault scenario
 (``entry:site:trigger:seed``) run through the two-phase
 inject-then-recover protocol; a cell passes only when every recovery
-invariant holds.  The smoke matrix covers all ten fault sites and all
+invariant holds.  The smoke matrix covers all eight fault sites and all
 five entry points and runs on every PR; the extended matrix rides
 behind the ``slow`` marker (``-m slow``) like the other long campaigns.
 

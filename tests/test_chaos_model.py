@@ -1,10 +1,9 @@
 """Stateful model of the durability layer under damage interleavings.
 
 Hypothesis drives random interleavings of the operations a long
-campaign (or the chaos injector) can inflict on a :class:`Journal` and
-a :class:`SimCache` — append, reopen, compact, corrupt a record,
-truncate the tail, flip cached bytes — and checks the durability and
-exactness invariants after *every* step:
+campaign (or the chaos injector) can inflict on a :class:`Journal` —
+append, reopen, compact, corrupt a record, truncate the tail — and
+checks the durability and exactness invariants after *every* step:
 
 * every record the model says survived replays bit-identically
   (:func:`outcome_digest` equality), and
@@ -23,7 +22,7 @@ import tempfile
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
-from repro.parallel.runner import SimCache, SimOutcome
+from repro.parallel.runner import SimOutcome
 from repro.robust.invariants import outcome_digest
 from repro.robust.recovery import Journal
 
@@ -135,62 +134,8 @@ class JournalMachine(RuleBasedStateMachine):
         shutil.rmtree(self.dir, ignore_errors=True)
 
 
-class SimCacheMachine(RuleBasedStateMachine):
-    """Cache vs. model: hits are bit-exact, corruption never surfaces."""
-
-    def __init__(self):
-        super().__init__()
-        self.cache = SimCache(max_entries=8)
-        self.model = {}       # key -> digest, for keys we believe clean
-        self.n = 0
-
-    @rule(value=_VALUES)
-    def put(self, value):
-        self.n += 1
-        key = "k%d" % self.n
-        outcome = _outcome(self.n, value)
-        self.cache.put(key, outcome)
-        self.model[key] = outcome_digest(outcome)
-        if len(self.model) > 8:
-            # LRU capacity: some model keys may be evicted; forget the
-            # model's claim, get() handles absent keys below.
-            self.model = {k: v for k, v in self.model.items()
-                          if k in self.cache}
-
-    @precondition(lambda self: self.model)
-    @rule(which=st.integers(min_value=0, max_value=10 ** 6))
-    def get_is_exact(self, which):
-        key = list(self.model)[which % len(self.model)]
-        got = self.cache.get(key)
-        if got is not None:
-            assert outcome_digest(got) == self.model[key]
-
-    @precondition(lambda self: self.model)
-    @rule(which=st.integers(min_value=0, max_value=10 ** 6),
-          flip=st.integers(min_value=0, max_value=10 ** 6))
-    def corrupt_never_surfaces(self, which, flip):
-        key = list(self.model)[which % len(self.model)]
-        entry = self.cache._store.get(key)
-        if entry is None:
-            return
-        payload, sha = entry
-        pos = flip % len(payload)
-        bad = payload[:pos] + bytes([payload[pos] ^ 0x01]) \
-            + payload[pos + 1:]
-        self.cache._store[key] = (bad, sha)
-        n_corrupt = self.cache.n_corrupt
-        assert self.cache.get(key) is None        # detected, never garbage
-        assert self.cache.n_corrupt == n_corrupt + 1
-        assert key not in self.cache              # and evicted
-        del self.model[key]
-
-
 JournalMachine.TestCase.settings = settings(max_examples=20,
                                             stateful_step_count=20,
                                             deadline=None)
-SimCacheMachine.TestCase.settings = settings(max_examples=20,
-                                             stateful_step_count=20,
-                                             deadline=None)
 
 TestJournalModel = JournalMachine.TestCase
-TestSimCacheModel = SimCacheMachine.TestCase

@@ -1,11 +1,10 @@
-"""Direct unit tests for the individual fault sites and the new
-durability-layer hardening they exercise: SimCache checksums, journal
-degrade-on-ENOSPC, journal compaction, and the chaos hook protocol."""
+"""Direct unit tests for the individual fault sites and the
+durability-layer hardening they exercise: journal degrade-on-ENOSPC,
+journal compaction, and the chaos hook protocol."""
 
 import errno
 import json
 import os
-import pickle
 
 import numpy as np
 import pytest
@@ -14,8 +13,7 @@ from repro import chaoshooks
 from repro.chaoshooks import ChaosCrash, ChaosHooks, armed
 from repro.core.dtype import DType
 from repro.obs import counters as obs_counters
-from repro.parallel.runner import (SimCache, SimConfig, SimOutcome,
-                                   run_simulations)
+from repro.parallel.runner import SimConfig, SimOutcome, run_simulations
 from repro.robust.chaos import ChaosInjector
 from repro.robust.recovery import Journal
 from repro.signal import Sig
@@ -44,64 +42,6 @@ class Tiny(Design):
 
 def _outcome(label="a", value=0.5):
     return SimOutcome(label=label, records={"v": value}, output="v")
-
-
-class TestSimCacheChecksums:
-    def test_corrupt_payload_detected_and_evicted(self):
-        cache = SimCache()
-        cache.put("k", _outcome())
-        payload, sha = cache._store["k"]
-        cache._store["k"] = (payload[:-1] + bytes([payload[-1] ^ 0xFF]),
-                             sha)
-        before = obs_counters.get("cache.corrupt")
-        assert cache.get("k") is None
-        assert cache.n_corrupt == 1
-        assert "k" not in cache
-        assert obs_counters.get("cache.corrupt") == before + 1
-
-    def test_checksummed_but_unpicklable_entry_dropped(self):
-        cache = SimCache()
-        cache.put("k", _outcome())
-        bad = b"\x80\x04not a pickle"
-        import hashlib
-        cache._store["k"] = (bad, hashlib.sha256(bad).hexdigest())
-        assert cache.get("k") is None
-        assert cache.n_corrupt == 1
-
-    def test_unpicklable_outcome_not_cached(self):
-        cache = SimCache()
-        cache.put("k", _outcome(value=lambda: None))   # lambdas don't pickle
-        assert "k" not in cache
-        assert len(cache) == 0
-
-    def test_clean_roundtrip_is_bit_exact(self):
-        cache = SimCache()
-        out = _outcome(value=0.1 + 0.2)
-        cache.put("k", out)
-        got = cache.get("k")
-        assert got.records["v"].hex() == out.records["v"].hex()
-
-    def test_clear_resets_corruption_counter(self):
-        cache = SimCache()
-        cache.put("k", _outcome())
-        payload, sha = cache._store["k"]
-        cache._store["k"] = (b"x" + payload, sha)
-        cache.get("k")
-        assert cache.n_corrupt == 1
-        cache.clear()
-        assert cache.n_corrupt == 0
-
-    def test_evict_race_hook_turns_hit_into_miss(self):
-        class Evictor(ChaosHooks):
-            def on_cache_lookup(self, key):
-                return True
-
-        cache = SimCache()
-        cache.put("k", _outcome())
-        with armed(Evictor()):
-            assert cache.get("k") is None
-        assert "k" not in cache
-        assert cache.get("k") is None      # still gone when disarmed
 
 
 class TestJournalDegrade:
@@ -241,22 +181,11 @@ class TestInjectorDeterminism:
         with pytest.raises(ValueError):
             ChaosInjector("journal.not_a_site")
 
-    def test_cache_corruption_is_reproducible(self):
-        payload = pickle.dumps(_outcome())
-        a = ChaosInjector("cache.corrupt", trigger=0, seed=3)
-        b = ChaosInjector("cache.corrupt", trigger=0, seed=3)
-        ca = a.on_cache_store("k", payload)        # one-shot: fires here
-        cb = b.on_cache_store("k", payload)
-        assert ca == cb
-        assert ca != payload
-
 
 class TestHookProtocol:
     def test_defaults_are_noops(self, tmp_path):
         hooks = ChaosHooks()
         assert hooks.on_journal_write(None, b"data") == b"data"
-        assert hooks.on_cache_store("k", b"p") == b"p"
-        assert hooks.on_cache_lookup("k") is False
         assert hooks.on_job(0, "cfg") == "cfg"
 
     def test_armed_always_uninstalls(self):

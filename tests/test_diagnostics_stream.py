@@ -89,7 +89,6 @@ class TestStableCodes:
             "journal": "DG203",
             "retry": "DG204",
             "journal-degraded": "DG205",
-            "cache-corrupt": "DG206",
             "chaos": "DG207",
             "journal-compact": "DG208",
             "verify-proved": "DG210",
@@ -99,10 +98,11 @@ class TestStableCodes:
         }
 
     def test_retired_codes_stay_unused(self):
-        # DG209 and DG213-DG218 named the events of removed subsystems
-        # (the compiled engine, the refinement service); reusing
-        # one would give old logs a new meaning.
-        retired = {"DG209"} | {"DG%d" % n for n in range(213, 219)}
+        # DG206, DG209 and DG213-DG218 named the events of removed
+        # subsystems (the in-memory cache's checksum, the compiled
+        # engine, the refinement service); reusing one would give old
+        # logs a new meaning.
+        retired = {"DG206", "DG209"} | {"DG%d" % n for n in range(213, 219)}
         assert not retired & set(CATEGORY_CODES.values())
 
     @pytest.mark.parametrize("category,code", sorted(CATEGORY_CODES.items()))

@@ -1,11 +1,12 @@
 """Refinement-flow simulations as ordinary runner jobs.
 
 Every ``RefinementFlow`` simulation is a one-job ``run_simulations``
-batch with the mid-run error snapshot requested, through a cache scoped
-to the ``run()`` call.  On the paper's LMS flow (E8) the first MSB
-iteration repeats the baseline's job (both apply only the input types
-and ranges) and the first LSB iteration repeats the last MSB
-iteration's job; both are served from that cache.  The second MSB
+batch with the mid-run error snapshot requested, through an outcome
+store (a path-less ``Journal``) scoped to the ``run()`` call.  On the
+paper's LMS flow (E8) the first MSB iteration repeats the baseline's
+job (both apply only the input types and ranges) and the first LSB
+iteration repeats the last MSB iteration's job; both are served from
+that store.  The second MSB
 iteration differs from the first only in ``b.range(-0.2, 0.2)``, so it
 is replayed from the interval tape the baseline job recorded.
 """
@@ -37,7 +38,7 @@ class RecordingFlow(RefinementFlow):
     def _simulate(self, annotations, label, config=None):
         outcome = super()._simulate(annotations, label, config=config)
         self.outcomes[label] = outcome
-        self.run_cache = self._cache
+        self.run_cache = self._replay.store
         return outcome
 
 
@@ -152,7 +153,7 @@ class TestE8Flow:
         # baseline, msb-iter-1 (cached), lsb-iter-1 (cached), verify —
         # per run.
         assert cached == [False, True, True, False] * 2
-        assert flow._cache is None
+        assert flow._replay is None
 
 
 class ScaleDesign(Design):

@@ -27,11 +27,12 @@ from repro.gallery import matrix
 from repro.gallery.matrix import SMOKE_AXES, _cell_record, run_matrix
 from repro.gallery.registry import factory, gallery
 from repro.parallel import runner
-from repro.parallel.runner import SimCache, SimConfig, fingerprint
+from repro.parallel.runner import SimConfig, fingerprint
 from repro.refine import optimizer, sensitivity
 from repro.refine.optimizer import optimize_wordlengths
 from repro.refine.sensitivity import analyze_sensitivity
 from repro.robust.faults import BitFlip
+from repro.robust.recovery import Journal
 from repro.signal.interval_tape import IntervalTape
 
 T_INPUT = DType("T_input", 7, 5, "tc", "saturate", "round")
@@ -264,7 +265,7 @@ def test_fingerprint_keeps_full_keys_and_separates_output_only():
     assert fingerprint(pinned, full) == (
         "28456a6afdef6c654805a19a673ab8bd3ef3a0130957a2ea6cd069b644e2b867")
     assert fingerprint(pinned, full) != fingerprint(pinned, lean)
-    cache = SimCache()
+    cache = Journal()
     runner.run_simulations(pinned, [lean], workers=0, cache=cache)
     out, = runner.run_simulations(pinned, [full], workers=0, cache=cache)
     assert cache.hits == 0

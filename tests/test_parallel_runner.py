@@ -16,11 +16,12 @@ from repro.core.dtype import DType
 from repro.core.errors import NonFiniteError
 from repro.dsp.lms import LmsEqualizerDesign
 from repro.obs import counters as obs_counters
-from repro.parallel import (SimCache, SimConfig, SimOutcome,
-                            default_workers, fingerprint, run_simulations)
+from repro.parallel import (SimConfig, SimOutcome, default_workers,
+                            fingerprint, run_simulations)
 from repro.refine.flow import FlowConfig, RefinementFlow
 from repro.refine.sensitivity import analyze_sensitivity
 from repro.robust.faults import FaultCampaign, standard_faults
+from repro.robust.recovery import Journal
 
 T_IN = DType("T_in", 9, 7, "tc", "saturate", "round")
 T_W = DType("T_w", 12, 10, "tc", "saturate", "round")
@@ -81,7 +82,7 @@ class TestRunner:
         assert default_workers() == 3
 
     def test_cache_hits_and_relabels(self):
-        cache = SimCache()
+        cache = Journal()
         cfg = SimConfig(label="first", dtypes={"x": T_IN}, n_samples=50,
                         seed=9)
         first = run_simulations(lms_factory, [cfg], workers=1,
@@ -117,7 +118,7 @@ class TestRunner:
         configs = [SimConfig(label="o%d" % s, n_samples=120, seed=s,
                              dtypes={"x": T_IN, "w": narrow, "y": narrow})
                    for s in (1, 2)]
-        cache = SimCache()
+        cache = Journal()
         # serial, pool (filling the cache), cache hits
         for workers, use in ((1, None), (2, cache), (1, cache)):
             outcomes = run_simulations(lms_factory, configs,
@@ -182,7 +183,7 @@ class TestSensitivityDeterminism:
             assert _entry_tuple(a) == _entry_tuple(b)
 
     def test_cached_sweep_identical(self, refined_types):
-        cache = SimCache()
+        cache = Journal()
         kwargs = dict(n_samples=150, seed=7, cache=cache, workers=1)
         first = analyze_sensitivity(lms_factory, refined_types,
                                     {"x": T_IN}, **kwargs)
@@ -214,24 +215,44 @@ class TestCampaignDeterminism:
 
 
 class TestSimCacheStats:
+    """The path-less :class:`Journal` is the runner's in-memory result
+    store (``SimCache`` is its older name)."""
+
     def test_stats_tracks_hits_misses_and_rate(self):
         obs_counters.reset()
-        cache = SimCache(max_entries=8)
+        cache = Journal(max_entries=8)
         out = SimOutcome(label="a", records={"v": 1.0}, output="v")
-        cache.put("k", out)
-        assert cache.get("k") is not None
+        cache.append("k", out)
+        assert cache.get("k") is out
         assert cache.get("nope") is None
         s = cache.stats()
         assert s == {"entries": 1, "max_entries": 8, "hits": 1,
                      "misses": 1, "n_corrupt": 0, "hit_rate": 0.5}
         assert obs_counters.get("cache.hits") == 1
         assert obs_counters.get("cache.misses") == 1
+        assert obs_counters.get("journal.appends") == 0   # not durable
 
     def test_never_consulted_has_zero_rate(self):
-        assert SimCache().stats()["hit_rate"] == 0.0
+        assert Journal().stats()["hit_rate"] == 0.0
 
     @pytest.mark.parametrize("capacity", [0, -3])
     def test_capacity_below_one_is_rejected(self, capacity):
         # Such a cache has no room for the entry its first put stores.
         with pytest.raises(ValueError, match="max_entries must be >= 1"):
-            SimCache(max_entries=capacity)
+            Journal(max_entries=capacity)
+
+    def test_simcache_is_the_path_less_journal(self):
+        import repro
+        from repro.parallel import SimCache
+        assert SimCache is Journal and repro.SimCache is Journal
+        assert SimCache().path is None
+
+    def test_cache_and_journal_name_one_store(self):
+        store = Journal()
+        cfg = SimConfig(dtypes={"x": T_IN}, n_samples=50, seed=9)
+        run_simulations(lms_factory, [cfg], workers=1, cache=store,
+                        journal=store)
+        assert store.misses == 1 and len(store) == 1
+        with pytest.raises(ValueError, match="name one store"):
+            run_simulations(lms_factory, [cfg], workers=1, cache=store,
+                            journal=Journal())

@@ -337,6 +337,16 @@ class TestFlowJournal:
         assert len(replays) == 1
         assert replays[0].data["replayed"] == 3
 
+    def test_fresh_journaled_flow_reports_no_replay(self, tmp_path):
+        # Stages that repeat an earlier stage's job (msb-iter-1,
+        # lsb-iter-1) are served from the entries this run appended:
+        # cache hits, not journal replays.
+        counters.reset()
+        result = self._flow().run(journal=str(tmp_path / "flow.jsonl"))
+        assert all(e.code != "DG203" for e in result.diagnostics.events)
+        assert counters.get("journal.replays") == 0
+        assert counters.get("cache.hits") == 2
+
     def test_foreign_journal_replays_nothing(self, tmp_path):
         path = str(tmp_path / "flow.jsonl")
         self._flow(seed=7).run(journal=path)

@@ -3,8 +3,10 @@
 The write-ahead :class:`Journal` must replay completed outcomes
 bit-exactly, detect and drop a torn tail (the only damage an
 append-only file can suffer), and refuse files it cannot have written.
-The :class:`SimCache` must evict by *recency of use*, not insertion
-order, so a long-running optimizer keeps its working set.
+A path-less ``Journal()`` (the runner's in-memory result store) must
+evict by *recency of use*, not insertion order, so a long-running
+optimizer keeps its working set.  An entry point given a
+path opens one journal for the call and closes it.
 """
 
 import json
@@ -15,7 +17,7 @@ from repro.core.dtype import DType
 from repro.core.errors import JournalError
 from repro.dsp.lms import LmsEqualizerDesign
 from repro.obs import counters
-from repro.parallel import SimCache, SimConfig, fingerprint, run_simulations
+from repro.parallel import SimConfig, fingerprint, run_simulations
 from repro.robust.recovery import JOURNAL_FORMAT, JOURNAL_VERSION, Journal
 
 T_IN = DType("T_in", 9, 7, "tc", "saturate", "round")
@@ -71,15 +73,17 @@ class TestJournalRoundTrip:
         counters.reset()
         path = tmp_path / "j.jsonl"
         keys, outs = _outcomes(2)
-        j = Journal(path)
         configs = [SimConfig(label="r%d" % i, dtypes={"x": T_IN},
                              n_samples=60, seed=i) for i in range(2)]
-        run_simulations(lms_factory, configs, workers=1, journal=j)
+        with Journal(path) as j:
+            run_simulations(lms_factory, configs, workers=1, journal=j)
         assert counters.get("journal.appends") == 2
-        # Second run: everything replays, nothing executes.
+        # Second run, as a restarted process: everything replays from
+        # the file, nothing executes.
         counters.reset()
-        replayed = run_simulations(lms_factory, configs, workers=1,
-                                   journal=j)
+        with Journal(path) as j:
+            replayed = run_simulations(lms_factory, configs, workers=1,
+                                       journal=j)
         assert counters.get("journal.replays") == 2
         assert counters.get("journal.appends") == 0
         for a, b in zip(outs, replayed):
@@ -175,39 +179,138 @@ class TestJournalRejectsForeignFiles:
 
 class TestSimCacheLRU:
     def test_evicts_at_max_entries(self):
-        cache = SimCache(max_entries=3)
+        cache = Journal(max_entries=3)
         keys, outs = _outcomes(4, n_samples=40)
         for k, o in zip(keys[:3], outs[:3]):
-            cache.put(k, o)
+            cache.append(k, o)
         assert len(cache) == 3
-        cache.put(keys[3], outs[3])
+        cache.append(keys[3], outs[3])
         assert len(cache) == 3
         assert keys[0] not in cache          # oldest evicted
         assert all(k in cache for k in keys[1:])
 
     def test_get_refreshes_recency(self):
-        cache = SimCache(max_entries=3)
+        cache = Journal(max_entries=3)
         keys, outs = _outcomes(4, n_samples=40)
         for k, o in zip(keys[:3], outs[:3]):
-            cache.put(k, o)
+            cache.append(k, o)
         got = cache.get(keys[0])               # refresh the oldest
         assert got is not None and got.sqnr_db() == outs[0].sqnr_db()
-        cache.put(keys[3], outs[3])
+        cache.append(keys[3], outs[3])
         assert keys[0] in cache               # survived thanks to the hit
         assert keys[1] not in cache           # true LRU victim
 
     def test_put_existing_refreshes_recency(self):
-        cache = SimCache(max_entries=2)
+        cache = Journal(max_entries=2)
         keys, outs = _outcomes(3, n_samples=40)
-        cache.put(keys[0], outs[0])
-        cache.put(keys[1], outs[1])
-        cache.put(keys[0], outs[0])           # re-put refreshes
-        cache.put(keys[2], outs[2])
+        cache.append(keys[0], outs[0])
+        cache.append(keys[1], outs[1])
+        cache.append(keys[0], outs[0])        # re-append refreshes
+        cache.append(keys[2], outs[2])
         assert keys[0] in cache and keys[1] not in cache
 
     def test_failed_outcomes_never_cached(self):
         from dataclasses import replace
-        cache = SimCache(max_entries=2)
+        cache = Journal(max_entries=2)
         keys, outs = _outcomes(1, n_samples=40)
-        cache.put(keys[0], replace(outs[0], error="x", error_kind="crash"))
+        cache.append(keys[0], replace(outs[0], error="x", error_kind="crash"))
         assert len(cache) == 0
+
+    def test_file_journal_keeps_every_entry(self, tmp_path):
+        # The bound would make compact() drop records: it applies to the
+        # path-less store only.
+        keys, outs = _outcomes(3, n_samples=40)
+        with Journal(tmp_path / "j.jsonl", max_entries=1) as j:
+            for k, o in zip(keys, outs):
+                j.append(k, o)
+            assert len(j) == 3 and j.stats()["max_entries"] is None
+            assert j.compact() == 0
+        assert len(Journal(tmp_path / "j.jsonl")) == 3
+
+
+class TestReplayRule:
+    """A hit counts ``journal.replays`` the first time the process serves
+    an entry loaded from the file, ``cache.hits`` every other time."""
+
+    CONFIGS = [SimConfig(label="q%d" % i, dtypes={"x": T_IN}, n_samples=40,
+                         seed=i) for i in range(2)]
+
+    def _rerun(self, journal):
+        counters.reset()
+        run_simulations(lms_factory, self.CONFIGS, workers=1,
+                        journal=journal)
+        return (counters.get("journal.replays"), counters.get("cache.hits"),
+                counters.get("cache.misses"))
+
+    def test_same_object_rerun_is_cache_hits(self, tmp_path):
+        with Journal(tmp_path / "j.jsonl") as j:
+            assert self._rerun(j) == (0, 0, 2)
+            assert self._rerun(j) == (0, 2, 0)
+            assert (j.hits, j.replays, j.misses) == (2, 0, 2)
+
+    def test_reopened_journal_replays_once(self, tmp_path):
+        with Journal(tmp_path / "j.jsonl") as j:
+            self._rerun(j)
+        with Journal(tmp_path / "j.jsonl") as j:
+            assert self._rerun(j) == (2, 0, 0)
+            assert self._rerun(j) == (0, 2, 0)
+            assert (j.hits, j.replays) == (4, 2)
+
+
+class TestPathJournalsOpenedOnce:
+    """An entry point given a path opens one Journal for the whole call
+    and closes it before returning."""
+
+    @staticmethod
+    def _calls():
+        from repro.gallery.matrix import run_matrix
+        from repro.refine import (FlowConfig, RefinementFlow,
+                                  analyze_sensitivity, optimize_wordlengths)
+        from repro.robust.chaos import (PROBE_TYPES, T_ACC, T_P,
+                                        probe_factory)
+        from repro.robust.chaos import T_IN as P_IN
+        from repro.robust.faults import BitFlip, FaultCampaign
+        types = {"p": T_P, "acc": T_ACC, "y": T_ACC}
+        probe = dict(n_samples=48, seed=11, workers=1)
+        return {
+            "run_simulations": lambda path: run_simulations(
+                probe_factory, [SimConfig(dtypes=PROBE_TYPES, n_samples=48)],
+                workers=1, journal=path),
+            "analyze_sensitivity": lambda path: analyze_sensitivity(
+                probe_factory, types, {"x": P_IN}, journal=path, **probe),
+            "optimize_wordlengths": lambda path: optimize_wordlengths(
+                probe_factory, types, {"x": P_IN}, target_db=30.0,
+                max_moves=2, journal=path, **probe),
+            "fault_campaign": lambda path: FaultCampaign(
+                probe_factory, PROBE_TYPES, n_samples=48, seed=5).run(
+                [BitFlip("y", bit=2, at=10)], workers=1, journal=path),
+            "refinement_flow": lambda path: RefinementFlow(
+                probe_factory, input_types={"x": P_IN},
+                input_ranges={"x": (-1.0, 1.0)},
+                config=FlowConfig(n_samples=64, seed=9,
+                                  lint_design=False)).run(journal=path),
+            "run_matrix": lambda path: run_matrix(
+                designs=["kalman"], channels=["clean", "awgn"],
+                campaigns=["clean"], seeds=[101], n_samples=48,
+                analyze=False, workers=0, journal=path),
+        }
+
+    @pytest.mark.parametrize("entry", [
+        "run_simulations", "analyze_sensitivity", "optimize_wordlengths",
+        "fault_campaign", "refinement_flow", "run_matrix"])
+    def test_one_journal_opened_none_left_open(self, entry, tmp_path,
+                                               monkeypatch):
+        opened = []
+        init = Journal.__init__
+
+        def counting(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self.path is not None:
+                opened.append(self)
+
+        monkeypatch.setattr(Journal, "__init__", counting)
+        path = str(tmp_path / "j.jsonl")
+        self._calls()[entry](path)
+        assert len(opened) == 1
+        assert opened[0]._fh is None
+        assert len(Journal(path)) > 0

@@ -17,8 +17,9 @@ from repro.core.interval import Interval
 from repro.dsp.lms import LmsEqualizerDesign
 from repro.gallery.registry import get_design
 from repro.parallel import runner
-from repro.parallel.runner import SimCache, SimConfig, fingerprint
+from repro.parallel.runner import SimConfig, fingerprint
 from repro.refine import flow as flow_module
+from repro.robust.recovery import Journal
 from repro.signal.interval_tape import IntervalTape
 from tests.test_flow_runner import T_INPUT, e8_flow
 
@@ -97,7 +98,7 @@ def test_fingerprint_separates_stats_from_all_and_output():
     keys = {fingerprint(pinned, replace(full, monitors=m))
             for m in ("all", "stats", "output")}
     assert len(keys) == 3
-    cache = SimCache()
+    cache = Journal()
     runner.run_simulations(pinned, [replace(full, monitors="stats")],
                            workers=0, cache=cache)
     out, = runner.run_simulations(pinned, [full], workers=0, cache=cache)
