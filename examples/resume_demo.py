@@ -16,6 +16,7 @@ Run:  python examples/resume_demo.py
 """
 
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -75,8 +76,15 @@ def run_child_and_kill(journal_path):
 
 
 def main():
-    journal = os.path.join(tempfile.mkdtemp(prefix="resume-demo-"),
-                           "search.jsonl")
+    workdir = tempfile.mkdtemp(prefix="resume-demo-")
+    try:
+        demo(os.path.join(workdir, "search.jsonl"))
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
+def demo(journal):
+    """Kill the search mid-run, resume it from ``journal``, compare."""
     print("journal: %s" % journal)
 
     n_done = run_child_and_kill(journal)

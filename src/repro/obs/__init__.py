@@ -9,19 +9,21 @@ runs*:
   instrumented through the refinement flow, the simulation engine, the
   parallel runner, the fault campaign and the linter; parent/child span
   ids survive the fork-pool.
+* :mod:`repro.obs.events` — the :class:`Recorder` of event dicts, of
+  kinds ``span_start`` / ``span_end``, ``event``, ``metric`` and
+  ``diag`` (one diagnostic of :func:`repro.robust.diagnostics.report`).
 * :mod:`repro.obs.metrics` — per-signal quantization counters
   (overflow/saturate/wrap events, rounding-error accumulation, min/max
-  churn) collected in the assignment hot path behind a
-  compile-time-style enable switch (``Sig._record`` is swapped, never
-  branch-tested), so disabled runs pay nothing.
+  churn); enabling them swaps ``Sig._record`` for an instrumented
+  variant, so disabled runs pay nothing.
 * :mod:`repro.obs.counters` — always-on process-wide tallies of rare
   recovery events (job retries, poison-job quarantines, deadline hits,
-  journal replays) incremented by the crash-tolerant batch layer.
+  journal replays).
 * :mod:`repro.obs.profile` — ``obs.profile()`` attributes wall time to
-  quantize kernels vs interval propagation vs Python overhead.
-* :mod:`repro.obs.export` — human text, JSONL event stream and a
-  static HTML timeline report; ``python -m repro.obs report`` renders
-  captured traces from the command line.
+  the per-assignment quantize kernels vs interval propagation vs Python
+  overhead.
+* :mod:`repro.obs.export` — human text and a static HTML timeline
+  report (``python -m repro.obs report``); loaded on first use.
 
 Quick capture::
 
@@ -29,20 +31,19 @@ Quick capture::
 
     rec = obs.trace.enable()         # tracing on
     obs.metrics.enable()             # per-signal counters on
-    result = flow.run()              # spans + progress events + metrics
+    result = flow.run()              # spans + events + diagnostics + metrics
     obs.metrics.disable()
     obs.trace.disable()
     rec.to_jsonl("refine.jsonl")     # python -m repro.obs report refine.jsonl
 
-Everything here is standard-library only and import-cheap; nothing in
-``repro.obs`` is imported by the hot paths unless observability is
-switched on.
+Everything here is standard-library only; nothing is called per signal
+assignment unless metrics or profiling are on.
 """
 
-from repro.obs import counters, export, metrics, trace
+import importlib
+
+from repro.obs import counters, metrics, trace
 from repro.obs.events import Recorder, read_jsonl, write_jsonl
-from repro.obs.export import (build_spans, render_html, render_text,
-                              summarize)
 from repro.obs.profile import ProfileReport, profile
 from repro.obs.trace import event, span
 
@@ -50,3 +51,14 @@ __all__ = ["trace", "metrics", "counters", "export", "span", "event",
            "profile", "ProfileReport", "Recorder", "read_jsonl",
            "write_jsonl", "build_spans", "render_text", "render_html",
            "summarize"]
+
+_EXPORT_NAMES = ("build_spans", "render_html", "render_text", "summarize")
+
+
+def __getattr__(name):
+    """Load :mod:`repro.obs.export` on first use (PEP 562)."""
+    if name != "export" and name not in _EXPORT_NAMES:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    export = importlib.import_module("repro.obs.export")
+    return export if name == "export" else getattr(export, name)

@@ -67,9 +67,7 @@ never reused.
 
 from __future__ import annotations
 
-import time
-
-__all__ = ["inc", "get", "snapshot", "reset", "emit"]
+__all__ = ["inc", "get", "snapshot", "reset"]
 
 _COUNTS = {}
 
@@ -95,26 +93,3 @@ def reset():
     """Zero every counter (tests / between campaigns)."""
     _COUNTS.clear()
 
-
-def emit(label=None):
-    """Record one ``counter`` trace event per non-zero counter.
-
-    No-op unless tracing is enabled; returns the number of events
-    emitted.  Lets a trace capture carry the recovery tallies alongside
-    the spans that produced them.
-    """
-    from repro.obs import trace
-
-    rec = trace.current_recorder()
-    if rec is None:
-        return 0
-    sid = trace.current_span_id()
-    n = 0
-    for name, value in sorted(_COUNTS.items()):
-        ev = {"ts": time.time(), "kind": "counter", "name": name,
-              "span": sid, "parent": sid, "value": value}
-        if label is not None:
-            ev["label"] = label
-        rec.record(ev)
-        n += 1
-    return n

@@ -1,7 +1,7 @@
 """Event model and recorder of the observability layer.
 
 Everything the tracer, the metric counters and the profiler emit is a
-plain dict — one **event** — collected by a :class:`Recorder`.  Four
+plain dict — one **event** — collected by a :class:`Recorder`.  These
 event kinds exist:
 
 ``span_start`` / ``span_end``
@@ -14,6 +14,10 @@ event kinds exist:
 ``metric``
     A per-signal quantization-metrics snapshot (see
     :mod:`repro.obs.metrics`).
+``diag``
+    One diagnostic (:func:`repro.robust.diagnostics.report`): ``name``
+    is its category, plus ``code``, ``severity``, ``signal``,
+    ``message`` and the event's data keys.
 
 Events are dicts rather than objects so they cross the fork-pool pipe
 (:mod:`repro.parallel.runner`) and the JSONL boundary without any

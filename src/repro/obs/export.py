@@ -10,7 +10,8 @@ captured on a build box renders anywhere.
   into a :class:`SpanView` forest (children nested under parents,
   cross-process links included).
 * :func:`render_text` prints the forest with durations, inline point
-  events and a per-signal quantization-metrics table.
+  and ``diag`` events (a diagnostic shows its ``DG``/``FX`` code) and a
+  per-signal quantization-metrics table.
 * :func:`render_html` emits one self-contained HTML file: summary
   cards, a proportional span timeline (hover for attributes), the
   metrics table and the event log.
@@ -88,7 +89,7 @@ def build_spans(events):
             sv.status = ev.get("status", "ok")
             sv.attrs.update({k: v for k, v in ev.items()
                              if k not in _SPAN_FIELDS})
-        elif kind == "event":
+        elif kind in ("event", "diag"):
             sv = spans.get(sid)
             if sv is not None:
                 sv.events.append(ev)
@@ -154,6 +155,17 @@ def _short(v, n=48):
     return s if len(s) <= n else s[:n - 1] + "…"
 
 
+def _point(ev, drop):
+    """``(name, attributes)`` of an event, without the ``drop`` fields;
+    a diagnostic is named by its code and category."""
+    if ev.get("kind") == "diag":
+        return ("%s %s" % (ev["code"], ev["name"]),
+                {k: v for k, v in ev.items()
+                 if k not in _SPAN_FIELDS and k != "code"})
+    return (str(ev.get("name", "?")),
+            {k: v for k, v in ev.items() if k not in drop})
+
+
 def render_text(events, max_events_per_span=4):
     """Human-readable span tree + metrics table (one big string)."""
     roots, _ = build_spans(events)
@@ -171,10 +183,10 @@ def render_text(events, max_events_per_span=4):
                        % (dur, "  " * depth, sv.name,
                           "  (%s)" % attrs if attrs else "", flag))
             for ev in sv.events[:max_events_per_span]:
-                extra = _fmt_attrs({k: v for k, v in ev.items()
-                                    if k not in _SPAN_FIELDS})
+                name, ev_attrs = _point(ev, _SPAN_FIELDS)
+                extra = _fmt_attrs(ev_attrs)
                 out.append("           %s· %s%s"
-                           % ("  " * depth, ev.get("name", "?"),
+                           % ("  " * depth, name,
                               "  (%s)" % extra if extra else ""))
             hidden = len(sv.events) - max_events_per_span
             if hidden > 0:
@@ -280,16 +292,14 @@ def render_html(events, title="repro observability report"):
 
     log_rows = []
     for ev in events[:400]:
-        if ev.get("kind") not in ("event", "span_end"):
+        if ev.get("kind") not in ("event", "diag", "span_end"):
             continue
-        attrs = {k: v for k, v in ev.items() if k not in _SPAN_FIELDS
-                 and k not in _METRIC_FIELDS}
+        name, attrs = _point(ev, _SPAN_FIELDS + _METRIC_FIELDS)
         log_rows.append(
             "<tr><td>%.4f</td><td>%s</td><td class=mono>%s</td>"
             "<td style='text-align:left'>%s</td></tr>"
             % (ev.get("ts", 0.0) - t0, esc(ev.get("kind", "?")),
-               esc(str(ev.get("name", "?"))),
-               esc(_fmt_attrs(attrs, 10))))
+               esc(name), esc(_fmt_attrs(attrs, 10))))
 
     cards = "".join(
         '<div class="card"><b>%s</b>%s</div>' % (esc(str(v)), esc(k))

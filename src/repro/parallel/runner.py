@@ -52,13 +52,15 @@ Fault tolerance (see :mod:`repro.robust.recovery` and
   ``kill -9`` replays the journaled outcomes bit-exactly and executes
   only the missing jobs.
 
-Recovery events are tallied in :mod:`repro.obs.counters`
+Each recovery occurrence is reported once, on the parent side, through
+:func:`repro.robust.diagnostics.report`: a stable-coded event
+(``DG201`` deadline, ``DG202`` quarantine, ``DG203`` journal replay,
+``DG204`` retry, ...) that lands in every open
+:class:`~repro.robust.diagnostics.Diagnostics` collector and, while
+tracing, as a ``diag`` event under the ``parallel.batch`` span; the
+occurrences that have a :mod:`repro.obs.counters` tally
 (``parallel.retries``, ``parallel.quarantined``,
-``parallel.deadline_hits``, ``journal.replays``, ...), emitted as trace
-events under the ``parallel.batch`` span, and — when a ``diagnostics``
-container is passed — recorded as stable-coded events (``DG201``
-deadline, ``DG202`` quarantine, ``DG203`` journal replay, ``DG204``
-retry).
+``parallel.deadline_hits``, ...) are counted by the same call.
 
 Environment knobs: ``REPRO_WORKERS`` overrides the auto worker count,
 ``REPRO_PARALLEL=0`` forces the serial path.
@@ -583,13 +585,10 @@ def _kill_pool_workers(pool):
 class _BatchExecutor:
     """One batch's pool execution state: harvest, quarantine, retries."""
 
-    def __init__(self, n_workers, policy, on_complete, diagnostics,
-                 batch_span):
+    def __init__(self, n_workers, policy, on_complete):
         self.n_workers = n_workers
         self.policy = policy or PoolPolicy()
         self.on_complete = on_complete
-        self.diagnostics = diagnostics
-        self.batch_span = batch_span
         self.mp_ctx = multiprocessing.get_context("fork")
         #: jobs that must re-run in-process (pipe failures).
         self.serial_jobs = []
@@ -602,43 +601,35 @@ class _BatchExecutor:
 
     # -- reporting ---------------------------------------------------------
 
-    def _diag(self, category, severity, message, **data):
-        if self.diagnostics is not None:
-            self.diagnostics.add(category, severity, None, message, **data)
-
     def _note_retry(self, cfg, attempt, delay):
+        from repro.robust.diagnostics import report
         self.n_retries += 1
         self.recovered = True
-        obs_counters.inc("parallel.retries")
-        self.batch_span.event("parallel.retry", label=cfg.label,
-                              attempt=attempt, delay=delay)
-        self._diag("retry", "info",
-                   "worker running job %r died; retry %d/%d after %.3gs "
-                   "backoff" % (cfg.label, attempt,
-                                self.policy.max_retries, delay),
-                   label=cfg.label, attempt=attempt, delay=delay)
+        report("retry", "info",
+               "worker running job %r died; retry %d/%d after %.3gs "
+               "backoff" % (cfg.label, attempt, self.policy.max_retries,
+                            delay),
+               counter="parallel.retries", label=cfg.label,
+               attempt=attempt, delay=delay)
 
     def _note_pipe_fallback(self, cfg, exc):
+        from repro.robust.diagnostics import report
         self.recovered = True
-        obs_counters.inc("parallel.pickling_fallbacks")
-        self.batch_span.event("parallel.pipe_fallback", label=cfg.label,
-                              exc=str(exc))
-        self._diag("retry", "info",
-                   "job %r could not cross the worker pipe (%s: %s); "
-                   "re-running in-process"
-                   % (cfg.label, type(exc).__name__, exc),
-                   label=cfg.label)
+        report("retry", "info",
+               "job %r could not cross the worker pipe (%s: %s); "
+               "re-running in-process" % (cfg.label, type(exc).__name__,
+                                          exc),
+               counter="parallel.pickling_fallbacks", label=cfg.label)
 
     def _quarantine(self, idx, key, cfg, attempts, reason):
+        from repro.robust.diagnostics import report
         self.n_quarantined += 1
         self.recovered = True
-        obs_counters.inc("parallel.quarantined")
-        self.batch_span.event("parallel.quarantine", label=cfg.label,
-                              attempts=attempts, reason=reason)
-        self._diag("quarantine", "warning",
-                   "job %r quarantined after %d attempt(s): %s"
-                   % (cfg.label, attempts, reason),
-                   label=cfg.label, attempts=attempts, reason=reason)
+        report("quarantine", "warning",
+               "job %r quarantined after %d attempt(s): %s"
+               % (cfg.label, attempts, reason),
+               counter="parallel.quarantined", label=cfg.label,
+               attempts=attempts, reason=reason)
         message = ("worker crashed (%s); job quarantined after %d "
                    "attempt(s)" % (reason, attempts))
         if cfg.catch_errors:
@@ -841,8 +832,7 @@ def _pool_width(workers, n_jobs):
 
 
 def run_simulations(design_factory, configs, workers=None, cache=None,
-                    seeded_factory=None, journal=None, diagnostics=None,
-                    pool_policy=None):
+                    seeded_factory=None, journal=None, pool_policy=None):
     """Run a batch of simulation jobs, in parallel when it pays off.
 
     ``design_factory`` is called (in each worker) to build a fresh
@@ -858,10 +848,10 @@ def run_simulations(design_factory, configs, workers=None, cache=None,
     resumable: completed outcomes are appended *as they arrive* and
     replayed bit-exactly — without re-simulating — on any later call
     that produces the same job fingerprints.  A path is opened for this
-    call and closed before it returns.  ``diagnostics`` (a
-    :class:`repro.robust.diagnostics.Diagnostics`) collects stable-coded
-    recovery events; ``pool_policy`` tunes retry/quarantine behaviour
-    (:class:`PoolPolicy`).
+    call and closed before it returns.  Recovery events are reported to
+    the open :class:`repro.robust.diagnostics.Diagnostics` collectors
+    (``with Diagnostics() as diag:`` around the call); ``pool_policy``
+    tunes retry/quarantine behaviour (:class:`PoolPolicy`).
 
     Returns a list of :class:`SimOutcome` in config order — the same
     values a serial loop would produce, regardless of worker count.
@@ -873,12 +863,13 @@ def run_simulations(design_factory, configs, workers=None, cache=None,
     from repro.robust.recovery import opened
     with opened(journal, cache) as store:
         return _run_batch(design_factory, list(configs), workers, store,
-                          seeded_factory, diagnostics, pool_policy)
+                          seeded_factory, pool_policy)
 
 
 def _run_batch(design_factory, configs, workers, journal, seeded_factory,
-               diagnostics, pool_policy):
+               pool_policy):
     """:func:`run_simulations` against an open store (or None)."""
+    from repro.robust.diagnostics import report
     results = [None] * len(configs)
     pending = []
     replays0 = 0 if journal is None else journal.replays
@@ -908,15 +899,11 @@ def _run_batch(design_factory, configs, workers, journal, seeded_factory,
     with obs_trace.span("parallel.batch", jobs=len(configs),
                         cached=n_cached, replayed=n_replayed) as batch_span:
         if n_replayed:
-            batch_span.event("journal.replay", count=n_replayed,
-                             path=journal.path)
-            if diagnostics is not None:
-                diagnostics.add(
-                    "journal", "info", None,
-                    "replayed %d completed outcome(s) from journal %s; "
-                    "%d job(s) still to run"
-                    % (n_replayed, journal.path, len(pending)),
-                    replayed=n_replayed, pending=len(pending))
+            report("journal", "info",
+                   "replayed %d completed outcome(s) from journal %s; "
+                   "%d job(s) still to run"
+                   % (n_replayed, journal.path, len(pending)),
+                   replayed=n_replayed, pending=len(pending))
         if not pending:
             batch_span.set(mode="replayed" if n_replayed else "cached",
                            executed=0)
@@ -929,32 +916,23 @@ def _run_batch(design_factory, configs, workers, journal, seeded_factory,
             results[idx] = outcome
             executed.append(idx)
             if outcome.error_kind == "deadline":
-                obs_counters.inc("parallel.deadline_hits")
-                batch_span.event("parallel.deadline", label=cfg.label,
-                                 deadline=cfg.deadline_seconds)
-                if diagnostics is not None:
-                    diagnostics.add(
-                        "deadline", "warning", None,
-                        "job %r aborted by its %.3gs deadline: %s"
-                        % (cfg.label, cfg.deadline_seconds or 0.0,
-                           outcome.error),
-                        label=cfg.label, deadline=cfg.deadline_seconds)
+                report("deadline", "warning",
+                       "job %r aborted by its %.3gs deadline: %s"
+                       % (cfg.label, cfg.deadline_seconds or 0.0,
+                          outcome.error),
+                       counter="parallel.deadline_hits", label=cfg.label,
+                       deadline=cfg.deadline_seconds)
             if journal is not None:
                 journal.append(key, outcome)
                 if journal.degraded and not journal._degrade_noted:
                     # One warning for the whole fan-out, not one per job.
                     journal._degrade_noted = True
-                    batch_span.event("journal.degraded",
-                                     path=journal.path,
-                                     error=str(journal.io_error))
-                    if diagnostics is not None:
-                        diagnostics.add(
-                            "journal-degraded", "warning", None,
-                            "journal %s hit an I/O error (%s); continuing "
-                            "in-memory — completed outcomes replay within "
-                            "this process but will not survive it"
-                            % (journal.path, journal.io_error),
-                            path=journal.path, error=str(journal.io_error))
+                    report("journal-degraded", "warning",
+                           "journal %s hit an I/O error (%s); continuing "
+                           "in-memory — completed outcomes replay within "
+                           "this process but will not survive it"
+                           % (journal.path, journal.io_error),
+                           path=journal.path, error=str(journal.io_error))
 
         def run_serial(jobs):
             for idx, key, cfg in jobs:
@@ -966,8 +944,7 @@ def _run_batch(design_factory, configs, workers, journal, seeded_factory,
         max_workers = default_workers() if workers is None else int(workers)
         n_workers = min(max_workers, len(pending))
         if _pool_width(max_workers, len(pending)) >= 2:
-            exe = _BatchExecutor(n_workers, pool_policy, on_complete,
-                                 diagnostics, batch_span)
+            exe = _BatchExecutor(n_workers, pool_policy, on_complete)
             _WORKER_STATE["factory"] = design_factory
             _WORKER_STATE["seeded_factory"] = seeded_factory
             _WORKER_STATE["parent_pid"] = os.getpid()
@@ -1020,21 +997,14 @@ def _run_batch(design_factory, configs, workers, journal, seeded_factory,
             skipped_before = journal.n_compact_skipped
             dropped = journal.maybe_compact()
             if dropped:
-                batch_span.event("journal.compact", dropped=dropped)
-                if diagnostics is not None:
-                    diagnostics.add(
-                        "journal-compact", "info", None,
-                        "journal %s compacted: %d superseded record(s) "
-                        "dropped" % (journal.path, dropped),
-                        dropped=dropped)
+                report("journal-compact", "info",
+                       "journal %s compacted: %d superseded record(s) "
+                       "dropped" % (journal.path, dropped), dropped=dropped)
             elif journal.n_compact_skipped > skipped_before:
-                batch_span.event("journal.compact_contended")
-                if diagnostics is not None:
-                    diagnostics.add(
-                        "journal-compact", "warning", None,
-                        "journal %s compaction skipped: another process "
-                        "holds the compaction lock (their rewrite serves "
-                        "both)" % journal.path, contended=True)
+                report("journal-compact", "warning",
+                       "journal %s compaction skipped: another process "
+                       "holds the compaction lock (their rewrite serves "
+                       "both)" % journal.path, contended=True)
 
         if fatal:
             # The rest of the batch is complete (and journaled); now

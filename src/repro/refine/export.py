@@ -110,9 +110,9 @@ def result_to_dict(result):
     fallbacks = getattr(result, "fallbacks", None)
     if fallbacks:
         out["fallbacks"] = types_to_dict(fallbacks)
-    diagnostics = getattr(result, "diagnostics", None)
-    if diagnostics is not None and len(diagnostics):
-        out["diagnostics"] = diagnostics.to_dict()
+    diag = getattr(result, "diagnostics", None)
+    if diag:
+        out["diagnostics"] = diag.to_dict()
     return out
 
 

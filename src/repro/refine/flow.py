@@ -38,6 +38,8 @@ from repro.refine.lsbrules import LsbPolicy, decide_lsb, detect_divergence
 from repro.refine.msbrules import MsbPolicy, decide_msb
 from repro.refine.report import (format_lsb_table, format_msb_table,
                                  format_types_table)
+from repro.robust.diagnostics import (DiagEvent, Diagnostics,
+                                      absorb_guards, report)
 from repro.signal.interval_tape import IntervalTape
 
 __all__ = ["Design", "Annotations", "FlowConfig", "RefinementFlow",
@@ -272,7 +274,7 @@ class RefinementResult:
                          "%.2f dB)" % (v.output, v.output_sqnr_db,
                                        self.baseline_sqnr_db))
         lines.append("Verification overflows: %d" % v.total_overflows)
-        if self.diagnostics is not None and len(self.diagnostics):
+        if self.diagnostics:
             lines.append(self.diagnostics.summary())
         return "\n".join(lines)
 
@@ -308,8 +310,8 @@ class RefinementFlow:
         iteration may follow, and a job that differs from a recorded one
         only in its ranges is replayed from that tape instead of
         simulated (:class:`_RangeReplay`).  A ``run(journal=)`` journals
-        every job, and its recovery events (journal replay, a degraded
-        journal) join the run's diagnostics.
+        every job; the runner reports its recovery events (journal
+        replay, a degraded journal) to the run's collector.
 
         The jobs whose intervals nothing reads -- the verification job
         and every LSB job that carries ``error()`` annotations -- run
@@ -341,9 +343,7 @@ class RefinementFlow:
                         and self._msb_job(annotations, cfg)):
                     job = replay.with_tape(job)
                 outcome, = run_simulations(
-                    self.factory, [job], workers=1, journal=store,
-                    diagnostics=None if replay is None
-                    else replay.diagnostics)
+                    self.factory, [job], workers=1, journal=store)
                 if replay is not None:
                     replay.remember(job, outcome)
             sp.set(signals=len(outcome.records),
@@ -365,11 +365,6 @@ class RefinementFlow:
                 and annotations.dtypes == {**self.input_types,
                                            **self.preset_types})
 
-    @staticmethod
-    def _absorb_guards(diagnostics, outcome, label):
-        if diagnostics is not None:
-            diagnostics.absorb_guards(outcome, label)
-
     def _fixed_names(self, all_names):
         """Signals whose types are user-given (never refined)."""
         given = set(self.input_types) | set(self.preset_types)
@@ -377,7 +372,7 @@ class RefinementFlow:
 
     # -- MSB phase ------------------------------------------------------------
 
-    def run_msb_phase(self, config=None, diagnostics=None):
+    def run_msb_phase(self, config=None):
         cfg = config if config is not None else self.cfg
         ranges = dict(self.input_ranges)
         iterations = []
@@ -387,7 +382,7 @@ class RefinementFlow:
         with phase_span:
             for it in range(1, cfg.max_msb_iterations + 1):
                 resolved, stop = self._msb_iteration(
-                    it, cfg, ranges, iterations, diagnostics)
+                    it, cfg, ranges, iterations)
                 if resolved or stop:
                     break
             phase_span.set(iterations=len(iterations), resolved=resolved)
@@ -395,7 +390,7 @@ class RefinementFlow:
                        if k not in self.input_ranges}
         return PhaseResult(iterations, accumulated, resolved)
 
-    def _msb_iteration(self, it, cfg, ranges, iterations, diagnostics):
+    def _msb_iteration(self, it, cfg, ranges, iterations):
         """One MSB iteration; returns ``(resolved, stop)``."""
         with obs_trace.span("refine.msb.iteration", index=it) as sp:
             ann = Annotations(
@@ -403,7 +398,7 @@ class RefinementFlow:
                 ranges=ranges)
             label = "msb-iter-%d" % it
             outcome = self._simulate(ann, label, config=cfg)
-            self._absorb_guards(diagnostics, outcome, label)
+            absorb_guards(outcome, label)
             records = outcome.records
             decisions = {name: decide_msb(rec, cfg.msb_policy)
                          for name, rec in records.items()}
@@ -428,23 +423,19 @@ class RefinementFlow:
                             # evidence: inventing one would silently bless
                             # an arbitrary (-1, 1) guess.  Leave it
                             # unresolved and say so.
-                            if diagnostics is not None:
-                                diagnostics.add(
-                                    "auto-range", "warning", name,
-                                    "exploded but never observed in "
-                                    "simulation; refusing to invent a "
-                                    "range — annotate it (user_ranges) "
-                                    "or rely on graceful fallback",
-                                    iteration=it)
+                            report("auto-range", "warning",
+                                   "exploded but never observed in "
+                                   "simulation; refusing to invent a "
+                                   "range — annotate it (user_ranges) or "
+                                   "rely on graceful fallback",
+                                   signal=name, iteration=it)
                             continue
                         if rec.observed and rec.stat_min == rec.stat_max:
-                            if diagnostics is not None:
-                                diagnostics.add(
-                                    "auto-range", "warning", name,
-                                    "auto range %r derived from a "
-                                    "constant simulated value %.4g — "
-                                    "LOW CONFIDENCE"
-                                    % (auto, rec.stat_min), iteration=it)
+                            report("auto-range", "warning",
+                                   "auto range %r derived from a constant "
+                                   "simulated value %.4g — LOW CONFIDENCE"
+                                   % (auto, rec.stat_min), signal=name,
+                                   iteration=it)
                         added[name] = auto
             iterations.append(MsbIteration(it, records, decisions,
                                            exploded, dict(added)))
@@ -464,7 +455,7 @@ class RefinementFlow:
 
     # -- LSB phase --------------------------------------------------------------
 
-    def run_lsb_phase(self, msb_ranges=None, config=None, diagnostics=None):
+    def run_lsb_phase(self, msb_ranges=None, config=None):
         cfg = config if config is not None else self.cfg
         ranges = dict(self.input_ranges)
         ranges.update(msb_ranges or {})
@@ -476,14 +467,13 @@ class RefinementFlow:
         with phase_span:
             for it in range(1, cfg.max_lsb_iterations + 1):
                 resolved, stop = self._lsb_iteration(
-                    it, cfg, ranges, errors, iterations, diagnostics)
+                    it, cfg, ranges, errors, iterations)
                 if resolved or stop:
                     break
             phase_span.set(iterations=len(iterations), resolved=resolved)
         return PhaseResult(iterations, errors, resolved)
 
-    def _lsb_iteration(self, it, cfg, ranges, errors, iterations,
-                       diagnostics):
+    def _lsb_iteration(self, it, cfg, ranges, errors, iterations):
         """One LSB iteration; returns ``(resolved, stop)``."""
         with obs_trace.span("refine.lsb.iteration", index=it) as sp:
             ann = Annotations(
@@ -491,7 +481,7 @@ class RefinementFlow:
                 ranges=ranges, errors=errors)
             label = "lsb-iter-%d" % it
             outcome = self._simulate(ann, label, config=cfg)
-            self._absorb_guards(diagnostics, outcome, label)
+            absorb_guards(outcome, label)
             records, snap = outcome.records, outcome.error_snapshot
             # Inputs cannot diverge (their error IS the input
             # quantization), but preset-typed signals can — e.g. a
@@ -597,14 +587,14 @@ class RefinementFlow:
 
     # -- verification ------------------------------------------------------------
 
-    def verify(self, types, lsb_phase=None, diagnostics=None):
+    def verify(self, types, lsb_phase=None):
         errors = dict(lsb_phase.annotations) if lsb_phase is not None else {}
         ann = Annotations(
             dtypes={**types, **self.input_types, **self.preset_types},
             errors=errors)
         with obs_trace.span("refine.verify", types=len(types)) as sp:
             outcome = self._simulate(ann, "verify")
-            self._absorb_guards(diagnostics, outcome, "verify")
+            absorb_guards(outcome, "verify")
             records, output = outcome.records, outcome.output
             sqnr = records[output].sqnr_db() if output else float("nan")
             overflow_signals = {}
@@ -626,7 +616,7 @@ class RefinementFlow:
 
     # -- baseline -----------------------------------------------------------------
 
-    def baseline_sqnr(self, diagnostics=None):
+    def baseline_sqnr(self):
         """Output SQNR with only the given types applied (pre-refinement).
 
         Runs an inputs-only simulation: input and preset types and the
@@ -646,13 +636,11 @@ class RefinementFlow:
             ranges=self.input_ranges, errors=errors)
         with obs_trace.span("refine.baseline") as sp:
             outcome = self._simulate(ann, "baseline")
-            self._absorb_guards(diagnostics, outcome, "baseline")
+            absorb_guards(outcome, "baseline")
             records, output = outcome.records, outcome.output
             if not output or output not in records:
-                if diagnostics is not None:
-                    diagnostics.add("baseline", "info", None,
-                                    "design declares no output signal; "
-                                    "baseline SQNR unavailable")
+                report("baseline", "info", "design declares no output "
+                       "signal; baseline SQNR unavailable")
                 return float("nan")
             sqnr = records[output].sqnr_db()
             sp.set(sqnr_db=sqnr)
@@ -688,18 +676,16 @@ class RefinementFlow:
                         design_name=getattr(design, "name", "design"),
                         config=config)
 
-    def _lint_into(self, diagnostics):
+    def _report_lint(self):
         """Run :meth:`lint` defensively; findings become diagnostics."""
         try:
-            report = self.lint()
+            findings = self.lint()
         except Exception as exc:  # lint must never break the flow
-            diagnostics.add("lint", "warning", None,
-                            "static lint pass failed: %s" % exc)
-            return None
-        for f in report:
-            diagnostics.add("lint", f.severity, f.signal, f.describe(),
-                            rule=f.rule_id)
-        return report
+            report("lint", "warning", "static lint pass failed: %s" % exc)
+            return
+        for f in findings:
+            report("lint", f.severity, f.describe(), signal=f.signal,
+                   rule=f.rule_id)
 
     def verify_static(self, k=None, backend=None, budget=None,
                       properties=("no-overflow", "no-limit-cycle")):
@@ -744,23 +730,21 @@ class RefinementFlow:
                 dtypes=dtypes))
         return VerifyReport(verdicts, design_name=traced.name)
 
-    def _verify_into(self, diagnostics):
+    def _report_verify(self):
         """Run :meth:`verify_static` defensively; verdicts become
         DG210-DG212 diagnostics (via their category — never ``rule``,
         so the DG codes win in :class:`DiagEvent.code`)."""
         try:
-            report = self.verify_static()
+            verdicts = self.verify_static()
         except Exception as exc:  # proofs must never break the flow
-            diagnostics.add("verify-unknown", "warning", None,
-                            "static verify pass failed: %s" % exc)
-            return None
-        for v in report:
+            report("verify-unknown", "warning",
+                   "static verify pass failed: %s" % exc)
+            return
+        for v in verdicts:
             cex = v.counterexample
-            diagnostics.add(
-                v.category, v.severity, None if cex is None else cex.signal,
-                v.describe(), property=v.property, k=v.k,
-                backend=v.backend)
-        return report
+            report(v.category, v.severity, v.describe(),
+                   signal=None if cex is None else cex.signal,
+                   property=v.property, k=v.k, backend=v.backend)
 
     # -- one-shot -----------------------------------------------------------------
 
@@ -774,7 +758,9 @@ class RefinementFlow:
         (:mod:`repro.robust.retry`), signals that still resolve to
         nothing receive conservative saturating fallback types, and the
         returned result carries a populated
-        :class:`~repro.robust.diagnostics.Diagnostics`.
+        :class:`~repro.robust.diagnostics.Diagnostics`: the collector the
+        run opens around its body, so it holds every diagnostic reported
+        during the run.
 
         Every simulation of the run goes through one outcome store, so a
         stage that repeats an earlier stage's job (the first LSB
@@ -793,39 +779,37 @@ class RefinementFlow:
         nothing.  The run reports its journal replays as one DG203
         event with their total.
         """
-        from repro.robust.diagnostics import Diagnostics
         from repro.robust.recovery import Journal, opened
-        diag = Diagnostics()
         run_span = obs_trace.span(
             "refine.run", strict=strict,
             design=getattr(self.factory, "__name__", str(self.factory)))
-        with opened(journal) as store, run_span:
+        with opened(journal) as store, run_span, Diagnostics() as diag:
             self._replay = _RangeReplay(
-                self.factory, Journal() if store is None else store, diag)
+                self.factory, Journal() if store is None else store)
             try:
                 if self.cfg.lint_design:
-                    self._lint_into(diag)
+                    self._report_lint()
                 if self.cfg.verify_design:
-                    self._verify_into(diag)
+                    self._report_verify()
                 self._replay.explosion_predicted = _explosion_predicted(
                     self.cfg, diag)
-                baseline = self.baseline_sqnr(diagnostics=diag)
+                baseline = self.baseline_sqnr()
                 if strict:
-                    msb = self.run_msb_phase(diagnostics=diag)
-                    lsb = self.run_lsb_phase(msb.annotations, diagnostics=diag)
+                    msb = self.run_msb_phase()
+                    lsb = self.run_lsb_phase(msb.annotations)
                     types = self.synthesize_types(msb, lsb)
                     fallbacks = {}
                 else:
                     from repro.robust.retry import run_graceful
 
                     msb, lsb, types, fallbacks = run_graceful(
-                        self, diag, self.cfg.escalation)
-                verification = self.verify(types, lsb, diagnostics=diag)
+                        self, self.cfg.escalation)
+                verification = self.verify(types, lsb)
                 if verification.total_overflows:
-                    diag.add("verification", "warning", None,
-                             "%d overflow(s) on non-wrap types during "
-                             "verification" % verification.total_overflows,
-                             overflows=verification.total_overflows)
+                    report("verification", "warning",
+                           "%d overflow(s) on non-wrap types during "
+                           "verification" % verification.total_overflows,
+                           overflows=verification.total_overflows)
                 _one_journal_event(diag, self._replay.store)
                 run_span.set(types=len(types), fallbacks=len(fallbacks),
                              sqnr_db=verification.output_sqnr_db,
@@ -850,11 +834,10 @@ class _RangeReplay:
     ``range-replay`` diagnostic (DG219) says why.
     """
 
-    def __init__(self, factory, store, diagnostics):
+    def __init__(self, factory, store):
         self.factory = factory
         #: the run's outcome store (a :class:`Journal`, maybe path-less).
         self.store = store
-        self.diagnostics = diagnostics
         #: False once the lint pre-flight ran and found no range
         #: explosion (FX001): no auto-range annotation, hence no second
         #: MSB iteration, will follow the first.
@@ -901,11 +884,9 @@ class _RangeReplay:
                 reason = "the interval replay raised %s: %s" % (
                     type(exc).__name__, exc)
         if reason is not None:
-            self.diagnostics.add(
-                "range-replay", "info", None,
-                "%s simulated in full, not replayed: %s" % (job.label,
-                                                            reason),
-                label=job.label, reason=reason)
+            report("range-replay", "info",
+                   "%s simulated in full, not replayed: %s"
+                   % (job.label, reason), label=job.label, reason=reason)
             return None
         self.store.append(key, outcome)
         span.set(replayed=True, replay_ticks=tape.executed_ticks,
@@ -917,10 +898,10 @@ def _one_journal_event(diag, journal):
     """Fold a run's journal-replay events (DG203) into one, in place.
 
     Every flow simulation is its own one-job batch, so the runner
-    reports each journal-served job on its own; the run reports them
-    once, where the first was, with the total replayed count.
+    reports each journal-served job on its own; the run's collector
+    holds them once, where the first was, with the total replayed count
+    (the trace and any enclosing collector keep the per-job events).
     """
-    from repro.robust.diagnostics import DiagEvent
     events = diag.by_category("journal")
     if not events:
         return
@@ -933,7 +914,7 @@ def _one_journal_event(diag, journal):
                    if e.category != "journal" or e is events[0]]
 
 
-def _explosion_predicted(cfg, diagnostics):
+def _explosion_predicted(cfg, diag):
     """Whether the lint pre-flight leaves a range explosion possible.
 
     False only when it ran (``lint_design``), did not fail, and reported
@@ -941,7 +922,7 @@ def _explosion_predicted(cfg, diagnostics):
     """
     if not cfg.lint_design:
         return True
-    findings = diagnostics.by_category("lint")
+    findings = diag.by_category("lint")
     if any("rule" not in e.data for e in findings):   # the pass failed
         return True
     return any(e.data["rule"] == "FX001" for e in findings)

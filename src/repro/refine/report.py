@@ -99,7 +99,7 @@ def format_lsb_table(records, decisions, title="LSB analysis"):
     return format_table(headers, rows, title=title)
 
 
-def format_diagnostics_table(diagnostics, title="Diagnostics"):
+def format_diagnostics_table(events, title="Diagnostics"):
     """Event table of a run's :class:`~repro.robust.diagnostics.Diagnostics`.
 
     Accepts anything iterable over objects with ``severity``, ``category``,
@@ -108,7 +108,7 @@ def format_diagnostics_table(diagnostics, title="Diagnostics"):
     headers = ["severity", "category", "signal", "message"]
     rows = [[e.severity, e.category,
              "-" if e.signal is None else e.signal, e.message]
-            for e in diagnostics]
+            for e in events]
     return format_table(headers, rows, title=title)
 
 

@@ -62,7 +62,7 @@ from repro.parallel.runner import PoolPolicy, SimConfig, run_simulations
 from repro.refine.flow import Design, FlowConfig, RefinementFlow
 from repro.refine.optimizer import optimize_wordlengths
 from repro.refine.sensitivity import analyze_sensitivity
-from repro.robust.diagnostics import Diagnostics
+from repro.robust.diagnostics import Diagnostics, report
 from repro.robust.faults import BitFlip, FaultCampaign, SeedPerturb, \
     WorkerCrash, WorkerHang
 from repro.robust.invariants import (InvariantCheck, batch_digest,
@@ -291,10 +291,10 @@ _JOURNAL_NAME = "journal.jsonl"
 #
 # Each adapter runs one public fan-out entry against a working directory
 # (owning that directory's journal file) and reduces the caller-observable
-# result to a canonical digest.  ``diag`` collects
-# stable-coded recovery events where the entry accepts a container.
+# result to a canonical digest.  Recovery events reach the collector the
+# scenario opens around the call.
 
-def _entry_run_simulations(workdir, workers, diag):
+def _entry_run_simulations(workdir, workers):
     """Two passes over one batch through one journal.
 
     The second pass is served from the journal the first one filled, so
@@ -308,17 +308,15 @@ def _entry_run_simulations(workdir, workers, diag):
                              n_samples=96, seed=100 + i)
                    for i in range(6)]
         first = run_simulations(probe_factory, configs, workers=workers,
-                                journal=journal, diagnostics=diag,
-                                pool_policy=FAST_POLICY)
+                                journal=journal, pool_policy=FAST_POLICY)
         second = run_simulations(probe_factory, configs, workers=workers,
-                                 journal=journal, diagnostics=diag,
-                                 pool_policy=FAST_POLICY)
+                                 journal=journal, pool_policy=FAST_POLICY)
     finally:
         journal.close()
     return digest([batch_digest(first), batch_digest(second)])
 
 
-def _entry_optimize(workdir, workers, diag):
+def _entry_optimize(workdir, workers):
     journal = Journal(os.path.join(workdir, _JOURNAL_NAME))
     try:
         result = optimize_wordlengths(
@@ -330,19 +328,19 @@ def _entry_optimize(workdir, workers, diag):
     return digest(result)
 
 
-def _entry_sensitivity(workdir, workers, diag):
+def _entry_sensitivity(workdir, workers):
     journal = Journal(os.path.join(workdir, _JOURNAL_NAME))
     try:
-        report = analyze_sensitivity(
+        sens = analyze_sensitivity(
             probe_factory, {"p": T_P, "acc": T_ACC, "y": T_ACC},
             {"x": T_IN}, n_samples=64, seed=11, workers=workers,
             journal=journal)
     finally:
         journal.close()
-    return digest(report)
+    return digest(sens)
 
 
-def _entry_campaign(workdir, workers, diag):
+def _entry_campaign(workdir, workers):
     journal = Journal(os.path.join(workdir, _JOURNAL_NAME))
     try:
         campaign = FaultCampaign(probe_factory, PROBE_TYPES, n_samples=96,
@@ -352,21 +350,19 @@ def _entry_campaign(workdir, workers, diag):
         result = campaign.run([BitFlip("y", bit=2, at=10),
                                SeedPerturb(4242)],
                               workers=workers, journal=journal,
-                              diagnostics=diag, pool_policy=FAST_POLICY)
+                              pool_policy=FAST_POLICY)
     finally:
         journal.close()
     return digest(result)
 
 
-def _entry_flow(workdir, workers, diag):
+def _entry_flow(workdir, workers):
     flow = RefinementFlow(probe_factory, input_types={"x": T_IN},
                           input_ranges={"x": (-1.0, 1.0)},
                           config=FlowConfig(n_samples=256, seed=9,
                                             lint_design=False))
     result = flow.run(strict=True,
                       journal=os.path.join(workdir, _JOURNAL_NAME))
-    for ev in result.diagnostics.events:
-        diag.events.append(ev)
     return digest(result.types)
 
 
@@ -487,7 +483,7 @@ def _reference(entry, workers):
     if ref is not None:
         return ref
     with tempfile.TemporaryDirectory(prefix="chaos-ref-") as workdir:
-        dg = ENTRIES[entry](workdir, workers, Diagnostics())
+        dg = ENTRIES[entry](workdir, workers)
         jpath = os.path.join(workdir, _JOURNAL_NAME)
         journal = journal_digests(jpath) if os.path.exists(jpath) else {}
     ref = {"digest": dg, "journal": journal}
@@ -518,7 +514,7 @@ def run_scenario(scenario, keep_dir=None):
     obs_counters.inc("chaos.scenarios_run")
     ref = _reference(scenario.entry, scenario.workers)
     adapter = ENTRIES[scenario.entry]
-    report = ScenarioReport(scenario)
+    scn_report = ScenarioReport(scenario)
 
     tmp = None
     if keep_dir is None:
@@ -531,39 +527,38 @@ def run_scenario(scenario, keep_dir=None):
     try:
         injector = ChaosInjector(scenario.site, scenario.trigger,
                                  scenario.seed)
-        diag1 = Diagnostics()
         phase1_exc = None
         t0 = time.monotonic()
-        with chaoshooks.armed(injector):
+        with Diagnostics() as diag1, chaoshooks.armed(injector):
             try:
-                adapter(workdir, scenario.workers, diag1)
-                report.phase1 = "completed"
+                adapter(workdir, scenario.workers)
+                scn_report.phase1 = "completed"
             except ChaosCrash as exc:
-                report.phase1 = "died: %s" % exc
+                scn_report.phase1 = "died: %s" % exc
             except (ReproError, OSError) as exc:
                 phase1_exc = exc
-                report.phase1 = "raised %s: %s" % (type(exc).__name__,
-                                                   exc)
-        for ev in injector.events:
-            diag1.add("chaos", "info", None,
-                      "injected %s at %s occurrence %d"
-                      % (ev["site"], ev["stream"], ev["occurrence"]),
-                      **{k: v for k, v in ev.items()
-                         if k not in ("site", "stream", "occurrence")})
-        report.injections = list(injector.events)
+                scn_report.phase1 = "raised %s: %s" % (type(exc).__name__,
+                                                       exc)
+            for ev in injector.events:
+                report("chaos", "info",
+                       "injected %s at %s occurrence %d"
+                       % (ev["site"], ev["stream"], ev["occurrence"]),
+                       **{k: v for k, v in ev.items()
+                          if k not in ("site", "stream", "occurrence")})
+        scn_report.injections = list(injector.events)
 
         # What a restarted process would find on disk after the fault.
         surviving = journal_digests(jpath) if os.path.exists(jpath) else {}
 
         # Phase 2: the restarted process — same directory, no faults.
-        final_digest = adapter(workdir, scenario.workers, Diagnostics())
+        final_digest = adapter(workdir, scenario.workers)
         elapsed = time.monotonic() - t0
         post = journal_digests(jpath) if os.path.exists(jpath) else {}
 
         victim = injector.victim if scenario.site in _BLAMING_SITES \
             else None
-        report.elapsed = elapsed
-        report.checks = [
+        scn_report.elapsed = elapsed
+        scn_report.checks = [
             InvariantCheck("injected", bool(injector.events),
                            "" if injector.events else
                            "fault never fired — trigger %d beyond the "
@@ -578,10 +573,10 @@ def run_scenario(scenario, keep_dir=None):
     finally:
         if tmp is not None:
             tmp.cleanup()
-    for chk in report.checks:
+    for chk in scn_report.checks:
         if not chk.ok:
             obs_counters.inc("chaos.invariant_failures")
-    return report
+    return scn_report
 
 
 # -- the matrix --------------------------------------------------------------

@@ -1,21 +1,33 @@
-"""Structured diagnostics attached to a refinement run.
+"""Structured diagnostics: one event per occurrence.
 
-Instead of burying what happened in log text, every noteworthy event of
-a guarded refinement — guard trips, low-confidence automatic range
-annotations, escalation retries, fallback type synthesis, watchdog or
-verification anomalies — becomes a :class:`DiagEvent` inside one
-:class:`Diagnostics` container, which ``RefinementFlow.run`` attaches to
-the :class:`RefinementResult`.  The container also carries the outcome
-of a fault-injection campaign when one was run against the result.
+Every noteworthy event — guard trips, low-confidence automatic range
+annotations, escalation retries, fallback types, watchdog or
+verification anomalies, the runner's recovery events — is emitted once,
+by :func:`report`, as a :class:`DiagEvent`: to every open
+:class:`Diagnostics` collector (``with Diagnostics() as diag:``; the
+open ones form a module-level stack, like the span stack of
+:mod:`repro.obs.trace`), as one ``diag`` trace event, and to its counter.
+``RefinementFlow.run`` opens a collector around its body and attaches
+it to the :class:`RefinementResult`.  Diagnostics are emitted on the
+parent side only: a fork-pool worker emits none.
+
+>>> with Diagnostics() as outer:
+...     with Diagnostics() as inner:
+...         _ = report("baseline", "info", "no output signal")
+>>> [e.code for e in outer], [e.code for e in inner]
+(['DG104'], ['DG104'])
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
-from repro.refine.report import format_diagnostics_table
+from repro.obs import counters as obs_counters
+from repro.obs import trace as obs_trace
 
-__all__ = ["DiagEvent", "Diagnostics", "SEVERITIES", "CATEGORY_CODES"]
+__all__ = ["DiagEvent", "Diagnostics", "SEVERITIES", "CATEGORY_CODES",
+           "report", "absorb_guards"]
 
 SEVERITIES = ("info", "warning", "error")
 
@@ -88,48 +100,82 @@ class DiagEvent:
                                      self.category, where, self.message)
 
 
+#: The open collectors, outermost first (see :class:`Diagnostics`).
+_OPEN = []
+
+
+def report(category, severity, message, signal=None, counter=None, **data):
+    """Emit one diagnostic; returns its :class:`DiagEvent`.
+
+    The event goes to every open collector and, while tracing is on, to
+    the trace as one ``{"kind": "diag", "name": category, "code", ...}``
+    event under the current span; ``counter`` names a
+    :mod:`repro.obs.counters` counter to add 1 to.
+    """
+    if severity not in SEVERITIES:
+        raise ValueError("severity must be one of %s, got %r"
+                         % (", ".join(SEVERITIES), severity))
+    ev = DiagEvent(category, severity, signal, message, data)
+    for diag in _OPEN:
+        diag.events.append(ev)
+    rec = obs_trace.current_recorder()
+    if rec is not None:
+        sid = obs_trace.current_span_id()
+        rec.record(dict(ts=time.time(), kind="diag", name=category,
+                        span=sid, parent=sid, code=ev.code,
+                        severity=severity, signal=signal, message=message,
+                        **data))
+    if counter is not None:
+        obs_counters.inc(counter)
+    return ev
+
+
+def absorb_guards(outcome, phase):
+    """Report a simulation outcome's guard log as per-signal guard
+    events (``outcome`` is a :class:`~repro.parallel.SimOutcome`).
+
+    The events are labelled with ``phase``, not with the outcome's own
+    label, so an outcome served from the cache reports under the stage
+    that asked for it.
+    """
+    if outcome.guard_trips == 0:
+        return
+    per_signal = {}
+    for ev in outcome.guard_events:
+        per_signal.setdefault(ev.signal, []).append(ev)
+    for name, evs in per_signal.items():
+        first = evs[0]
+        report("guard", "warning",
+               "%d non-finite assignment(s) sanitized during %s "
+               "(first at cycle %d: fx=%r)"
+               % (len(evs), phase, first.cycle, first.fx),
+               signal=name, phase=phase, count=len(evs),
+               first_cycle=first.cycle)
+    untracked = outcome.guard_trips - len(outcome.guard_events)
+    if untracked > 0:
+        report("guard", "warning",
+               "%d further guard trip(s) during %s beyond the event cap"
+               % (untracked, phase), phase=phase)
+
+
 class Diagnostics:
-    """Ordered collection of :class:`DiagEvent` plus campaign results."""
+    """Ordered collection of :class:`DiagEvent` plus campaign results.
+
+    Used as a context manager it is a collector: every :func:`report`
+    made while its block is open appends to it.
+    """
 
     def __init__(self):
         self.events = []
         self.fault_campaign = None   # CampaignResult, when one was run
 
-    # -- recording ---------------------------------------------------------
+    def __enter__(self):
+        _OPEN.append(self)
+        return self
 
-    def add(self, category, severity, signal, message, **data):
-        if severity not in SEVERITIES:
-            raise ValueError("severity must be one of %s, got %r"
-                             % (", ".join(SEVERITIES), severity))
-        ev = DiagEvent(category, severity, signal, message, data)
-        self.events.append(ev)
-        return ev
-
-    def absorb_guards(self, outcome, phase):
-        """Fold a simulation outcome's guard log into per-signal guard
-        events (``outcome`` is a :class:`~repro.parallel.SimOutcome`).
-
-        The events are labelled with ``phase``, not with the outcome's
-        own label, so an outcome served from the cache reports under the
-        stage that asked for it.
-        """
-        if outcome.guard_trips == 0:
-            return
-        per_signal = {}
-        for ev in outcome.guard_events:
-            per_signal.setdefault(ev.signal, []).append(ev)
-        for name, evs in per_signal.items():
-            first = evs[0]
-            self.add("guard", "warning", name,
-                     "%d non-finite assignment(s) sanitized during %s "
-                     "(first at cycle %d: fx=%r)"
-                     % (len(evs), phase, first.cycle, first.fx),
-                     phase=phase, count=len(evs), first_cycle=first.cycle)
-        untracked = outcome.guard_trips - len(outcome.guard_events)
-        if untracked > 0:
-            self.add("guard", "warning", None,
-                     "%d further guard trip(s) during %s beyond the "
-                     "event cap" % (untracked, phase), phase=phase)
+    def __exit__(self, exc_type, exc, tb):
+        _OPEN.remove(self)
+        return False
 
     # -- queries ------------------------------------------------------------
 
@@ -167,6 +213,7 @@ class Diagnostics:
     # -- reporting ----------------------------------------------------------
 
     def table(self, title="Diagnostics"):
+        from repro.refine.report import format_diagnostics_table
         return format_diagnostics_table(self.events, title=title)
 
     def summary(self):

@@ -526,7 +526,7 @@ class FaultCampaign:
                          deadline_seconds=self.deadline_seconds)
 
     def run(self, faults, workers=None, cache=None, journal=None,
-            diagnostics=None, pool_policy=None):
+            pool_policy=None):
         """Execute the campaign; returns a :class:`CampaignResult`.
 
         The baseline and the per-fault runs are independent and go out
@@ -540,10 +540,11 @@ class FaultCampaign:
         ``cache`` is an older name for it) is the campaign's outcome
         store: a file-backed one makes the campaign resumable, as
         per-fault outcomes are journaled as they complete and a re-run
-        after a crash replays them bit-exactly.  ``diagnostics`` collects the runner's recovery
-        events (deadline hits, quarantines, retries, replays) with
-        their stable ``DG2xx`` codes; ``pool_policy`` tunes
-        retry/quarantine behaviour.
+        after a crash replays them bit-exactly.  The runner reports its
+        recovery events (deadline hits, quarantines, retries, replays)
+        with their stable ``DG2xx`` codes to the open
+        :class:`~repro.robust.diagnostics.Diagnostics` collectors;
+        ``pool_policy`` tunes retry/quarantine behaviour.
         """
         faults = list(faults)
         with obs_trace.span("campaign.run", faults=len(faults),
@@ -557,7 +558,7 @@ class FaultCampaign:
             sim_outcomes = run_simulations(
                 self.factory, configs, workers=workers, cache=cache,
                 seeded_factory=self.seeded_factory, journal=journal,
-                diagnostics=diagnostics, pool_policy=pool_policy)
+                pool_policy=pool_policy)
 
             base = sim_outcomes[0]
             output = self.output or base.output

@@ -14,8 +14,9 @@ ladder:
    (plus guard bits), flagged low-confidence in the diagnostics.
 
 ``RefinementFlow.run(strict=False)`` drives :func:`run_graceful`; every
-rung taken is recorded as an ``escalation`` / ``fallback`` event in the
-run's :class:`~repro.robust.diagnostics.Diagnostics`.
+rung taken is reported as an ``escalation`` / ``fallback`` event
+(:func:`repro.robust.diagnostics.report`), so it lands in the run's
+:class:`~repro.robust.diagnostics.Diagnostics`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass, replace
 from repro.core import word
 from repro.core.dtype import DType
 from repro.core.errors import WatchdogTimeout
+from repro.robust.diagnostics import report
 
 __all__ = ["BackoffPolicy", "EscalationPolicy", "escalate_msb",
            "escalate_lsb", "conservative_fallback", "run_graceful"]
@@ -105,7 +107,7 @@ def _retry_config(cfg, policy, attempt):
     )
 
 
-def _run_phase_guarded(run, cfg, diagnostics, policy, phase_name):
+def _run_phase_guarded(run, cfg, policy, phase_name):
     """Run one phase, degrading the sample budget on watchdog timeouts.
 
     In the graceful flow a :class:`WatchdogTimeout` is a recoverable
@@ -120,86 +122,75 @@ def _run_phase_guarded(run, cfg, diagnostics, policy, phase_name):
             return run(cfg)
         except WatchdogTimeout as exc:
             if shrink >= policy.max_rounds:
-                diagnostics.add(
-                    "watchdog", "error", None,
-                    "%s phase still exceeds the watchdog budget after "
-                    "%d sample halving(s) (%s) — giving up"
-                    % (phase_name, shrink, exc),
-                    phase=phase_name, halvings=shrink)
+                report("watchdog", "error",
+                       "%s phase still exceeds the watchdog budget after "
+                       "%d sample halving(s) (%s) — giving up"
+                       % (phase_name, shrink, exc),
+                       phase=phase_name, halvings=shrink)
                 raise
             cfg = replace(cfg, n_samples=max(1, cfg.n_samples // 2))
-            diagnostics.add(
-                "watchdog", "warning", None,
-                "%s phase hit the watchdog budget (%s); retrying with "
-                "%d samples" % (phase_name, exc, cfg.n_samples),
-                phase=phase_name, n_samples=cfg.n_samples)
+            report("watchdog", "warning",
+                   "%s phase hit the watchdog budget (%s); retrying with "
+                   "%d samples" % (phase_name, exc, cfg.n_samples),
+                   phase=phase_name, n_samples=cfg.n_samples)
     raise AssertionError("unreachable")
 
 
-def escalate_msb(flow, diagnostics, policy=None):
+def escalate_msb(flow, policy=None):
     """MSB phase with the retry/escalation ladder applied."""
     policy = policy or EscalationPolicy()
-    phase = _run_phase_guarded(
-        lambda c: flow.run_msb_phase(config=c, diagnostics=diagnostics),
-        flow.cfg, diagnostics, policy, "msb")
+    phase = _run_phase_guarded(lambda c: flow.run_msb_phase(config=c),
+                               flow.cfg, policy, "msb")
     attempt = 0
     while not phase.resolved and attempt < policy.max_rounds:
         attempt += 1
         cfg = _retry_config(flow.cfg, policy, attempt)
-        diagnostics.add(
-            "escalation", "info", None,
-            "MSB phase unresolved after %d iteration(s); retry %d with "
-            "seed %d, auto_range=%s, margin %.3g"
-            % (phase.n_iterations, attempt, cfg.seed, cfg.auto_range,
-               cfg.auto_range_margin),
-            phase="msb", attempt=attempt, seed=cfg.seed)
-        phase = _run_phase_guarded(
-            lambda c: flow.run_msb_phase(config=c,
-                                         diagnostics=diagnostics),
-            cfg, diagnostics, policy, "msb")
+        report("escalation", "info",
+               "MSB phase unresolved after %d iteration(s); retry %d with "
+               "seed %d, auto_range=%s, margin %.3g"
+               % (phase.n_iterations, attempt, cfg.seed, cfg.auto_range,
+                  cfg.auto_range_margin),
+               phase="msb", attempt=attempt, seed=cfg.seed)
+        phase = _run_phase_guarded(lambda c: flow.run_msb_phase(config=c),
+                                   cfg, policy, "msb")
     if not phase.resolved:
         exploded = phase.final.exploded
-        diagnostics.add(
-            "escalation", "warning", None,
-            "MSB phase still unresolved after %d escalation round(s); "
-            "unresolved signals: %s — falling back to conservative "
-            "saturating types" % (attempt, ", ".join(exploded) or "none"),
-            phase="msb", unresolved=", ".join(exploded))
+        report("escalation", "warning",
+               "MSB phase still unresolved after %d escalation round(s); "
+               "unresolved signals: %s — falling back to conservative "
+               "saturating types" % (attempt, ", ".join(exploded) or "none"),
+               phase="msb", unresolved=", ".join(exploded))
     return phase
 
 
-def escalate_lsb(flow, msb_ranges, diagnostics, policy=None):
+def escalate_lsb(flow, msb_ranges, policy=None):
     """LSB phase with the retry/escalation ladder applied."""
     policy = policy or EscalationPolicy()
     phase = _run_phase_guarded(
-        lambda c: flow.run_lsb_phase(msb_ranges, config=c,
-                                     diagnostics=diagnostics),
-        flow.cfg, diagnostics, policy, "lsb")
+        lambda c: flow.run_lsb_phase(msb_ranges, config=c),
+        flow.cfg, policy, "lsb")
     attempt = 0
     while not phase.resolved and attempt < policy.max_rounds:
         attempt += 1
         cfg = _retry_config(flow.cfg, policy, attempt)
-        diagnostics.add(
-            "escalation", "info", None,
-            "LSB phase unresolved; retry %d with seed %d, auto_error=%s"
-            % (attempt, cfg.seed, cfg.auto_error),
-            phase="lsb", attempt=attempt, seed=cfg.seed)
+        report("escalation", "info",
+               "LSB phase unresolved; retry %d with seed %d, auto_error=%s"
+               % (attempt, cfg.seed, cfg.auto_error),
+               phase="lsb", attempt=attempt, seed=cfg.seed)
         phase = _run_phase_guarded(
-            lambda c: flow.run_lsb_phase(msb_ranges, config=c,
-                                         diagnostics=diagnostics),
-            cfg, diagnostics, policy, "lsb")
+            lambda c: flow.run_lsb_phase(msb_ranges, config=c),
+            cfg, policy, "lsb")
     if not phase.resolved:
         divergent = sorted(phase.final.divergent)
-        diagnostics.add(
-            "escalation", "warning", None,
-            "LSB phase still unresolved after %d escalation round(s); "
-            "divergent signals %s keep the maximum fractional bits"
-            % (attempt, ", ".join(divergent) or "none"),
-            phase="lsb", divergent=", ".join(divergent))
+        report("escalation", "warning",
+               "LSB phase still unresolved after %d escalation round(s); "
+               "divergent signals %s keep the maximum fractional bits"
+               % (attempt, ", ".join(divergent) or "none"),
+               phase="lsb", divergent=", ".join(divergent))
     return phase
 
 
-def conservative_fallback(flow, diagnostics, policy=None):
+def conservative_fallback(flow, policy=None):
     """Callback for ``synthesize_types(on_unresolved=...)``.
 
     Builds a saturating type wide enough for the simulated range plus
@@ -229,18 +220,18 @@ def conservative_fallback(flow, diagnostics, policy=None):
             f = cfg.lsb_policy.max_frac_bits
         f = max(f, -msb)    # keep the word at least one bit wide
         dt = DType("%s_t" % name, msb + f + 1, f, "tc", "saturate", "round")
-        diagnostics.add(
-            "fallback", "warning", name,
-            "unresolved after escalation; conservative saturating "
-            "fallback %s (%s, +%d guard bit(s)) — LOW CONFIDENCE"
-            % (dt.spec(), basis, policy.fallback_guard_bits),
-            spec=dt.spec(), guard_bits=policy.fallback_guard_bits)
+        report("fallback", "warning",
+               "unresolved after escalation; conservative saturating "
+               "fallback %s (%s, +%d guard bit(s)) — LOW CONFIDENCE"
+               % (dt.spec(), basis, policy.fallback_guard_bits),
+               signal=name, spec=dt.spec(),
+               guard_bits=policy.fallback_guard_bits)
         return dt
 
     return on_unresolved
 
 
-def run_graceful(flow, diagnostics, policy=None):
+def run_graceful(flow, policy=None):
     """Graceful-degradation flow: never dead-ends mid-flow.
 
     Returns ``(msb_phase, lsb_phase, types, fallbacks)`` where
@@ -249,10 +240,10 @@ def run_graceful(flow, diagnostics, policy=None):
     """
     policy = policy or getattr(flow.cfg, "escalation", None) \
         or EscalationPolicy()
-    msb = escalate_msb(flow, diagnostics, policy)
-    lsb = escalate_lsb(flow, msb.annotations, diagnostics, policy)
+    msb = escalate_msb(flow, policy)
+    lsb = escalate_lsb(flow, msb.annotations, policy)
     fallbacks = {}
-    fallback_cb = conservative_fallback(flow, diagnostics, policy)
+    fallback_cb = conservative_fallback(flow, policy)
 
     def on_unresolved(name, mdec, ldec, record):
         dt = fallback_cb(name, mdec, ldec, record)

@@ -72,12 +72,10 @@ class TestJournalDegrade:
                 raise OSError(errno.ENOSPC, "No space left on device")
 
         journal = Journal(str(tmp_path / "j.jsonl"))
-        diag = Diagnostics()
         cfgs = [SimConfig(label="t%d" % i, dtypes={"x": T8},
                           n_samples=64, seed=i) for i in range(3)]
-        with armed(Enospc()):
-            outs = run_simulations(Tiny, cfgs, workers=1, journal=journal,
-                                   diagnostics=diag)
+        with armed(Enospc()), Diagnostics() as diag:
+            outs = run_simulations(Tiny, cfgs, workers=1, journal=journal)
         assert all(o.completed for o in outs)
         assert journal.degraded
         events = [e for e in diag.events if e.code == "DG205"]
@@ -158,10 +156,10 @@ class TestJournalCompaction:
         # Force a stale duplicate, then re-run to trip maybe_compact().
         journal.append(next(iter(journal.entries())),
                        _outcome("stale"))
-        diag = Diagnostics()
-        run_simulations(Tiny, [SimConfig(label="t2", dtypes={"x": T8},
-                                         n_samples=64, seed=2)],
-                        workers=1, journal=journal, diagnostics=diag)
+        with Diagnostics() as diag:
+            run_simulations(Tiny, [SimConfig(label="t2", dtypes={"x": T8},
+                                             n_samples=64, seed=2)],
+                            workers=1, journal=journal)
         assert any(e.code == "DG208" for e in diag.events)
         journal.close()
 
@@ -247,12 +245,13 @@ class TestCompactContention:
                                          n_samples=64, seed=1)],
                         workers=1, journal=journal)
         journal.append(next(iter(journal.entries())), _outcome("stale"))
-        diag = Diagnostics()
         holder = self._hold_lock(path)
         try:
-            run_simulations(Tiny, [SimConfig(label="t2", dtypes={"x": T8},
-                                             n_samples=64, seed=2)],
-                            workers=1, journal=journal, diagnostics=diag)
+            with Diagnostics() as diag:
+                run_simulations(Tiny, [SimConfig(label="t2",
+                                                 dtypes={"x": T8},
+                                                 n_samples=64, seed=2)],
+                                workers=1, journal=journal)
         finally:
             holder.close()
         contended = [e for e in diag.events

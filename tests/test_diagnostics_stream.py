@@ -1,10 +1,11 @@
 """Tests for the RefinementResult.diagnostics stream.
 
-Covers the satellite contract of the observability PR: events arrive in
-a stable order, severity filtering works, and every diagnostic carries a
-stable machine-readable code — ``DG...`` for flow-level categories and
-the ``FX...`` rule id for lint findings — so downstream tooling can
-filter without parsing messages.
+Events arrive in a stable order, severity filtering works, and every
+diagnostic carries a stable machine-readable code — ``DG...`` for
+flow-level categories and the ``FX...`` rule id for lint findings — so
+downstream tooling can filter without parsing messages.  Each
+occurrence is reported once: to every open collector, as one ``diag``
+trace event, and to its counter.
 """
 
 import math
@@ -14,10 +15,15 @@ import pytest
 
 from repro.core.dtype import DType
 from repro.core.errors import WatchdogTimeout
+from repro.obs import counters, render_html, render_text
+from repro.obs import trace as obs_trace
+from repro.parallel import PoolPolicy, SimConfig, run_simulations
 from repro.refine import Design, FlowConfig, RefinementFlow
+from repro.refine.msbrules import MsbPolicy
 from repro.robust.diagnostics import (CATEGORY_CODES, DiagEvent,
-                                      Diagnostics)
-from repro.robust.retry import EscalationPolicy, escalate_msb
+                                      Diagnostics, report)
+from repro.robust.faults import WorkerCrash
+from repro.robust.retry import BackoffPolicy, EscalationPolicy, escalate_msb
 from repro.signal import Reg, Sig
 
 T_IN = DType("T_in", 8, 6, "tc", "saturate", "round")
@@ -118,8 +124,8 @@ class TestStableCodes:
         assert DiagEvent("novel", "info", None, "m").code == "DG000"
 
     def test_describe_and_to_dict_carry_code(self):
-        d = Diagnostics()
-        d.add("guard", "warning", "acc", "sanitized", count=3)
+        with Diagnostics() as d:
+            report("guard", "warning", "sanitized", signal="acc", count=3)
         ev = d.events[0]
         assert "DG001" in ev.describe()
         assert d.to_dict()["events"][0]["code"] == "DG001"
@@ -127,25 +133,26 @@ class TestStableCodes:
 
 class TestOrderingAndFiltering:
     def test_insertion_order_preserved(self):
-        d = Diagnostics()
-        d.add("baseline", "info", None, "first")
-        d.add("guard", "warning", "x", "second")
-        d.add("fallback", "error", "y", "third")
+        with Diagnostics() as d:
+            report("baseline", "info", "first")
+            report("guard", "warning", "second", signal="x")
+            report("fallback", "error", "third", signal="y")
         assert [e.message for e in d] == ["first", "second", "third"]
 
     def test_severity_filtering(self):
-        d = Diagnostics()
-        d.add("baseline", "info", None, "a")
-        d.add("guard", "warning", "x", "b")
-        d.add("guard", "warning", "y", "c")
-        d.add("fallback", "error", "z", "d")
+        with Diagnostics() as d:
+            report("baseline", "info", "a")
+            report("guard", "warning", "b", signal="x")
+            report("guard", "warning", "c", signal="y")
+            report("fallback", "error", "d", signal="z")
         assert [e.message for e in d.warnings] == ["b", "c"]
         assert [e.message for e in d.errors] == ["d"]
         assert len(d.by_severity("info")) == 1
 
     def test_invalid_severity_rejected(self):
-        with pytest.raises(ValueError):
-            Diagnostics().add("guard", "fatal", None, "boom")
+        with Diagnostics() as d, pytest.raises(ValueError):
+            report("guard", "fatal", "boom")
+        assert not d.events
 
     def test_lint_precedes_phase_events_in_run(self):
         # lint runs before the baseline simulation, so its diagnostics
@@ -183,8 +190,8 @@ class TestWatchdogDiagnostics:
         # 200 samples, which fits — the phase must complete and the
         # stream must carry DG002 watchdog diagnostics for each retry.
         flow = _flow(LeakyDesign, n_samples=800, max_watchdog_cycles=250)
-        diag = Diagnostics()
-        phase = escalate_msb(flow, diag, EscalationPolicy(max_rounds=2))
+        with Diagnostics() as diag:
+            phase = escalate_msb(flow, EscalationPolicy(max_rounds=2))
         assert phase.resolved
         wd = diag.by_category("watchdog")
         assert len(wd) == 2
@@ -196,9 +203,100 @@ class TestWatchdogDiagnostics:
         # A 1-cycle budget can never fit: after max_rounds halvings the
         # escalation re-raises and records an error-severity DG002.
         flow = _flow(LeakyDesign, n_samples=800, max_watchdog_cycles=1)
-        diag = Diagnostics()
-        with pytest.raises(WatchdogTimeout):
-            escalate_msb(flow, diag, EscalationPolicy(max_rounds=1))
+        with Diagnostics() as diag, pytest.raises(WatchdogTimeout):
+            escalate_msb(flow, EscalationPolicy(max_rounds=1))
         wd = diag.by_category("watchdog")
         assert wd[-1].severity == "error"
         assert wd[-1].code == "DG002"
+
+
+def leaky_factory():
+    return LeakyDesign()
+
+
+leaky_factory.fingerprint = "test-diagnostics-stream-leaky"
+
+
+@pytest.fixture
+def traced():
+    rec = obs_trace.enable()
+    yield rec
+    obs_trace.disable()
+
+
+def _diag_events(rec):
+    return [e for e in rec.events if e["kind"] == "diag"]
+
+
+class TestOneEventPerOccurrence:
+    def test_traced_run_carries_every_diagnostic(self, traced):
+        # An MSB phase that stays unresolved on its one iteration takes
+        # the escalation ladder and ends in a fallback type, so the run
+        # reports lint (FX) and flow (DG1xx) diagnostics alike.
+        res = _flow(LeakyDesign, auto_range=False, max_msb_iterations=1,
+                    msb_policy=MsbPolicy(tradeoff_margin=0,
+                                         explosion_margin=1)
+                    ).run(strict=False)
+        codes = [e.code for e in res.diagnostics]
+        assert any(c.startswith("FX") for c in codes)
+        assert any(c.startswith("DG1") for c in codes)
+        diags = _diag_events(traced)
+        assert [e["code"] for e in diags] == codes
+        assert [e["message"] for e in diags] == \
+            [e.message for e in res.diagnostics]
+        # Each one sits under the run's refine.run span.
+        parents = {e["span"]: e["parent"] for e in traced.events
+                   if e["kind"] == "span_start"}
+        run_id, = [e["span"] for e in traced.events
+                   if e["kind"] == "span_start" and e["name"] == "refine.run"]
+        for ev in diags:
+            sid = ev["span"]
+            while sid is not None and sid != run_id:
+                sid = parents.get(sid)
+            assert sid == run_id, ev
+        # Both renderers name a diagnostic by its code.
+        text = render_text(traced.events, max_events_per_span=50)
+        page = render_html(traced.events)
+        for ev in diags:
+            assert "%s %s" % (ev["code"], ev["name"]) in text
+            assert "%s %s" % (ev["code"], ev["name"]) in page
+
+    def test_quarantine_reported_once(self, traced):
+        counters.reset()
+        job = SimConfig(label="boom", dtypes={"x": T_IN}, n_samples=60,
+                        seed=3, faults=(WorkerCrash("acc", at=10),),
+                        catch_errors=True)
+        ok = SimConfig(label="ok", dtypes={"x": T_IN}, n_samples=60, seed=4)
+        policy = PoolPolicy(max_retries=0,
+                            backoff=BackoffPolicy(base=0.01, jitter=0.0))
+        with Diagnostics() as diag:
+            out = run_simulations(leaky_factory, [ok, job], workers=2,
+                                  pool_policy=policy)
+        assert out[0].completed and out[1].error_kind == "crash"
+        assert [e.code for e in diag] == ["DG202"]
+        assert [e["code"] for e in _diag_events(traced)] == ["DG202"]
+        assert not [e for e in traced.events if e["kind"] == "event"
+                    and "quarantine" in e["name"]]
+        assert counters.get("parallel.quarantined") == 1
+
+    def test_nested_collectors_both_receive(self):
+        with Diagnostics() as outer:
+            report("baseline", "info", "before")
+            with Diagnostics() as inner:
+                ev = report("fallback", "warning", "inside", signal="y")
+            report("baseline", "info", "after")
+        assert inner.events == [ev]
+        assert [e.message for e in outer] == ["before", "inside", "after"]
+        assert outer.events[1] is ev
+
+    def test_report_without_collector_counts_and_traces(self, traced):
+        counters.reset()
+        with obs_trace.span("outer") as sp:
+            ev = report("quarantine", "warning", "lonely",
+                        counter="parallel.quarantined", label="j")
+        assert ev.code == "DG202"
+        assert counters.get("parallel.quarantined") == 1
+        diag, = _diag_events(traced)
+        assert diag["name"] == "quarantine" and diag["code"] == "DG202"
+        assert diag["span"] == sp.span_id and diag["label"] == "j"
+        assert diag["severity"] == "warning" and diag["signal"] is None

@@ -3,9 +3,9 @@
 Each check runs in a fresh interpreter, because this test process has
 long since imported everything.  Importing the refinement flow and the
 gallery matrix must not load the graph analyses (``repro.sfg``), the
-verifier, the HDL back end or the linter; importing one DSP design must
-not load the others; and a full E8 refinement run, which lints its
-design, must not load networkx.
+verifier, the HDL back end, the linter or the trace exporters;
+importing one DSP design must not load the others; and a full E8
+refinement run, which lints its design, must not load networkx.
 """
 
 import json
@@ -35,7 +35,8 @@ def _loaded_after(code, modules=HEAVY):
 
 def test_refine_and_matrix_imports_stay_light():
     assert _loaded_after("import repro.refine\n"
-                         "import repro.gallery.matrix\n") == []
+                         "import repro.gallery.matrix\n",
+                         HEAVY + ("repro.obs.export",)) == []
 
 
 def test_one_design_loads_one_dsp_module():

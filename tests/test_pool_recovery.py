@@ -49,14 +49,14 @@ class TestPoisonJobQuarantine:
         """Regression: a pool break must not discard completed jobs or
         re-run the whole batch serially (the old fallback)."""
         counters.reset()
-        diag = Diagnostics()
         configs = _ok_configs(3)
         configs.append(SimConfig(label="boom", dtypes={"x": T_IN},
                                  n_samples=60, seed=9,
                                  faults=(WorkerCrash("y", at=10),),
                                  catch_errors=True))
-        outcomes = run_simulations(lms_factory, configs, workers=2,
-                                   diagnostics=diag, pool_policy=FAST)
+        with Diagnostics() as diag:
+            outcomes = run_simulations(lms_factory, configs, workers=2,
+                                       pool_policy=FAST)
         # Healthy jobs: bit-identical to an undisturbed serial run.
         serial = run_simulations(lms_factory, _ok_configs(3), workers=1)
         for got, want in zip(outcomes[:3], serial):
@@ -112,7 +112,6 @@ class TestPoisonJobQuarantine:
 class TestDeadlines:
     def test_hanging_job_aborted_at_deadline_others_fine(self):
         counters.reset()
-        diag = Diagnostics()
         configs = _ok_configs(3)
         configs.append(SimConfig(label="hang", dtypes={"x": T_IN},
                                  n_samples=60, seed=8,
@@ -120,8 +119,9 @@ class TestDeadlines:
                                                     seconds=60.0),),
                                  catch_errors=True, deadline_seconds=0.5))
         t0 = time.monotonic()
-        outcomes = run_simulations(lms_factory, configs, workers=2,
-                                   diagnostics=diag, pool_policy=FAST)
+        with Diagnostics() as diag:
+            outcomes = run_simulations(lms_factory, configs, workers=2,
+                                       pool_policy=FAST)
         assert time.monotonic() - t0 < 30.0   # nowhere near the 60s hang
         assert all(o.completed for o in outcomes[:3])
         hang = outcomes[3]
@@ -159,7 +159,6 @@ class TestCampaignWithInfrastructureFaults:
         worker_crash and worker_hang still completes, with quarantine /
         deadline diagnostics and every other fault measured."""
         counters.reset()
-        diag = Diagnostics()
         types = {"y": DType("T_w", 12, 10, "tc", "saturate", "round")}
         campaign = FaultCampaign(lms_factory, {**types, "x": T_IN},
                                  n_samples=80, seed=7,
@@ -167,8 +166,8 @@ class TestCampaignWithInfrastructureFaults:
         faults = [BitFlip("y", bit=0, at=30),
                   WorkerCrash("y", at=20),
                   WorkerHang("y", at=20, seconds=60.0)]
-        result = campaign.run(faults, workers=2, diagnostics=diag,
-                              pool_policy=FAST)
+        with Diagnostics() as diag:
+            result = campaign.run(faults, workers=2, pool_policy=FAST)
         assert len(result.outcomes) == 3
         flip, crash, hang = result.outcomes
         assert flip.completed and flip.triggered
