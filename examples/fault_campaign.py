@@ -65,7 +65,6 @@ def main():
     print("...and with idle faults rejected:     %s  (c[1] never fired)"
           % outcome.certified(12.0, kinds=transient,
                               require_triggered=True))
-    result.diagnostics.fault_campaign = outcome
     print()
     print(result.diagnostics.summary())
 

@@ -39,6 +39,15 @@ class FirFilter:
         self.v = SigArray("%s.v" % prefix, n + 1, ctx=ctx)
         for i in range(n):
             self.c[i] = self.coefficients[i]
+        # The element lists step() walks, bound once: the delay line's
+        # (destination, source) shift pairs, last tap first, and one
+        # (partial sum, delay, coefficient) triple per tap.
+        d = self.d.signals()
+        v = self.v.signals()
+        self._d0 = d[0]
+        self._v0 = v[0]
+        self._shift = tuple(zip(d[:0:-1], d[-2::-1]))
+        self._taps = tuple(zip(v[1:], d, self.c.signals()))
 
     @property
     def out(self):
@@ -46,15 +55,19 @@ class FirFilter:
         return self.v[self.n_taps]
 
     def step(self, x):
-        """Shift in one sample, produce one output (call every cycle)."""
-        n = self.n_taps
-        self.d[0] = x
-        for i in range(n - 1, 0, -1):
-            self.d[i] = self.d[i - 1]
-        self.v[0] = 0.0
-        for i in range(1, n + 1):
-            self.v[i] = self.v[i - 1] + self.d[i - 1] * self.c[i - 1]
-        return self.out
+        """Shift in one sample, produce one output (call every cycle).
+
+        Assigns ``d[0] = x``, ``d[i] = d[i-1]`` for ``i = N-1 .. 1``,
+        ``v[0] = 0.0`` and ``v[i] = v[i-1] + d[i-1] * c[i-1]`` for
+        ``i = 1 .. N``, in that order, and returns ``v[N]``.
+        """
+        self._d0.assign(x)
+        for dst, src in self._shift:
+            dst.assign(src)
+        acc = self._v0.assign(0.0)
+        for vi, di, ci in self._taps:
+            acc = vi.assign(acc + di * ci)
+        return acc
 
     def signals(self):
         return (list(self.c.signals()) + list(self.d.signals())

@@ -167,7 +167,11 @@ def _point(ev, drop):
 
 
 def render_text(events, max_events_per_span=4):
-    """Human-readable span tree + metrics table (one big string)."""
+    """Human-readable span tree + metrics table (one big string).
+
+    Every diagnostic (``diag`` event) is printed; at most
+    ``max_events_per_span`` other point events per span are, and a
+    line counts the rest."""
     roots, _ = build_spans(events)
     summary = summarize(events)
     out = ["trace: %d event(s), %d span(s), %.4f s wall%s"
@@ -182,14 +186,19 @@ def render_text(events, max_events_per_span=4):
             out.append("  %s %s%-s%s%s"
                        % (dur, "  " * depth, sv.name,
                           "  (%s)" % attrs if attrs else "", flag))
-            for ev in sv.events[:max_events_per_span]:
+            shown = hidden = 0
+            for ev in sv.events:
+                if ev.get("kind") != "diag":
+                    if shown == max_events_per_span:
+                        hidden += 1
+                        continue
+                    shown += 1
                 name, ev_attrs = _point(ev, _SPAN_FIELDS)
                 extra = _fmt_attrs(ev_attrs)
                 out.append("           %s· %s%s"
                            % ("  " * depth, name,
                               "  (%s)" % extra if extra else ""))
-            hidden = len(sv.events) - max_events_per_span
-            if hidden > 0:
+            if hidden:
                 out.append("           %s· … %d more event(s)"
                            % ("  " * depth, hidden))
     metrics = _collect_metrics(events)

@@ -107,7 +107,7 @@ def _record_metered(self, expr):
     if m is None:
         rs = self.range_stat
         m = self._obs = SigMetrics(rs.min, rs.max)
-    in_fx = expr.fx
+    in_fx = expr if type(expr) is float else expr.fx
     ov0 = self.overflow_count
     _STATE["orig_record"](self, expr)
     m.n += 1

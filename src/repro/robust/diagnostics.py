@@ -159,7 +159,7 @@ def absorb_guards(outcome, phase):
 
 
 class Diagnostics:
-    """Ordered collection of :class:`DiagEvent` plus campaign results.
+    """Ordered collection of :class:`DiagEvent`.
 
     Used as a context manager it is a collector: every :func:`report`
     made while its block is open appends to it.
@@ -167,7 +167,6 @@ class Diagnostics:
 
     def __init__(self):
         self.events = []
-        self.fault_campaign = None   # CampaignResult, when one was run
 
     def __enter__(self):
         _OPEN.append(self)
@@ -217,7 +216,7 @@ class Diagnostics:
         return format_diagnostics_table(self.events, title=title)
 
     def summary(self):
-        if not self.events and self.fault_campaign is None:
+        if not self.events:
             return "diagnostics: clean run (no events)"
         counts = {}
         for e in self.events:
@@ -228,12 +227,10 @@ class Diagnostics:
         n_err = len(self.errors)
         if n_err:
             lines.append("%d error-severity event(s)" % n_err)
-        if self.fault_campaign is not None:
-            lines.append(self.fault_campaign.summary())
         return "; ".join(lines)
 
     def to_dict(self):
-        out = {
+        return {
             "events": [{
                 "code": e.code,
                 "category": e.category,
@@ -246,11 +243,6 @@ class Diagnostics:
             } for e in self.events],
             "guard_trips": self.guard_trips,
         }
-        if self.fault_campaign is not None:
-            out["fault_campaign"] = self.fault_campaign.to_dict()
-        return out
 
     def __repr__(self):
-        return "Diagnostics(%d events%s)" % (
-            len(self.events),
-            "" if self.fault_campaign is None else ", fault campaign")
+        return "Diagnostics(%d events)" % len(self.events)

@@ -8,6 +8,11 @@ so array element assignment reads exactly like the paper's C++ code::
     d[0] = x
     for i in range(N - 1, 0, -1):
         d[i] = d[i - 1]
+
+A store takes what ``Sig.assign`` takes, a float as is.  A hot loop
+that walks every element binds :meth:`SigArray.signals` once and
+iterates the list instead of indexing the array per access (see
+:meth:`repro.dsp.fir.FirFilter.step`).
 """
 
 from __future__ import annotations
@@ -57,8 +62,8 @@ class SigArray:
         sigs = self._sigs
         if not (type(i) is int and -len(sigs) <= i < len(sigs)):
             i = self._index(i)
-        sigs[i]._record(value if isinstance(value, Operand)
-                        else as_expr(value))
+        sigs[i]._record(value if type(value) is float
+                        or isinstance(value, Operand) else as_expr(value))
 
     def __len__(self):
         return len(self._sigs)

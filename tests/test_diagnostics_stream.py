@@ -261,6 +261,30 @@ class TestOneEventPerOccurrence:
             assert "%s %s" % (ev["code"], ev["name"]) in text
             assert "%s %s" % (ev["code"], ev["name"]) in page
 
+    def test_default_render_shows_every_diagnostic(self, traced):
+        # Five diagnostics under refine.run (FX001, DG102 x3, DG103): the
+        # per-span cap of the text render must not hide the fallback.
+        res = _flow(LeakyDesign, auto_range=False, max_msb_iterations=1,
+                    msb_policy=MsbPolicy(tradeoff_margin=0,
+                                         explosion_margin=1)
+                    ).run(strict=False)
+        assert len(res.diagnostics) > 4
+        assert "DG103" in [e.code for e in res.diagnostics]
+        text = render_text(traced.events)
+        for ev in _diag_events(traced):
+            assert "%s %s" % (ev["code"], ev["name"]) in text
+        assert "more event(s)" not in text
+
+    def test_render_caps_only_plain_events(self, traced):
+        with obs_trace.span("outer"):
+            for i in range(6):
+                obs_trace.event("tick%d" % i)
+                report("baseline", "info", "note %d" % i)
+        text = render_text(traced.events, max_events_per_span=4)
+        assert text.count("DG104 baseline") == 6
+        assert "tick3" in text and "tick4" not in text
+        assert "… 2 more event(s)" in text
+
     def test_quarantine_reported_once(self, traced):
         counters.reset()
         job = SimConfig(label="boom", dtypes={"x": T_IN}, n_samples=60,

@@ -17,7 +17,7 @@ from repro.obs.events import Recorder, new_span_id, read_jsonl, write_jsonl
 from repro.obs.trace import _NULL
 from repro.parallel.runner import SimConfig, run_simulations
 from repro.refine import Design, FlowConfig, RefinementFlow
-from repro.signal import DesignContext, Sig
+from repro.signal import DesignContext, Sig, as_expr
 
 T8 = DType("T8", 8, 6, "tc", "saturate", "round")
 
@@ -209,6 +209,29 @@ class TestMetrics:
         assert metric[0]["label"] == "unit"
         assert metric[0]["n"] == 1
 
+    def test_float_assignment_counts_like_an_expr(self):
+        """A float reaches ``_record`` with no Expr; the counters must
+        read as they do for the wrapped literal."""
+        vals = [0.3, 9.0, -0.0, -9.0, 0.1, float("nan"), 0.7]
+
+        def run(wrap):
+            ctx = DesignContext("m", overflow_action="record",
+                                guard_action="sanitize")
+            with ctx:
+                s = Sig("s", T8)
+                for v in vals:
+                    s.assign(as_expr(v) if wrap else v)
+                    ctx.tick()
+            return obs_metrics.snapshot(ctx)["s"].to_dict()
+
+        obs_metrics.enable()
+        try:
+            plain, wrapped = run(False), run(True)
+        finally:
+            obs_metrics.disable()
+        assert plain == wrapped
+        assert plain["n"] == len(vals) and plain["saturate"] == 2
+
     def test_collecting_context_manager(self):
         with obs_metrics.collecting():
             ctx = DesignContext("m", overflow_action="record")
@@ -250,6 +273,18 @@ class TestProfile:
         # kernels restored: no timing wrapper left on the signals
         assert not hasattr(a._kernel, "_obs_prof")
         assert rep.flush_s > 0.0
+
+    def test_counts_float_and_expr_assignments(self):
+        with obs.profile() as prof:
+            ctx = DesignContext("p", overflow_action="record")
+            with ctx:
+                a = Sig("a", T8)
+                a.assign(0.3)
+                a.assign(as_expr(0.3))
+                a <<= 0.25
+                ctx.tick()
+        assert prof.report.n_assign == 3
+        assert a.range_stat.count == 3
 
     def test_sessions_do_not_nest(self):
         with obs.profile():
