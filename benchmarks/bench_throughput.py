@@ -63,7 +63,7 @@ REGRESSION_TOLERANCE = 0.30
 
 #: Maximum throughput loss (percent) the *disabled* observability layer
 #: may cost the monitored LMS path.  The design goal is zero: disabling
-#: repro.obs restores the exact original ``Sig._record`` code object, so
+#: repro.obs restores the exact original ``Sig.assign`` code object, so
 #: anything beyond measurement noise is a regression in the enable/
 #: disable switch itself.
 OBS_DISABLED_OVERHEAD_PCT = 2.0
@@ -195,7 +195,7 @@ def measure_lms_obs(quick):
     disabled_overhead_pct)``.  Two layers keep the overhead number
     honest on noisy hardware:
 
-    * **structural check** — ``repro.obs`` swaps ``Sig._record`` at the
+    * **structural check** — ``repro.obs`` swaps ``Sig.assign`` at the
       class level instead of branching in the hot path, so after the
       roundtrip the *exact original function object* must be installed
       and ``trace.span()`` must hand out the shared no-op span.  Any
@@ -218,7 +218,7 @@ def measure_lms_obs(quick):
     n = 800 if quick else 3000
     trials = 2 if quick else 3
     rounds = 3 if quick else 4
-    orig_record = Sig._record
+    orig_assign = Sig.assign
 
     def run():
         ctx = DesignContext("perf", seed=0)
@@ -256,7 +256,7 @@ def measure_lms_obs(quick):
             overhead_pct = trial_pct
     overhead_pct = max(0.0, overhead_pct)
 
-    if Sig._record is not orig_record or obs_trace.span("x") is not _NULL:
+    if Sig.assign is not orig_assign or obs_trace.span("x") is not _NULL:
         # The switch failed to restore the hot path — that IS the
         # regression this metric exists to catch.
         overhead_pct = 100.0

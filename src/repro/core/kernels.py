@@ -49,7 +49,10 @@ def make_scalar_kernel(n, f, signed=True, overflow="saturate",
 
     The closure raises :class:`NonFiniteError` on NaN/inf input and, in
     ``error`` overflow mode, :class:`FixedPointOverflowError` on codes
-    outside the word — the same contract as ``quantize_info``.
+    outside the word — the same contract as ``quantize_info``.  It tests
+    finiteness only where the rounding fails: a finite value pays no
+    ``isfinite`` call, so a ``Sig`` assignment, whose guard has already
+    made its value finite, does not test it twice.
     """
     n = int(n)
     f = int(f)
@@ -81,17 +84,23 @@ def make_scalar_kernel(n, f, signed=True, overflow="saturate",
            "trunc": math.trunc}[rounding]
     half = 0.5 if rounding == "round" else 0.0
 
-    def _bad(value):
+    def _non_finite(value):
+        # Only a NaN or infinite product makes the rounding raise; a
+        # finite value can still overflow there (a huge ``2**f``), and
+        # that error is re-raised as it is.
+        if isfinite(value):
+            raise
         raise NonFiniteError(
             "cannot quantize non-finite value %r; enable a guard policy "
             "(DesignContext guard_action='record') to sanitize it"
-            % (value,), value=value)
+            % (value,), value=value) from None
 
     if overflow == "saturate":
         def kernel(value):
-            if not isfinite(value):
-                _bad(value)
-            code = rnd(value * scale + half)
+            try:
+                code = rnd(value * scale + half)
+            except (ValueError, OverflowError):
+                _non_finite(value)
             if code > hi:
                 return hi_val, True
             if code < lo:
@@ -99,17 +108,19 @@ def make_scalar_kernel(n, f, signed=True, overflow="saturate",
             return code * inv, False
     elif overflow == "wrap":
         def kernel(value):
-            if not isfinite(value):
-                _bad(value)
-            code = rnd(value * scale + half)
+            try:
+                code = rnd(value * scale + half)
+            except (ValueError, OverflowError):
+                _non_finite(value)
             if code > hi or code < lo:
                 return (((code + off) & mask) - off) * inv, True
             return code * inv, False
     else:  # error
         def kernel(value):
-            if not isfinite(value):
-                _bad(value)
-            code = rnd(value * scale + half)
+            try:
+                code = rnd(value * scale + half)
+            except (ValueError, OverflowError):
+                _non_finite(value)
             if code > hi or code < lo:
                 raise FixedPointOverflowError(
                     "value %r overflows %s" % (value, spec), value=value)

@@ -14,14 +14,16 @@ runs*:
   ``diag`` (one diagnostic of :func:`repro.robust.diagnostics.report`).
 * :mod:`repro.obs.metrics` — per-signal quantization counters
   (overflow/saturate/wrap events, rounding-error accumulation, min/max
-  churn); enabling them swaps ``Sig._record`` for an instrumented
+  churn); enabling them swaps ``Sig.assign``, the one assignment entry
+  point that ``<<=`` and array stores reach too, for an instrumented
   variant, so disabled runs pay nothing.
 * :mod:`repro.obs.counters` — always-on process-wide tallies of rare
   recovery events (job retries, poison-job quarantines, deadline hits,
   journal replays).
 * :mod:`repro.obs.profile` — ``obs.profile()`` attributes wall time to
-  the per-assignment quantize kernels vs interval propagation vs Python
-  overhead.
+  the per-assignment quantize kernels vs the monitors of monitored
+  assignments vs interval propagation vs Python overhead; it wraps
+  ``Sig.assign`` too.
 * :mod:`repro.obs.export` — human text and a static HTML timeline
   report (``python -m repro.obs report``); loaded on first use.
 

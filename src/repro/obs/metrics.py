@@ -9,22 +9,23 @@ signal whose range has not converged).
 
 Compile-time-style enable flag
 ------------------------------
-The monitored-assignment hot path (:meth:`repro.signal.signal.Sig._record`)
-is the single most executed function of every simulation, so the
-counters must cost *nothing* while disabled.  Instead of an ``if`` on
-the hot path, :func:`enable` swaps the ``Sig._record`` method at class
-level for an instrumented wrapper and :func:`disable` swaps the
-original back — like rebuilding with a profiling flag, without the
-rebuild.  Disabled runs execute the exact original code object:
+The assignment (:meth:`repro.signal.signal.Sig.assign`, which ``<<=``
+and array stores call) is the single most executed function of every
+simulation, so the counters must cost *nothing* while disabled.
+Instead of an ``if`` on the hot path, :func:`enable` swaps the
+``Sig.assign`` method at class level for an instrumented wrapper and
+:func:`disable` swaps the original back — like rebuilding with a
+profiling flag, without the rebuild.  Disabled runs execute the exact
+original code object:
 
 >>> from repro.obs import metrics
 >>> from repro.signal.signal import Sig
->>> orig = Sig._record
+>>> orig = Sig.assign
 >>> metrics.enable()
->>> Sig._record is orig
+>>> Sig.assign is orig
 False
 >>> metrics.disable()
->>> Sig._record is orig
+>>> Sig.assign is orig
 True
 
 Counters per signal (:class:`SigMetrics`):
@@ -43,11 +44,13 @@ Counters per signal (:class:`SigMetrics`):
 
 from __future__ import annotations
 
+from repro.signal.expr import as_expr
+
 __all__ = ["SigMetrics", "enable", "disable", "enabled", "collecting",
            "snapshot", "reset", "emit"]
 
-#: Original ``Sig._record``, stashed while the instrumented one is live.
-_STATE = {"enabled": False, "orig_record": None}
+#: Original ``Sig.assign``, stashed while the instrumented one is live.
+_STATE = {"enabled": False, "orig_assign": None}
 
 
 class SigMetrics:
@@ -93,8 +96,8 @@ class SigMetrics:
                                   self.max_churn))
 
 
-def _record_metered(self, expr):
-    """Instrumented ``Sig._record``: original behaviour + counters.
+def _assign_metered(self, value):
+    """Instrumented ``Sig.assign``: original behaviour + counters.
 
     Wraps rather than reimplements the hot path, so the simulated
     numbers are bit-identical with metrics on or off; the counters are
@@ -107,9 +110,13 @@ def _record_metered(self, expr):
     if m is None:
         rs = self.range_stat
         m = self._obs = SigMetrics(rs.min, rs.max)
-    in_fx = expr if type(expr) is float else expr.fx
+    if type(value) is float:
+        in_fx = value
+    else:
+        value = as_expr(value)
+        in_fx = value.fx
     ov0 = self.overflow_count
-    _STATE["orig_record"](self, expr)
+    _STATE["orig_assign"](self, value)
     m.n += 1
     if self._monitored:
         v = self._cols[-4]
@@ -139,25 +146,26 @@ def _record_metered(self, expr):
         m.round_err_sum += e
         if e > m.round_err_max:
             m.round_err_max = e
+    return self
 
 
 def enable():
-    """Swap the instrumented ``Sig._record`` in (idempotent)."""
+    """Swap the instrumented ``Sig.assign`` in (idempotent)."""
     if _STATE["enabled"]:
         return
     from repro.signal.signal import Sig
-    _STATE["orig_record"] = Sig._record
-    Sig._record = _record_metered
+    _STATE["orig_assign"] = Sig.assign
+    Sig.assign = _assign_metered
     _STATE["enabled"] = True
 
 
 def disable():
-    """Restore the original ``Sig._record`` (idempotent)."""
+    """Restore the original ``Sig.assign`` (idempotent)."""
     if not _STATE["enabled"]:
         return
     from repro.signal.signal import Sig
-    Sig._record = _STATE["orig_record"]
-    _STATE["orig_record"] = None
+    Sig.assign = _STATE["orig_assign"]
+    _STATE["orig_assign"] = None
     _STATE["enabled"] = False
 
 

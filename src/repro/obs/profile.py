@@ -8,19 +8,23 @@ updates, design code)?
 
 Implementation: a profiling session temporarily
 
-* wraps ``Sig._record`` (whatever variant is installed — the original
-  or the metrics-instrumented one) with a timing shim, and wraps each
-  signal's bound quantize kernel on first sight, so kernel time is
-  measured *inside* record time;
+* wraps ``Sig.assign``, the one assignment entry point (whatever
+  variant is installed — the original or the metrics-instrumented
+  one), with a timing shim, and wraps each signal's bound quantize
+  kernel on first sight, so kernel time is measured *inside* the
+  assignment;
 * wraps ``Sig._flush``, the bulk reduction of the recorded monitor
-  values, so ``monitor_record`` means monitor recording plus reduction;
+  values, so ``monitor_record`` means the non-kernel time of the
+  *monitored* assignments plus the reduction (an unmonitored
+  assignment of an output-only run records nothing: its non-kernel
+  time is ``python_overhead``);
 * wraps the interval arithmetic helpers (``iv_add`` / ``iv_sub`` /
   ``iv_mul`` / ``iv_neg``) in :mod:`repro.signal.expr`, where the
   operator overloads resolve them at call time.
 
 Everything is restored on exit, so profiling is strictly opt-in and
 costs nothing when not active.  Timer overhead inflates the measured
-buckets (every assignment pays four ``perf_counter`` calls), so treat
+buckets (a monitored assignment pays four ``perf_counter`` calls), so treat
 the output as *attribution*, not absolute speed — the relative split is
 what matters.
 
@@ -47,25 +51,27 @@ class ProfileReport:
 
     def __init__(self):
         self.wall_s = 0.0
-        self.record_s = 0.0      # total time inside Sig._record
+        self.record_s = 0.0      # monitored Sig.assign calls, less kernels
         self.flush_s = 0.0       # inside Sig._flush (monitor reduction)
         self.kernel_s = 0.0      # inside the compiled quantize kernels
         self.interval_s = 0.0    # inside iv_add/iv_sub/iv_mul/iv_neg
         self.n_assign = 0
+        self.n_monitored = 0
         self.n_kernel = 0
         self.n_interval = 0
 
     @property
     def monitor_s(self):
-        """Record-path time that is not the kernel, plus the monitors'
-        bulk reduction."""
-        return max(0.0, self.record_s - self.kernel_s) + self.flush_s
+        """Non-kernel time of the monitored assignments, plus the
+        monitors' bulk reduction."""
+        return self.record_s + self.flush_s
 
     @property
     def python_s(self):
-        """Wall time outside record, reduction and interval paths
-        (expressions, design code, the simulator itself)."""
-        return max(0.0, self.wall_s - self.record_s - self.flush_s
+        """Wall time outside the kernels, the monitors and the interval
+        paths (expressions, design code, unmonitored assignments, the
+        simulator itself)."""
+        return max(0.0, self.wall_s - self.kernel_s - self.monitor_s
                    - self.interval_s)
 
     def buckets(self):
@@ -79,14 +85,15 @@ class ProfileReport:
 
     def to_dict(self):
         d = {"wall_s": self.wall_s, "n_assign": self.n_assign,
-             "n_kernel": self.n_kernel, "n_interval": self.n_interval}
+             "n_monitored": self.n_monitored, "n_kernel": self.n_kernel,
+             "n_interval": self.n_interval}
         d.update({k: v for k, v in self.buckets().items()})
         return d
 
     def table(self, title="Wall-time attribution"):
         wall = self.wall_s or 1e-12
-        lines = ["%s (%.4f s wall, %d assignments)"
-                 % (title, self.wall_s, self.n_assign)]
+        lines = ["%s (%.4f s wall, %d assignments, %d monitored)"
+                 % (title, self.wall_s, self.n_assign, self.n_monitored)]
         for name, sec in self.buckets().items():
             bar = "#" * int(round(40.0 * sec / wall))
             lines.append("  %-22s %8.4f s  %5.1f%%  %s"
@@ -112,7 +119,7 @@ class profile:
     def __init__(self):
         self.report = ProfileReport()
         self._wrapped_kernels = []   # (sig, original kernel)
-        self._prev_record = None
+        self._prev_assign = None
         self._prev_flush = None
         self._prev_iv = {}
         self._t0 = 0.0
@@ -126,10 +133,10 @@ class profile:
 
         rep = self.report
         wrapped = self._wrapped_kernels
-        prev_record = Sig._record
-        self._prev_record = prev_record
+        prev_assign = Sig.assign
+        self._prev_assign = prev_assign
 
-        def record_profiled(sig, e):
+        def assign_profiled(sig, value):
             k = sig._kernel
             if k is not None and getattr(k, "_obs_prof", None) is not rep:
                 wrapped.append((sig, k))
@@ -142,12 +149,18 @@ class profile:
                     return out
                 timed_kernel._obs_prof = rep
                 sig._kernel = timed_kernel
-            t = perf_counter()
-            prev_record(sig, e)
-            rep.record_s += perf_counter() - t
+            if sig._monitored:
+                k0 = rep.kernel_s
+                t = perf_counter()
+                out = prev_assign(sig, value)
+                rep.record_s += perf_counter() - t - (rep.kernel_s - k0)
+                rep.n_monitored += 1
+            else:
+                out = prev_assign(sig, value)
             rep.n_assign += 1
+            return out
 
-        Sig._record = record_profiled
+        Sig.assign = assign_profiled
 
         prev_flush = Sig._flush
         self._prev_flush = prev_flush
@@ -178,7 +191,7 @@ class profile:
         self.report.wall_s += perf_counter() - self._t0
         from repro.signal import expr as expr_mod
         from repro.signal.signal import Sig
-        Sig._record = self._prev_record
+        Sig.assign = self._prev_assign
         Sig._flush = self._prev_flush
         for name, orig in self._prev_iv.items():
             setattr(expr_mod, name, orig)

@@ -18,7 +18,6 @@ iterates the list instead of indexing the array per access (see
 from __future__ import annotations
 
 from repro.core.errors import DesignError
-from repro.signal.expr import Operand, as_expr
 from repro.signal.signal import Reg, Sig
 
 __all__ = ["SigArray", "RegArray"]
@@ -51,19 +50,25 @@ class SigArray:
         return i
 
     def __getitem__(self, i):
-        # Exact-int fast path; _index keeps the error reporting (and the
-        # rejection of slices / odd index types) for everything else.
-        sigs = self._sigs
-        if type(i) is int and -len(sigs) <= i < len(sigs):
-            return sigs[i]
-        return sigs[self._index(i)]
+        # Exact-int fast path: the list indexes as the array does; _index
+        # keeps the error reporting (and the rejection of slices / odd
+        # index types) for everything else.
+        if type(i) is int:
+            try:
+                return self._sigs[i]
+            except IndexError:
+                pass
+        return self._sigs[self._index(i)]
 
     def __setitem__(self, i, value):
-        sigs = self._sigs
-        if not (type(i) is int and -len(sigs) <= i < len(sigs)):
-            i = self._index(i)
-        sigs[i]._record(value if type(value) is float
-                        or isinstance(value, Operand) else as_expr(value))
+        if type(i) is int:
+            try:
+                sig = self._sigs[i]
+            except IndexError:
+                sig = self._sigs[self._index(i)]
+        else:
+            sig = self._sigs[self._index(i)]
+        sig.assign(value)
 
     def __len__(self):
         return len(self._sigs)

@@ -17,17 +17,19 @@ While ``ctx.tape`` is set, every operation appends one ``(op, ref,
 ...)`` record, with one ref per operand, to the current tick's list (the
 add/sub/mul dunders through :meth:`IntervalTape.binop`, every other
 operation through :meth:`IntervalTape.op`) and every assignment
-(``Sig._record``) appends ``("=", signal, ref)``.  An operand ref is
+(``Sig.assign``) appends ``("=", signal, ref)``.  An operand ref is
 
 * an ``int >= 0`` -- the position of the operation that produced it in
   the same tick,
 * the :class:`~repro.signal.signal.Sig` itself for a signal read (a
-  signal's ``node`` is the signal while a tape records; the read is
-  resolved when the operation consumes it, the live-view semantics of
-  the untaped path),
+  signal's ``node`` slot holds the signal from :meth:`IntervalTape.start`
+  to :meth:`IntervalTape.finish`; the read is resolved when the
+  operation consumes it, the live-view semantics of the untaped path),
 * an ``int < 0`` -- ``-1 - k`` names the tick's ``k``-th literal, kept in
   a separate per-tick constants list (an operand with no provenance is
-  the literal of its value), or
+  the literal of its value; a literal of ``x + v``, ``x * v``, ``v * x``
+  or a float assigned as is reaches the tape as the bare float, with
+  no ``Expr``), or
 * ``(position,)`` -- an operation of an earlier tick, by its position
   in the tape.
 
@@ -57,7 +59,7 @@ them either); every operation is evaluated with the
 ignores ``select``'s condition), so an interval bound that turns NaN
 raises exactly where the full simulation raises, and each live
 assignment folds its interval into the target exactly as
-``Sig._record`` does.  The interval state only grows, so a tick whose
+``Sig.assign`` does.  The interval state only grows, so a tick whose
 (shape, constants) pair already executed without changing anything is
 skipped until the state changes again.
 """
@@ -66,8 +68,8 @@ from __future__ import annotations
 
 from array import array
 
-from repro.core.interval import (eval_op, fast_interval, iv_add, iv_mul,
-                                 iv_neg, iv_sub)
+from repro.core.interval import (EMPTY, eval_op, fast_interval, iv_add,
+                                 iv_mul, iv_neg, iv_sub)
 
 __all__ = ["IntervalTape"]
 
@@ -147,12 +149,18 @@ class IntervalTape:
              None if s._read_ival is None else s._read_ival.copy())
             for s in self._signals)
         ctx.tape = self
+        # A signal read is its own provenance while the tape records
+        # (a signal created meanwhile sets its own node).
+        for s in self._signals:
+            s.node = s
 
     def finish(self):
         """Stop recording; trailing work after the last tick is one tick."""
         ctx = self.ctx
         if ctx.tape is self:
             ctx.tape = None
+            for s in ctx.signals():
+                s.node = None
             if self._ops:
                 self.tick()
             ctx.tape_positions = self._base
@@ -182,7 +190,15 @@ class IntervalTape:
         self._consts.clear()
 
     def _ref(self, e):
-        """Ref of operand ``e`` in the current tick."""
+        """Ref of operand ``e`` -- an operand or a bare float literal --
+        in the current tick."""
+        if type(e) is float:
+            # A bare float's interval is its point; a NaN's is empty.
+            if e != e:
+                self._no_point(EMPTY, e)
+            consts = self._consts
+            consts.append(e)
+            return -len(consts)
         node = e.node
         if type(node) is int and node < self._origin:
             self.distrust("an expression recorded by an earlier tape was "
@@ -192,9 +208,7 @@ class IntervalTape:
             v = e.fx
             iv = e.ival
             if iv.lo != v or iv.hi != v:
-                self.distrust("an operand expression has no provenance and "
-                              "interval %r, not the point of its value %r"
-                              % (iv, v))
+                self._no_point(iv, v)
             consts = self._consts
             consts.append(v)
             return -len(consts)
@@ -205,21 +219,26 @@ class IntervalTape:
             return node - self._base
         return node
 
+    def _no_point(self, iv, v):
+        self.distrust("an operand expression has no provenance and "
+                      "interval %r, not the point of its value %r" % (iv, v))
+
     def binop(self, label, ea, eb):
-        """Record the binary operation ``label`` over ``ea`` and ``eb``;
-        returns the ref of its result.
+        """Record the binary operation ``label`` over ``ea`` and ``eb``
+        (operands, or one bare float literal); returns the ref of its
+        result.
 
         The common operands -- a result of this tick or a signal read --
         resolve here; literals and suspect operands go through
         :meth:`_ref`.
         """
         base = self._base
-        a = ea.node
+        a = None if type(ea) is float else ea.node
         if type(a) is int and a >= base:
             a -= base
         elif a is None or type(a) is int:
             a = self._ref(ea)
-        b = eb.node
+        b = None if type(eb) is float else eb.node
         if type(b) is int and b >= base:
             b -= base
         elif b is None or type(b) is int:
@@ -236,8 +255,8 @@ class IntervalTape:
         return self._base + len(ops) - 1
 
     def assign(self, sig, expr):
-        """Record one assignment."""
-        r = expr.node
+        """Record one assignment of an operand or a bare float."""
+        r = None if type(expr) is float else expr.node
         if type(r) is int and r >= self._base:
             r -= self._base
         elif r is None or type(r) is int:
@@ -403,7 +422,7 @@ def _op_step(label, out, ins):
 
 
 def _assign_step(src, prop, read, slo, shi):
-    """``Sig._record``'s range propagation; True when the state grew."""
+    """``Sig.assign``'s range propagation; True when the state grew."""
     def step(regs):
         ival = regs[src]
         lo = ival.lo

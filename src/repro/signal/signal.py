@@ -42,10 +42,15 @@ Performance notes
 ``assign`` is the single hottest call of every monitored simulation, so
 this module is written for the interpreter, not for elegance:
 
+* ``assign`` is the whole assignment, one Python frame: the coercion,
+  the guard, the kernel, the monitors, the range propagation and a
+  register's pending slot are inline.  ``<<=`` and array stores call
+  it, and the observability wrappers patch it (see :mod:`repro.obs`),
 * quantization goes through a compiled per-format kernel
   (:mod:`repro.core.kernels`) cached on the signal — no mode strings,
   no ``QuantizeResult``, no per-assignment ``DType.with_`` for the
-  ``error``-mode saturating variant,
+  ``error``-mode saturating variant, and no second finiteness test
+  after the guard's,
 * the monitors cost one ``list.extend`` per assignment and no
   accumulator call; the reduction runs per chunk, in NumPy for the
   order-free statistics and in one local loop for Welford's mean and
@@ -54,16 +59,18 @@ this module is written for the interpreter, not for elegance:
   :class:`~repro.core.interval.Interval` in place instead of allocating
   a union per assignment (``prop_interval()`` returns a snapshot copy),
 * a float assigned as is (``x.assign(0.25)``, ``x <<= 0.0``,
-  ``arr[i] = 0.0``) reaches ``_record`` as the float itself: no
-  ``Expr`` and no point interval, and only a recording interval tape
-  gets the constant's ``Expr``,
+  ``arr[i] = 0.0``) stays the float itself: no ``Expr`` and no point
+  interval, and a recording interval tape takes the float too,
 * a signal is its own operand (:class:`~repro.signal.expr.Operand`):
   ``fx``, ``fl`` and ``ival`` are plain slots an operation reads
   directly, so a read allocates nothing.  ``ival`` holds
   :meth:`Sig.read_interval` and is re-bound wherever that interval
   object changes (retyping, ``range()``, ``clear_annotations()``, a
   reset of an untyped signal); growth of an untyped signal's read
-  range happens in place and needs no re-binding,
+  range happens in place and needs no re-binding.  ``node`` is a slot
+  too: the signal itself while an interval tape records (set by
+  ``IntervalTape.start``, cleared by ``IntervalTape.finish``), else
+  None,
 * ``__slots__`` keeps instances dict-free.
 """
 
@@ -138,7 +145,7 @@ class Sig(Operand):
         "overflow_count", "_forced_range", "_forced_error", "_fault_pre",
         "_fault_post", "_prop_ival", "_read_ival", "_history",
         "_kernel", "_err_mode", "_sat_lo", "_sat_hi",
-        "decl_site", "_obs", "_monitored",
+        "decl_site", "_obs", "_monitored", "node",
     )
 
     is_register = False
@@ -178,18 +185,21 @@ class Sig(Operand):
         self._fault_post = None          # fn(sig, qfx) -> qfx
 
         # Quantization metric counters (repro.obs.metrics).  Populated
-        # lazily by the instrumented _record variant; always None while
-        # observability is disabled — the default _record never reads it.
+        # lazily by the metered assign wrapper; always None while
+        # observability is disabled — assign itself never reads it.
         self._obs = None
 
         # Quasi-analytical propagated range (union over assignments),
-        # mutated in place by _record.
+        # mutated in place by assign.
         self._prop_ival = Interval()
         # False while an output-only run skips this signal's monitors
         # (DesignContext.monitor_only).
         self._monitored = True
 
         self._history = None
+        #: Provenance of a read (the :class:`Operand` protocol): the
+        #: signal itself while an interval tape records, else None.
+        self.node = self if self.ctx.tape is not None else None
         self._bind_dtype(dtype)
         self.ctx.register_signal(self)
 
@@ -220,7 +230,7 @@ class Sig(Operand):
     def _bind_read_ival(self):
         """Rebuild an untyped signal's read range -- the propagated range
         plus the power-on and the current (a register's committed)
-        value, then grown in place by ``_record`` -- and re-bind
+        value, then grown in place by ``assign`` -- and re-bind
         ``ival``."""
         v = self.fx
         r = fast_interval(self.init_value, self.init_value)
@@ -278,12 +288,6 @@ class Sig(Operand):
         if self._forced_range is not None:
             return self._forced_range
         return self._prop_ival.copy()
-
-    @property
-    def node(self):
-        """Provenance of a read (the :class:`Operand` protocol): the
-        signal itself while an interval tape records, otherwise None."""
-        return self if self.ctx.tape is not None else None
 
     # -- annotations --------------------------------------------------------------
 
@@ -357,49 +361,22 @@ class Sig(Operand):
     # -- assignment -----------------------------------------------------------------
 
     def assign(self, value):
-        """Quantize-on-assign with simultaneous range & error monitoring."""
-        self._record(value if type(value) is float
-                     or isinstance(value, Operand) else as_expr(value))
-        return self
+        """Quantize-on-assign with simultaneous range & error monitoring.
 
-    __ilshift__ = assign
-
-    def fault_pre(self, fn):
-        """Install a pre-quantization fault hook (``fn(sig, fx, fl)``).
-
-        Models upstream faults — stuck-at values, scaled inputs, injected
-        NaNs — applied to the incoming value pair before any monitor sees
-        it.  Returns self; pass ``None`` to clear.
+        This is the whole assignment: ``<<=`` and array stores call it,
+        and the observability wrappers (``obs.metrics``,
+        ``obs.profile``) patch it.  ``value`` is an operand, an exact
+        float taken as is (no ``Expr``), or anything :func:`as_expr`
+        takes.  A wrapper must accept all three and return the signal.
         """
-        self._fault_pre = fn
-        return self
-
-    def fault_post(self, fn):
-        """Install a post-quantization fault hook (``fn(sig, qfx)``).
-
-        Models storage faults — bit flips in the quantized word — applied
-        after quantization; the float reference is untouched, so the
-        produced-error monitor measures the fault's impact directly.
-        Returns self; pass ``None`` to clear.
-        """
-        self._fault_post = fn
-        return self
-
-    def clear_faults(self):
-        self._fault_pre = None
-        self._fault_post = None
-        return self
-
-    def _record(self, expr):
-        # ``expr`` is an operand or an exact float: a literal assigned
-        # as is (assign, <<=, an array store) builds no Expr.  Anything
-        # that wraps or replaces _record (obs.metrics) must take both.
-        lit = type(expr) is float
+        lit = type(value) is float
         if lit:
-            in_fx = in_fl = expr
+            in_fx = in_fl = value
         else:
-            in_fx = expr.fx
-            in_fl = expr.fl
+            if not isinstance(value, Operand):
+                value = as_expr(value)
+            in_fx = value.fx
+            in_fl = value.fl
         ctx = self.ctx
 
         if self._fault_pre is not None:
@@ -408,7 +385,8 @@ class Sig(Operand):
         # Non-finite guard: NaN/Inf must never be quantized or folded
         # into the monitors silently; the context policy decides between
         # raising, recording + sanitizing, and sanitizing.  Runs after
-        # the fault hook so injected non-finites are guarded too.
+        # the fault hook so injected non-finites are guarded too, and
+        # leaves the kernel a finite pair.
         # (x - x == 0.0 exactly when x is finite.)
         if in_fx - in_fx != 0.0 or in_fl - in_fl != 0.0:
             in_fx, in_fl = ctx.guard_non_finite(self, in_fx, in_fl)
@@ -449,12 +427,12 @@ class Sig(Operand):
         # Quasi-analytical range propagation, in place.  Forced ranges
         # freeze propagation (paper: explicit range overrides and stops
         # feedback explosion); saturating types clip the incoming range.
-        if self._forced_range is None and ctx.propagate:
+        if ctx.propagate and self._forced_range is None:
             if lit:
                 # A NaN literal fails lo <= hi, as the empty interval does.
-                lo = hi = expr
+                lo = hi = value
             else:
-                ival = expr.ival
+                ival = value.ival
                 lo = ival.lo
                 hi = ival.hi
             if lo <= hi:
@@ -475,12 +453,52 @@ class Sig(Operand):
                     if hi > r.hi:
                         r.hi = hi
 
-        self._store(qfx, fl)
+        # A register's assignment lands in its pending slot, committed
+        # by DesignContext.tick().
+        if self.is_register:
+            self._pend_fx = qfx
+            self._pend_fl = fl
+            self._has_pending = True
+        else:
+            self.fx = qfx
+            self.fl = fl
 
         if self._history is not None:
             self._history.append((qfx, fl))
         if ctx.tape is not None:
-            ctx.tape.assign(self, as_expr(expr) if lit else expr)
+            ctx.tape.assign(self, value)
+        return self
+
+    def __ilshift__(self, value):
+        # Not a class-level alias of assign: a wrapper patched onto
+        # Sig.assign must see this spelling too.
+        return self.assign(value)
+
+    def fault_pre(self, fn):
+        """Install a pre-quantization fault hook (``fn(sig, fx, fl)``).
+
+        Models upstream faults — stuck-at values, scaled inputs, injected
+        NaNs — applied to the incoming value pair before any monitor sees
+        it.  Returns self; pass ``None`` to clear.
+        """
+        self._fault_pre = fn
+        return self
+
+    def fault_post(self, fn):
+        """Install a post-quantization fault hook (``fn(sig, qfx)``).
+
+        Models storage faults — bit flips in the quantized word — applied
+        after quantization; the float reference is untouched, so the
+        produced-error monitor measures the fault's impact directly.
+        Returns self; pass ``None`` to clear.
+        """
+        self._fault_post = fn
+        return self
+
+    def clear_faults(self):
+        self._fault_pre = None
+        self._fault_post = None
+        return self
 
     def _record_aborted(self, in_fx, in_fl):
         """Monitor an assignment that raises on overflow.
@@ -492,10 +510,6 @@ class Sig(Operand):
         self._flush()
         self._range_stat.update_many((in_fx,))
         self._err_consumed.update_many((in_fl - in_fx,))
-
-    def _store(self, fx, fl):
-        self.fx = fx
-        self.fl = fl
 
     # -- statistics ----------------------------------------------------------------------
 
@@ -602,11 +616,6 @@ class Reg(Sig):
         self._pend_fx = 0.0
         self._pend_fl = 0.0
         self._has_pending = False
-
-    def _store(self, fx, fl):
-        self._pend_fx = fx
-        self._pend_fl = fl
-        self._has_pending = True
 
     @property
     def next_fx(self):

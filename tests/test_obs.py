@@ -17,7 +17,8 @@ from repro.obs.events import Recorder, new_span_id, read_jsonl, write_jsonl
 from repro.obs.trace import _NULL
 from repro.parallel.runner import SimConfig, run_simulations
 from repro.refine import Design, FlowConfig, RefinementFlow
-from repro.signal import DesignContext, Sig, as_expr
+from repro.signal import (DesignContext, RegArray, Sig, SigArray,
+                          as_expr)
 
 T8 = DType("T8", 8, 6, "tc", "saturate", "round")
 
@@ -132,11 +133,11 @@ class TestJsonl:
 class TestMetrics:
     def test_default_record_untouched_when_disabled(self):
         from repro.signal.signal import Sig as SigCls
-        before = SigCls._record
+        before = SigCls.assign
         obs_metrics.enable()
-        assert SigCls._record is not before
+        assert SigCls.assign is not before
         obs_metrics.disable()
-        assert SigCls._record is before
+        assert SigCls.assign is before
 
     def test_counters(self):
         obs_metrics.enable()
@@ -210,8 +211,8 @@ class TestMetrics:
         assert metric[0]["n"] == 1
 
     def test_float_assignment_counts_like_an_expr(self):
-        """A float reaches ``_record`` with no Expr; the counters must
-        read as they do for the wrapped literal."""
+        """A float reaches ``Sig.assign`` with no Expr; the counters
+        must read as they do for the wrapped literal."""
         vals = [0.3, 9.0, -0.0, -9.0, 0.1, float("nan"), 0.7]
 
         def run(wrap):
@@ -248,7 +249,7 @@ class TestMetrics:
 class TestProfile:
     def test_buckets_and_restore(self):
         from repro.signal.signal import Sig as SigCls
-        before = SigCls._record
+        before = SigCls.assign
         before_flush = SigCls._flush
         with obs.profile() as prof:
             ctx = DesignContext("p", overflow_action="record")
@@ -260,7 +261,7 @@ class TestProfile:
                     b.assign(a + a)
                     ctx.tick()
                 assert a.range_stat.count == 50   # flushes, timed
-        assert SigCls._record is before
+        assert SigCls.assign is before
         assert SigCls._flush is before_flush
         rep = prof.report
         assert rep.n_assign == 100
@@ -291,6 +292,130 @@ class TestProfile:
             with pytest.raises(RuntimeError):
                 with obs.profile():
                     pass
+
+    def test_output_only_run_counts_monitored_assignments(self):
+        with obs.profile() as prof:
+            ctx = DesignContext("p", overflow_action="record")
+            with ctx:
+                a = Sig("a", T8)
+                y = Sig("y", T8)
+                ctx.monitor_only("y")
+                for i in range(40):
+                    a.assign(0.01 * i)
+                    if i % 2:
+                        y.assign(a * 0.5)
+                    ctx.tick()
+        rep = prof.report
+        assert rep.n_assign == 60
+        assert rep.n_monitored == y.range_stat.count == 20
+        assert rep.to_dict()["n_monitored"] == 20
+        assert sum(rep.buckets().values()) == pytest.approx(rep.wall_s)
+
+
+# -- the one assignment entry point -----------------------------------------
+
+#: Every spelling of an assignment to element ``s`` of ``parts``:
+#: ``fn(parts, value) -> the assigned signal``.
+SPELLINGS = {
+    "assign": lambda p, v: p["s"].assign(v),
+    "ilshift": lambda p, v: _ilshift(p["s"], v),
+    "sigarray": lambda p, v: _store(p["sigarray"], v),
+    "regarray": lambda p, v: _store(p["regarray"], v),
+}
+
+VALUES = {
+    "float": lambda p: 0.25,
+    "int": lambda p: 1,
+    "expr": lambda p: p["u"] + 0.5,
+    "sig": lambda p: p["u"],
+    "np.float64": lambda p: np.float64(-0.5),
+}
+
+
+def _ilshift(s, v):
+    t = s
+    t <<= v
+    assert t is s
+    return s
+
+
+def _store(arr, v):
+    arr[1] = v
+    return arr[1]
+
+
+def _entry_parts():
+    """``(ctx, parts)``: a context with a target and a source signal and
+    one array of each kind."""
+    ctx = DesignContext("entry", overflow_action="record")
+    with ctx:
+        parts = {"s": Sig("s", T8), "u": Sig("u", T8, init=0.125),
+                 "sigarray": SigArray("sa", 3, T8),
+                 "regarray": RegArray("ra", 3, T8)}
+    return ctx, parts
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("value", sorted(VALUES))
+    @pytest.mark.parametrize("spelling", sorted(SPELLINGS))
+    def test_every_spelling_reaches_assign_once(self, spelling, value):
+        # Metered: the counters of exactly one assignment, on the target.
+        ctx, parts = _entry_parts()
+        with obs_metrics.collecting():
+            target = SPELLINGS[spelling](parts, VALUES[value](parts))
+        counts = {n: m.n for n, m in obs_metrics.snapshot(ctx).items()}
+        assert counts == {target.name: 1}
+        # Profiled: one timed assignment.
+        ctx, parts = _entry_parts()
+        with obs.profile() as prof:
+            target = SPELLINGS[spelling](parts, VALUES[value](parts))
+        assert prof.report.n_assign == prof.report.n_monitored == 1
+        assert target.range_stat.count == 1
+
+    @pytest.mark.parametrize("wrap", ["metrics", "profile"])
+    def test_wrappers_return_the_signal(self, wrap):
+        _, parts = _entry_parts()
+        s, u = parts["s"], parts["u"]
+        with obs_metrics.collecting() if wrap == "metrics" else obs.profile():
+            out = [s.assign(0.5), s.assign(u * 2.0)]
+        assert out == [s, s]
+
+    @pytest.mark.parametrize("spelling,frames", [
+        ("assign", ["assign"]),
+        ("ilshift", ["__ilshift__", "assign"]),
+        ("sigarray", ["__setitem__", "assign"]),
+        ("regarray", ["__setitem__", "assign"]),
+    ])
+    def test_frames_per_assignment(self, spelling, frames):
+        """An assignment runs ``Sig.assign`` once and nothing of the
+        signal package beneath it (the kernel is a closure of
+        ``repro.core.kernels``)."""
+        _, parts = _entry_parts()
+        s, u, arr = parts["s"], parts["u"], parts.get(spelling)
+
+        def do(v):
+            if spelling == "assign":
+                s.assign(v)
+            elif spelling == "ilshift":
+                t = s
+                t <<= v
+            else:
+                arr[1] = v
+
+        calls = []
+
+        def prof(frame, event, arg):
+            if event == "call" and "repro/signal/" in \
+                    frame.f_code.co_filename.replace(os.sep, "/"):
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(prof)
+        try:
+            do(0.25)
+            do(u)
+        finally:
+            sys.setprofile(None)
+        assert calls == frames + frames
 
 
 # -- flow + parallel integration --------------------------------------------

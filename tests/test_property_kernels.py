@@ -202,3 +202,78 @@ class TestDTypeFastPaths:
                 clone.lsbspec) == (dt.name, dt.n, dt.f, dt.vtype,
                                    dt.msbspec, dt.lsbspec)
         assert clone.quantize(0.3) == dt.quantize(0.3)
+
+
+class TestAssignmentKernel:
+    """A signal quantizes through its type's kernel, which tests
+    finiteness only where the rounding fails: the assignment's guard
+    has already made the value finite, so it is not tested twice."""
+
+    @pytest.mark.parametrize("signed", [True, False], ids=["tc", "us"])
+    @pytest.mark.parametrize("rounding", ROUNDINGS)
+    @pytest.mark.parametrize("overflow", ("saturate", "wrap"))
+    def test_assignment_matches_reference(self, overflow, rounding, signed):
+        from repro.signal import DesignContext, Sig
+        dt = DType("T", 9, 5, "tc" if signed else "us", overflow, rounding)
+        rng = np.random.default_rng(7)
+        lsb = math.ldexp(1.0, -5)
+        probes = ([0.0, -0.0, 0.5 * lsb, -0.5 * lsb, 1e300, -1e300]
+                  + [k * 0.5 * lsb for k in range(-40, 40)]
+                  + rng.uniform(-40.0, 40.0, 300).tolist())
+        with DesignContext("kern", overflow_action="record") as ctx:
+            s = Sig("s", dt)
+            assert s._kernel is dt.kernel
+            for v in probes:
+                info = quantize_info(v, 9, 5, signed=signed,
+                                     overflow=overflow, rounding=rounding)
+                ovf0 = s.overflow_count
+                s.assign(v)
+                assert (s.fx, math.copysign(1.0, s.fx)) == \
+                    (info.value, math.copysign(1.0, info.value)), v
+                assert s.overflow_count - ovf0 == info.overflowed, v
+                ctx.tick()
+
+    def test_error_mode_signal_binds_the_saturating_kernel(self):
+        from repro.signal import DesignContext, Sig
+        dt = DType("T", 8, 4, "tc", "error", "round")
+        with DesignContext("kern"):
+            assert Sig("s", dt)._kernel is dt.saturating.kernel
+
+    @pytest.mark.parametrize("signed", [True, False], ids=["tc", "us"])
+    @pytest.mark.parametrize("rounding", ROUNDINGS)
+    @pytest.mark.parametrize("overflow", OVERFLOWS)
+    def test_non_finite_raises_everywhere(self, overflow, rounding, signed):
+        from repro.signal import DesignContext, as_expr
+        from repro.signal.ops import cast
+        dt = DType("T", 8, 4, "tc" if signed else "us", overflow, rounding)
+        with DesignContext("kern"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(NonFiniteError):
+                    dt.kernel(bad)
+                with pytest.raises(NonFiniteError):
+                    dt.quantize(bad)
+                with pytest.raises(NonFiniteError):
+                    dt.quantize_info(bad)
+                with pytest.raises(NonFiniteError):
+                    cast(as_expr(bad), dt)
+
+    def test_finite_overflow_in_the_rounding_is_not_non_finite(self):
+        # 1e300 * 2**100 is inf: the rounding fails on a finite value,
+        # which stays the OverflowError it always was.
+        kernel = scalar_kernel(53, 100, True, "saturate", "round")
+        with pytest.raises(OverflowError) as exc:
+            kernel(1e300)
+        assert not isinstance(exc.value, NonFiniteError)
+
+    def test_guard_raises_before_the_kernel(self):
+        from repro.signal import DesignContext, Sig
+        dt = DType("T", 8, 4, "tc", "saturate", "round")
+        with DesignContext("kern", guard_action="raise") as ctx:
+            s = Sig("s", dt)
+            s.assign(0.5)
+            ctx.tick()
+            with pytest.raises(NonFiniteError) as exc:
+                s.assign(math.nan)
+        assert str(exc.value) == ("non-finite value reached signal 's' at "
+                                  "cycle 1 (fx=nan, fl=nan)")
+        assert s.range_stat.count == 1
