@@ -24,7 +24,7 @@ Quantization (the ``Sig`` assignment path and ``cast`` ops) becomes
   engine under ``overflow_action="record"``, which is how designs are
   traced for analysis,
 * the *overflow* predicate: rounded code outside the representable
-  range, exactly when ``Sig._record`` would bump ``overflow_count``.
+  range, exactly when ``Sig.assign`` would bump ``overflow_count``.
 
 Anything the encoding cannot express **exactly** — division,
 ``select`` with an untraced (plain-bool) condition, combinational

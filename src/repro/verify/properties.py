@@ -9,7 +9,7 @@ selected backend and returns a :class:`~repro.verify.verdict.Verdict`:
   stimulus inside the declared :class:`~repro.verify.encode.Envelope`,
   over ``k`` steps from power-on.  "Overflow" is exactly the engine's
   notion: the rounded code falls outside the representable range (the
-  condition under which ``Sig._record`` bumps ``overflow_count`` and
+  condition under which ``Sig.assign`` bumps ``overflow_count`` and
   logs to ``ctx.overflow_log``), for wrap, saturate and error types
   alike.
 * ``prove_no_limit_cycle`` — with all inputs held at zero, no initial
