@@ -83,8 +83,8 @@ class ChaosHooks:
         """``fsync`` is about to run; may raise :class:`OSError`."""
 
     def on_journal_replace(self, journal):
-        """An atomic journal rewrite (torn-tail repair or compaction)
-        is about to ``os.replace``; may raise :class:`ChaosCrash`."""
+        """The torn-tail repair is about to ``os.replace`` the journal
+        file; may raise :class:`ChaosCrash`."""
 
 
 #: The installed injector, or None (the fast path).  Read it once into a

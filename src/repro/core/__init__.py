@@ -2,9 +2,6 @@
 
 from repro.core.dtype import DType
 from repro.core.errors import (
-    ChannelEmpty,
-    ChannelFull,
-    DeadlockError,
     DesignError,
     DivergenceError,
     DTypeError,
@@ -48,10 +45,7 @@ __all__ = [
     "RangeExplosionError",
     "DivergenceError",
     "SimulationError",
-    "ChannelEmpty",
-    "ChannelFull",
     "WatchdogTimeout",
-    "DeadlockError",
     "DesignError",
     "RefinementError",
 ]

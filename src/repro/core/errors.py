@@ -95,20 +95,11 @@ class SimulationError(ReproError):
     """The simulation engine encountered an unrecoverable condition."""
 
 
-class ChannelEmpty(SimulationError):
-    """A processor performed ``get()`` on an empty channel."""
-
-
-class ChannelFull(SimulationError):
-    """A processor performed ``put()`` on a bounded channel that is full."""
-
-
 class WatchdogTimeout(SimulationError):
     """A simulation exceeded its cycle or wall-clock budget.
 
-    Raised by the watchdog attached to a :class:`DesignContext` or passed
-    to :meth:`Engine.run`; prevents stalled feedback loops or endless
-    free-running processors from hanging the refinement flow.
+    Raised by the watchdog attached to a :class:`DesignContext`;
+    prevents stalled feedback loops from hanging the refinement flow.
     """
 
     def __init__(self, message, cycles=None, elapsed=None):
@@ -155,20 +146,6 @@ class JournalError(ReproError):
     or when corruption is detected *before* the torn tail (append-only
     journals can only legitimately be damaged at the end).
     """
-
-
-class DeadlockError(SimulationError):
-    """Every live processor spun without any channel activity.
-
-    The engine's stall detector raises this when ``stall_limit``
-    consecutive cycles pass with zero FIFO traffic while processors are
-    still alive — the cooperative-scheduling equivalent of a deadlock.
-    """
-
-    def __init__(self, message, processors=(), cycles=None):
-        super().__init__(message)
-        self.processors = tuple(processors)
-        self.cycles = cycles
 
 
 class RefinementError(ReproError):

@@ -38,9 +38,8 @@ Well-known names:
 ``journal.appends`` / ``journal.replays`` / ``journal.dropped_records``
     write-ahead journal activity (see :mod:`repro.robust.recovery`);
     ``journal.appends`` counts durable (file) appends only.
-``journal.io_errors`` / ``journal.compactions``
-    appends degraded to in-memory after an OSError / atomic
-    journal-compaction rewrites.
+``journal.io_errors``
+    appends degraded to in-memory after an OSError.
 ``cache.hits`` / ``cache.misses``
     :class:`~repro.robust.recovery.Journal` lookup tallies across all
     instances (per-instance numbers: :meth:`Journal.stats`); a hit that
@@ -48,9 +47,6 @@ Well-known names:
     ``journal.replays`` instead.  (The cache's checksum-failure counter
     is retired: the in-memory store keeps outcomes, not checksummed
     payloads.)
-``journal.compact_contended``
-    compactions skipped because another process held the journal's
-    cross-process compaction lock (the winner's rewrite serves both).
 ``chaos.injected`` / ``chaos.scenarios_run`` / ``chaos.invariant_failures``
     deterministic fault injection (see :mod:`repro.robust.chaos`).
 ``verify.checks`` / ``verify.proved`` / ``verify.counterexample`` /

@@ -1,10 +1,9 @@
 """Span-based tracing with near-zero disabled overhead.
 
-The instrumented layers (:mod:`repro.refine.flow`, :mod:`repro.sim`,
-:mod:`repro.parallel`, :mod:`repro.lint`, :mod:`repro.robust`) call
-:func:`span` unconditionally.  While tracing is **disabled** — the
-default — :func:`span` returns one shared no-op context manager, so the
-cost per instrumentation point is a dict build plus a function call,
+The instrumented layers (:mod:`repro.refine.flow`, :mod:`repro.parallel`,
+:mod:`repro.lint`, :mod:`repro.robust`) call :func:`span`
+unconditionally.  While tracing is **disabled** — the default —
+:func:`span` returns one shared no-op context manager, so the cost per instrumentation point is a dict build plus a function call,
 paid only at coarse granularity (per phase, per simulation, per batch;
 never per signal assignment).  :func:`enable` installs a
 :class:`~repro.obs.events.Recorder` and the same calls start emitting

@@ -993,19 +993,6 @@ def _run_batch(design_factory, configs, workers, journal, seeded_factory,
                 if outcome is not None and outcome.obs_events:
                     rec.extend(outcome.obs_events)
 
-        if journal is not None:
-            skipped_before = journal.n_compact_skipped
-            dropped = journal.maybe_compact()
-            if dropped:
-                report("journal-compact", "info",
-                       "journal %s compacted: %d superseded record(s) "
-                       "dropped" % (journal.path, dropped), dropped=dropped)
-            elif journal.n_compact_skipped > skipped_before:
-                report("journal-compact", "warning",
-                       "journal %s compaction skipped: another process "
-                       "holds the compaction lock (their rewrite serves "
-                       "both)" % journal.path, contended=True)
-
         if fatal:
             # The rest of the batch is complete (and journaled); now
             # surface the first failure in job order, as a serial loop

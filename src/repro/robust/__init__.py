@@ -9,7 +9,7 @@ stimuli misbehave:
   :class:`~repro.refine.flow.RefinementResult`;
 * :mod:`repro.robust.faults` — fault-injection campaigns measuring SQNR
   degradation of a refined design under bit flips, stuck nodes, input
-  overdrive, dropped channel values and seed changes;
+  overdrive and seed changes;
 * :mod:`repro.robust.retry` — escalation ladder and conservative
   fallback types behind ``RefinementFlow.run(strict=False)``, plus the
   :class:`BackoffPolicy` used between crash retries in the pool;
@@ -30,7 +30,7 @@ stimuli misbehave:
 from __future__ import annotations
 
 from repro.robust.diagnostics import DiagEvent, Diagnostics
-from repro.robust.faults import (BitFlip, CampaignResult, ChannelDrop, Fault,
+from repro.robust.faults import (BitFlip, CampaignResult, Fault,
                                  FaultCampaign, FaultOutcome, InputScale,
                                  NanInject, SeedPerturb, StuckAt, WorkerCrash,
                                  WorkerHang, standard_faults)
@@ -46,7 +46,7 @@ from repro.robust.retry import (BackoffPolicy, EscalationPolicy,
 __all__ = [
     "GuardPolicy", "GuardEvent", "Watchdog", "guard_summary",
     "DiagEvent", "Diagnostics",
-    "Fault", "BitFlip", "StuckAt", "InputScale", "NanInject", "ChannelDrop",
+    "Fault", "BitFlip", "StuckAt", "InputScale", "NanInject",
     "SeedPerturb", "WorkerCrash", "WorkerHang",
     "FaultOutcome", "CampaignResult", "FaultCampaign",
     "standard_faults",

@@ -58,7 +58,8 @@ from repro.chaoshooks import ChaosCrash, ChaosHooks
 from repro.core.dtype import DType
 from repro.core.errors import ReproError
 from repro.obs import counters as obs_counters
-from repro.parallel.runner import PoolPolicy, SimConfig, run_simulations
+from repro.parallel.runner import (PoolPolicy, SimConfig, _fork_available,
+                                   run_simulations)
 from repro.refine.flow import Design, FlowConfig, RefinementFlow
 from repro.refine.optimizer import optimize_wordlengths
 from repro.refine.sensitivity import analyze_sensitivity
@@ -84,7 +85,6 @@ SITES = (
     "journal.enospc",          # append write raises ENOSPC
     "journal.fsync_fail",      # fsync after a good write raises EIO
     "journal.corrupt_record",  # record bytes garbled on the way to disk
-    "journal.compact_crash",   # process dies during an atomic rewrite
     "worker.crash",            # pool worker os._exit mid-job
     "worker.hang",             # pool worker sleeps past its deadline
     "pool.break",              # all workers SIGKILLed mid-drain
@@ -95,6 +95,7 @@ _BLAMING_SITES = ("worker.crash", "worker.hang")
 
 #: Sites that need a real fork pool (workers=2); the rest run serial so
 #: an injected crash propagates cleanly through the in-process path.
+#: Where no fork pool can start, their cells report n/a.
 _POOL_SITES = ("worker.crash", "worker.hang", "pool.break")
 
 
@@ -182,14 +183,6 @@ class ChaosInjector(ChaosHooks):
         if n == self.trigger:
             self._record("journal.fsync", n, action="eio")
             raise OSError(errno.EIO, "fsync failed (injected)")
-
-    def on_journal_replace(self, journal):
-        if self.site != "journal.compact_crash":
-            return
-        n = self._tick("journal.replace")
-        if n == self.trigger:
-            self._record("journal.replace", n, action="crash")
-            raise ChaosCrash("process died during atomic journal rewrite")
 
     # -- workers / pool ----------------------------------------------------
 
@@ -301,8 +294,7 @@ def _entry_run_simulations(workdir, workers):
     a fault that degraded or damaged it must still give bit-identical
     outcomes.
     """
-    journal = Journal(os.path.join(workdir, _JOURNAL_NAME),
-                      compact_threshold=4096)
+    journal = Journal(os.path.join(workdir, _JOURNAL_NAME))
     try:
         configs = [SimConfig(label="job%d" % i, dtypes=PROBE_TYPES,
                              n_samples=96, seed=100 + i)
@@ -388,7 +380,6 @@ SITE_ENTRIES = {
                            "refinement_flow"),
     "journal.corrupt_record": ("run_simulations", "fault_campaign",
                                "analyze_sensitivity", "refinement_flow"),
-    "journal.compact_crash": ("run_simulations",),
     "worker.crash": ("run_simulations", "fault_campaign"),
     "worker.hang": ("run_simulations",),
     "pool.break": ("run_simulations", "fault_campaign"),
@@ -449,14 +440,26 @@ class ScenarioReport:
     injections: list = field(default_factory=list)
     phase1: str = ""
     elapsed: float = 0.0
+    #: why the cell could not run here ("" when it ran); an n/a cell
+    #: is neither a pass nor a violation.
+    na: str = ""
 
     @property
     def ok(self):
+        """No invariant was violated (true for an n/a cell too)."""
         return all(c.ok for c in self.checks)
 
+    @property
+    def status(self):
+        if self.na:
+            return "n/a"
+        return "pass" if self.ok else "FAIL"
+
     def describe(self):
-        lines = ["%s  [%s]" % (self.scenario.sid,
-                               "PASS" if self.ok else "FAIL")]
+        lines = ["%s  [%s]" % (self.scenario.sid, self.status.upper())]
+        if self.na:
+            lines.append("  not run: %s" % self.na)
+            return "\n".join(lines)
         lines.append("  phase 1: %s; %d injection(s); %.2fs"
                      % (self.phase1, len(self.injections), self.elapsed))
         for chk in self.checks:
@@ -465,6 +468,7 @@ class ScenarioReport:
 
     def to_dict(self):
         return {"sid": self.scenario.sid, "ok": self.ok,
+                "status": self.status, "na": self.na,
                 "phase1": self.phase1, "elapsed": round(self.elapsed, 3),
                 "injections": self.injections,
                 "checks": [{"name": c.name, "ok": c.ok,
@@ -509,8 +513,13 @@ def run_scenario(scenario, keep_dir=None):
     """Execute one scenario end to end; returns a :class:`ScenarioReport`.
 
     ``keep_dir`` pins the working directory (for debugging); by default
-    a temporary directory is used and removed.
+    a temporary directory is used and removed.  A pool cell where no
+    fork pool can start returns an n/a report without running.
     """
+    if scenario.workers > 1 and not _fork_available():
+        return ScenarioReport(scenario, na="needs a fork pool, and none "
+                              "can start here (REPRO_PARALLEL=0 or no "
+                              "'fork' start method)")
     obs_counters.inc("chaos.scenarios_run")
     ref = _reference(scenario.entry, scenario.workers)
     adapter = ENTRIES[scenario.entry]
@@ -589,7 +598,6 @@ SMOKE_MATRIX = (
     ("run_simulations", "journal.enospc", 3, 2),
     ("run_simulations", "journal.fsync_fail", 2, 3),
     ("run_simulations", "journal.corrupt_record", 2, 4),
-    ("run_simulations", "journal.compact_crash", 0, 5),
     ("run_simulations", "worker.crash", 1, 8),
     ("run_simulations", "worker.hang", 2, 9),
     ("run_simulations", "pool.break", 1, 10),
@@ -643,10 +651,10 @@ def run_matrix(scenarios, verbose=True, stream=None):
         report = run_scenario(scn)
         reports.append(report)
         if verbose:
-            status = "pass" if report.ok else "FAIL"
-            print("%-55s %s  (%.2fs, %d injection(s))"
-                  % (scn.sid, status, report.elapsed,
-                     len(report.injections)), file=out)
+            detail = report.na or "%.2fs, %d injection(s)" % (
+                report.elapsed, len(report.injections))
+            print("%-55s %-4s  (%s)" % (scn.sid, report.status, detail),
+                  file=out)
             if not report.ok:
                 for chk in report.checks:
                     if not chk.ok:
@@ -701,11 +709,15 @@ def main(argv=None):
                                  site=args.site)
         reports = run_matrix(scenarios)
         n_bad = sum(1 for r in reports if not r.ok)
-        print("%d scenario(s), %d violation(s)" % (len(reports), n_bad))
+        n_na = sum(1 for r in reports if r.na)
+        print("%d scenario(s), %d violation(s), %d n/a"
+              % (len(reports), n_bad, n_na))
         if args.json:
             with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump([r.to_dict() for r in reports], fh, indent=2,
-                          sort_keys=True)
+                json.dump({"scenarios": len(reports), "violations": n_bad,
+                           "n/a": n_na,
+                           "reports": [r.to_dict() for r in reports]},
+                          fh, indent=2, sort_keys=True)
         return 1 if n_bad else 0
     parser.print_help()
     return 2

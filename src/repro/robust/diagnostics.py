@@ -54,7 +54,8 @@ CATEGORY_CODES = {
     # DG206 is retired (it named the removed in-memory cache's checksum
     # failure) and must never be reused.
     "chaos": "DG207",
-    "journal-compact": "DG208",
+    # DG208 is retired (it named the removed journal compaction) and
+    # must never be reused.
     # DG209 is retired (it named the removed compiled engine's
     # fallback) and must never be reused.
     # Static verification verdicts (repro.verify).

@@ -16,8 +16,6 @@ the same way, just symbolically):
 * :class:`InputScale` — incoming amplitude scaled (headroom stress);
 * :class:`NanInject` — a NaN pushed into a signal to exercise the guard
   layer end to end;
-* :class:`ChannelDrop` — values lost in a processor-to-processor FIFO
-  (engine-based designs exposing the channel as an attribute);
 * :class:`SeedPerturb` — the whole run repeated under a different
   stimulus seed (the refined types must not be overfit to one seed);
 * :class:`WorkerCrash` / :class:`WorkerHang` — *infrastructure* faults:
@@ -46,7 +44,7 @@ from repro.parallel.runner import SimConfig, in_worker, run_simulations
 from repro.refine.report import format_table
 
 __all__ = ["Fault", "BitFlip", "StuckAt", "InputScale", "NanInject",
-           "ChannelDrop", "SeedPerturb", "WorkerCrash", "WorkerHang",
+           "SeedPerturb", "WorkerCrash", "WorkerHang",
            "FaultOutcome", "CampaignResult", "FaultCampaign",
            "standard_faults"]
 
@@ -221,41 +219,6 @@ class NanInject(Fault):
             return fx, fl
 
         sig.fault_pre(hook)
-
-
-@dataclass(repr=False)
-class ChannelDrop(Fault):
-    """Drop every ``every``-th value put into a design's channel.
-
-    ``attr`` names an attribute of the design object holding the
-    :class:`~repro.sim.channel.Channel` (engine-based designs).
-    """
-
-    attr: str
-    every: int = 10
-
-    kind = "channel-drop"
-
-    def describe(self):
-        return "channel-drop %s 1/%d" % (self.attr, self.every)
-
-    def install(self, ctx, design):
-        from repro.sim.channel import DROP
-        chan = getattr(design, self.attr, None)
-        if chan is None or not hasattr(chan, "set_fault"):
-            raise DesignError("design has no channel attribute %r"
-                              % self.attr)
-        self.n_fired = 0
-        state = {"n": 0}
-
-        def hook(value):
-            state["n"] += 1
-            if state["n"] % self.every == 0:
-                self.n_fired += 1
-                return DROP
-            return value
-
-        chan.set_fault(hook)
 
 
 @dataclass(repr=False)

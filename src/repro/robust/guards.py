@@ -3,7 +3,7 @@
 Two failure classes the refinement flow must survive are *silent value
 corruption* (a NaN or infinity sneaking through ``Signal.assign`` and
 poisoning every downstream statistic) and *runaway simulations* (a
-stalled feedback loop or free-running processor spinning forever).  This
+stalled feedback loop spinning forever).  This
 module packages the counter-measures:
 
 * :class:`GuardPolicy` — a declarative non-finite policy applied to a
@@ -11,7 +11,7 @@ module packages the counter-measures:
   lives in ``DesignContext.guard_non_finite``, called on every signal
   assignment);
 * :class:`Watchdog` — a max-cycles / wall-clock budget checked on every
-  ``ctx.tick()`` (and by :meth:`Engine.run` when passed explicitly);
+  ``ctx.tick()``;
 * :func:`guard_summary` — a compact report of the guard trips of a run.
 """
 
@@ -69,9 +69,9 @@ class Watchdog:
     """Cycle-count and wall-clock budget for one simulation run.
 
     Attach to a context (``ctx.watchdog = Watchdog(...)``) to have every
-    ``ctx.tick()`` checked, or pass to :meth:`Engine.run`.  ``check``
-    raises :class:`~repro.core.errors.WatchdogTimeout` once either budget
-    is exhausted.  The wall-clock budget is only consulted every
+    ``ctx.tick()`` checked.  ``check`` raises
+    :class:`~repro.core.errors.WatchdogTimeout` once either budget is
+    exhausted.  The wall-clock budget is only consulted every
     ``clock_stride`` cycles to keep the per-tick overhead negligible.
     """
 

@@ -29,11 +29,10 @@ exercised by the chaos matrix, :mod:`repro.robust.chaos`):
   batch finishes, results stay replayable within the process, and the
   runner emits a single ``DG205`` warning.  Pass
   ``on_io_error="raise"`` to get the old fail-fast behavior.
-* **Compaction** — long campaigns re-append the same fingerprints
-  (reruns, retries after quarantine); :meth:`Journal.compact` atomically
-  rewrites the file keeping only the latest record per key, and
-  :meth:`Journal.maybe_compact` does so opportunistically once the file
-  passes ``compact_threshold`` bytes *and* holds superseded records.
+* **Torn-tail repair** — reopening a journal whose last record is torn
+  or corrupt atomically rewrites the file without that tail (temp file,
+  fsync, ``os.replace``), so a crash during the repair leaves the old
+  file intact.
 
 Every I/O boundary consults :data:`repro.chaoshooks.ACTIVE` (one
 attribute load + ``is None`` test when disarmed) so the chaos injector
@@ -62,11 +61,6 @@ import pickle
 import tempfile
 from collections import OrderedDict
 from contextlib import contextmanager
-
-try:                                   # POSIX advisory locks
-    import fcntl
-except ImportError:                    # pragma: no cover - non-POSIX
-    fcntl = None
 
 from repro import chaoshooks
 from repro.core.errors import JournalError
@@ -101,7 +95,7 @@ class Journal:
     created (with its parent directory) on first use; an existing
     journal is loaded and its records become immediately replayable
     through :meth:`get`.  A file-backed journal keeps every entry
-    (``max_entries`` does not apply), so :meth:`compact` loses nothing.
+    (``max_entries`` does not apply).
     ``sync=True`` (default) fsyncs after every append — one completed
     simulation outcome survives even a machine crash; pass
     ``sync=False`` to trade that for lower latency (a ``kill -9`` still
@@ -124,9 +118,7 @@ class Journal:
     ``on_io_error`` selects what an :class:`OSError` during an append
     does: ``"degrade"`` (default) switches to in-memory-only operation
     (:attr:`degraded` set, original error kept in :attr:`io_error`),
-    ``"raise"`` wraps it in a :class:`JournalError`.  A non-``None``
-    ``compact_threshold`` (bytes) arms :meth:`maybe_compact`, which the
-    runner calls at the end of every batch.
+    ``"raise"`` wraps it in a :class:`JournalError`.
 
     A reopened journal replays what an earlier process appended (any
     picklable outcome; the runner stores ``SimOutcome``):
@@ -147,7 +139,7 @@ class Journal:
     """
 
     def __init__(self, path=None, sync=True, on_io_error="degrade",
-                 compact_threshold=None, max_entries=4096):
+                 max_entries=4096):
         if on_io_error not in ("degrade", "raise"):
             raise ValueError("on_io_error must be 'degrade' or 'raise', "
                              "got %r" % (on_io_error,))
@@ -158,18 +150,15 @@ class Journal:
         #: LRU capacity of a path-less store (None: unbounded, on disk).
         self.max_entries = int(max_entries) if path is None else None
         self.sync = bool(sync)
-        #: the header's ``meta`` map, carried through compaction.
+        #: the header's ``meta`` map.
         self.meta = {}
         self.on_io_error = on_io_error
-        self.compact_threshold = compact_threshold
         self.hits = 0
         self.misses = 0
         #: hits that served an entry loaded from the file, first time.
         self.replays = 0
         #: records dropped on load because of a torn/corrupt tail.
         self.n_dropped = 0
-        #: compactions skipped because another process held the lock.
-        self.n_compact_skipped = 0
         #: True once an append-time OSError demoted this journal to
         #: in-memory-only operation (see ``on_io_error``).
         self.degraded = False
@@ -178,14 +167,12 @@ class Journal:
         self._degrade_noted = False   # runner emitted DG205 already
         self._entries = OrderedDict()
         self._unserved = set()        # loaded keys no lookup served yet
-        self._n_records = 0           # record lines on disk (incl. stale)
         self._fh = None
         if self.path is not None:
             parent = os.path.dirname(os.path.abspath(self.path))
             os.makedirs(parent, exist_ok=True)
             self._load()
             self._open_append()
-        self._last_compact_size = self.size_bytes()
 
     # -- loading -----------------------------------------------------------
 
@@ -218,7 +205,6 @@ class Journal:
             key, label, outcome = rec
             self._entries[key] = outcome
             self._unserved.add(key)
-            self._n_records += 1
 
     def _parse_header(self, line):
         try:
@@ -355,137 +341,7 @@ class Journal:
         except OSError as exc:
             self._degrade(exc)
             return
-        self._n_records += 1
         obs_counters.inc("journal.appends")
-
-    # -- compaction --------------------------------------------------------
-
-    def _acquire_compact_lock(self):
-        """Try to take the cross-process compaction lock.
-
-        Two processes sharing one journal file must not rewrite it
-        concurrently (two temp-file + ``os.replace`` dances would
-        silently drop one side's records).  The lock is advisory —
-        ``flock(LOCK_EX | LOCK_NB)`` on a ``<path>.lock`` sidecar, with
-        an ``O_EXCL`` lock *file* fallback where ``fcntl`` is missing —
-        and contention is not an error: the loser degrades to a no-op
-        (the winner's compaction serves both).
-
-        Returns an opaque token for :meth:`_release_compact_lock`, or
-        None when another process holds the lock.
-        """
-        lock_path = self.path + ".lock"
-        if fcntl is not None:
-            try:
-                fh = io.open(lock_path, "a")
-            except OSError:
-                return None
-            try:
-                fcntl.flock(fh.fileno(),
-                            fcntl.LOCK_EX | fcntl.LOCK_NB)
-            except OSError:
-                fh.close()
-                return None
-            return ("flock", fh, lock_path)
-        try:                           # pragma: no cover - non-POSIX
-            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except OSError:                # pragma: no cover - non-POSIX
-            return None
-        return ("excl", fd, lock_path)
-
-    def _release_compact_lock(self, token):
-        kind, handle, lock_path = token
-        if kind == "flock":
-            try:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-            except OSError:
-                pass
-            handle.close()
-        else:                          # pragma: no cover - non-POSIX
-            os.close(handle)
-            try:
-                os.unlink(lock_path)
-            except OSError:
-                pass
-
-    def size_bytes(self):
-        """Current on-disk size (0 when there is no file)."""
-        if self.path is None:
-            return 0
-        try:
-            return os.path.getsize(self.path)
-        except OSError:
-            return 0
-
-    def compact(self):
-        """Atomically rewrite the file keeping the latest record per key.
-
-        Long campaigns re-append fingerprints (quarantine retries,
-        overlapping sweeps); compaction drops the superseded lines via
-        the same temp-file + ``os.replace`` dance as torn-tail repair,
-        then reopens the append handle on the new file.  Returns the
-        number of stale records dropped.  A degraded or closed journal
-        compacts to nothing (returns 0) — and so does one whose
-        cross-process compaction lock is held by somebody else: the
-        racing compactor degrades to a no-op (counted in
-        :attr:`n_compact_skipped` and ``journal.compact_contended``;
-        the runner surfaces it as a ``journal-compact`` diagnostic)
-        rather than risking two concurrent atomic rewrites.
-        """
-        if self.degraded or self._fh is None:
-            return 0
-        lock = self._acquire_compact_lock()
-        if lock is None:
-            self.n_compact_skipped += 1
-            obs_counters.inc("journal.compact_contended")
-            return 0
-        try:
-            return self._compact_locked()
-        finally:
-            self._release_compact_lock(lock)
-
-    def _compact_locked(self):
-        stale = self._n_records - len(self._entries)
-        lines = [json.dumps({"v": JOURNAL_VERSION, "format": JOURNAL_FORMAT,
-                             "kind": "header", "meta": self.meta},
-                            sort_keys=True)]
-        for key, outcome in self._entries.items():
-            payload, sha = _encode(outcome)
-            lines.append(json.dumps(
-                {"kind": "outcome", "key": key,
-                 "label": getattr(outcome, "label", None),
-                 "sha": sha, "payload": payload}, sort_keys=True))
-        self._fh.close()
-        self._fh = None
-        try:
-            self._truncate_to(lines)
-        finally:
-            # Reopen even if the rewrite died: the old (intact) file is
-            # still in place and further appends must keep working.
-            if not self.degraded:
-                self._fh = io.open(self.path, "a", encoding="utf-8")
-        self._n_records = len(self._entries)
-        self._last_compact_size = self.size_bytes()
-        obs_counters.inc("journal.compactions")
-        return max(stale, 0)
-
-    def maybe_compact(self):
-        """Compact when past ``compact_threshold`` and worth doing.
-
-        "Worth doing" means the file holds superseded records, or it
-        doubled since the last compaction check (so a pathological file
-        is not re-scanned on every batch).  Returns records dropped.
-        """
-        if (self.compact_threshold is None or self.degraded
-                or self._fh is None):
-            return 0
-        size = self.size_bytes()
-        if size <= self.compact_threshold:
-            return 0
-        if (self._n_records <= len(self._entries)
-                and size < 2 * self._last_compact_size):
-            return 0
-        return self.compact()
 
     # -- lookup ------------------------------------------------------------
 

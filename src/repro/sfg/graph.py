@@ -243,51 +243,15 @@ class SFG:
         """
         return (node.kind, node.label, node.id)
 
-    def topological_order(self):
-        """Deterministic topological order of the full graph.
-
-        Lexicographic Kahn's algorithm: among all ready nodes the one
-        with the smallest structural ``(kind, label)`` key is emitted
-        first, so the order does not depend on hash/insertion accidents.
-
-        Raises :class:`~repro.core.errors.DesignError` when the graph is
-        cyclic, naming the signals on an offending cycle — feedback
-        graphs must be scheduled via :meth:`condensed_order` (or have
-        their registers split first, as the compiler does).
-        """
-        indegree = {n: self.g.in_degree(n) for n in self.g}
-        heap = [self._structural_key(n) + (n,)
-                for n in self.g if indegree[n] == 0]
-        heapq.heapify(heap)
-        order = []
-        while heap:
-            node = heapq.heappop(heap)[-1]
-            order.append(node)
-            for succ in self.g.succ[node]:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    heapq.heappush(heap, self._structural_key(succ) + (succ,))
-        if len(order) != len(self.g):
-            cycles = self.cycles()
-            if cycles:
-                names = self.cycle_signal_names(cycles[0])
-                detail = " -> ".join(names + names[:1]) if names else "?"
-            else:        # pragma: no cover - cycles() finds one when Kahn stalls
-                detail = "?"
-            raise DesignError(
-                "signal flow graph is cyclic (feedback through %s); "
-                "topological_order() requires an acyclic graph -- use "
-                "condensed_order() for cycle-safe scheduling" % detail)
-        return order
-
     def condensed_order(self):
         """Topological order of the acyclic condensation (cycle-safe).
 
         Components are emitted in condensation order; *within* a
         strongly connected component the feedback edges into ``reg``
         nodes (the legal cycle points) are cut, and the remaining
-        combinational subgraph is scheduled by the same lexicographic
-        Kahn as :meth:`topological_order` — so op operands still precede
+        combinational subgraph is scheduled by a lexicographic Kahn:
+        among the ready nodes the one with the smallest structural
+        ``(kind, label)`` key goes first — so op operands still precede
         their ops, and the result is stable across traces of the same
         design.  Nodes on a purely combinational cycle (a design error
         that downstream consumers diagnose) are appended in structural

@@ -3,7 +3,7 @@
 Each cell of :data:`SMOKE_MATRIX` is one deterministic fault scenario
 (``entry:site:trigger:seed``) run through the two-phase
 inject-then-recover protocol; a cell passes only when every recovery
-invariant holds.  The smoke matrix covers all eight fault sites and all
+invariant holds.  The smoke matrix covers all seven fault sites and all
 five entry points and runs on every PR; the extended matrix rides
 behind the ``slow`` marker (``-m slow``) like the other long campaigns.
 
@@ -11,11 +11,14 @@ Fault-free reference runs are memoized per ``(entry, workers)`` inside
 :mod:`repro.robust.chaos`, so the parametrized cells share them.
 """
 
+import json
+
 import pytest
 
 from repro.robust.chaos import (ENTRIES, FULL_EXTRA, SITE_ENTRIES, SITES,
-                                SMOKE_MATRIX, _reference, make_scenario,
-                                run_scenario, scenario_from_sid)
+                                SMOKE_MATRIX, _reference, main,
+                                make_scenario, run_scenario,
+                                scenario_from_sid)
 
 _SMOKE = [make_scenario(*cell) for cell in SMOKE_MATRIX]
 _FULL = [make_scenario(*cell) for cell in FULL_EXTRA]
@@ -78,3 +81,28 @@ def test_reference_journal_is_not_empty(entry):
     """Every entry journals its jobs, so its durability and monotonicity
     checks compare real records, never two empty journals."""
     assert _reference(entry, 1)["journal"]
+
+
+class TestWithoutForkPool:
+    """Under ``REPRO_PARALLEL=0`` no fork pool can start, so a pool cell
+    cannot inject its fault: it reads n/a, neither pass nor violation."""
+
+    def test_pool_cell_reads_na(self, monkeypatch):
+        monkeypatch.setenv("REPRO_PARALLEL", "0")
+        report = run_scenario(
+            scenario_from_sid("run_simulations:pool.break:1:10"))
+        assert report.status == "n/a" and "REPRO_PARALLEL=0" in report.na
+        assert report.ok and not report.checks and not report.injections
+        assert "[N/A]" in report.describe()
+
+    def test_cli_counts_na_apart(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("REPRO_PARALLEL", "0")
+        out = tmp_path / "chaos.json"
+        assert main(["run", "--site", "worker.crash",
+                     "--json", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "2 scenario(s), 0 violation(s), 2 n/a" in text
+        data = json.loads(out.read_text())
+        assert (data["scenarios"], data["violations"], data["n/a"]) \
+            == (2, 0, 2)
+        assert {r["status"] for r in data["reports"]} == {"n/a"}

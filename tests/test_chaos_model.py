@@ -2,7 +2,7 @@
 
 Hypothesis drives random interleavings of the operations a long
 campaign (or the chaos injector) can inflict on a :class:`Journal` —
-append, reopen, compact, corrupt a record, truncate the tail — and
+append, reopen, corrupt a record, truncate the tail — and
 checks the durability and exactness invariants after *every* step:
 
 * every record the model says survived replays bit-identically
@@ -37,7 +37,7 @@ def _outcome(n, value):
 
 
 class JournalMachine(RuleBasedStateMachine):
-    """Journal vs. model: appends, damage, recovery, compaction."""
+    """Journal vs. model: appends, damage, recovery."""
 
     def __init__(self):
         super().__init__()
@@ -86,15 +86,6 @@ class JournalMachine(RuleBasedStateMachine):
 
     @rule()
     def reopen(self):
-        self._check_replay()
-
-    @rule()
-    def compact(self):
-        stale = len(self.order) - len(self._model_entries())
-        dropped = self.journal.compact()
-        assert dropped == max(stale, 0)
-        # Compaction rewrites history as exactly the surviving map.
-        self.order = list(self._model_entries().items())
         self._check_replay()
 
     @precondition(lambda self: self.order)

@@ -11,8 +11,7 @@ class TestExceptionHierarchy:
     def test_all_derive_from_repro_error(self):
         for exc in (errors.DTypeError, errors.FixedPointOverflowError,
                     errors.RangeExplosionError, errors.DivergenceError,
-                    errors.SimulationError, errors.ChannelEmpty,
-                    errors.ChannelFull, errors.DesignError,
+                    errors.SimulationError, errors.DesignError,
                     errors.RefinementError):
             assert issubclass(exc, errors.ReproError)
 
@@ -30,10 +29,6 @@ class TestExceptionHierarchy:
     def test_divergence_error_signals(self):
         e = errors.DivergenceError("boom", signals=["eta"])
         assert e.signals == ("eta",)
-
-    def test_channel_errors_are_simulation_errors(self):
-        assert issubclass(errors.ChannelEmpty, errors.SimulationError)
-        assert issubclass(errors.ChannelFull, errors.SimulationError)
 
 
 class TestContextMisc:

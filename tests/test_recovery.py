@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.chaoshooks import ChaosCrash, ChaosHooks, armed
 from repro.core.dtype import DType
 from repro.core.errors import JournalError
 from repro.dsp.lms import LmsEqualizerDesign
@@ -143,6 +144,29 @@ class TestJournalTornTail:
         reopened = Journal(path)
         assert len(reopened) == 1 and reopened.n_dropped == 1
 
+    def test_crash_during_repair_leaves_the_file_intact(self, tmp_path):
+        class DieOnReplace(ChaosHooks):
+            def on_journal_replace(self, journal):
+                raise ChaosCrash("died before os.replace")
+
+        path = tmp_path / "j.jsonl"
+        keys, outs = _outcomes(3)
+        with Journal(path) as j:
+            for k, o in zip(keys, outs):
+                j.append(k, o)
+        path.write_bytes(path.read_bytes()[:-25])         # torn last line
+        torn = path.read_bytes()
+        with armed(DieOnReplace()), pytest.raises(ChaosCrash):
+            Journal(path)
+        assert path.read_bytes() == torn
+        assert list(tmp_path.glob(".journal-*.tmp")) == []
+        # The restarted process repairs the tail and replays the rest.
+        with Journal(path) as reopened:
+            assert reopened.n_dropped == 1 and len(reopened) == 2
+            for k, o in zip(keys[:2], outs[:2]):
+                assert reopened.get(k).sqnr_db() == o.sqnr_db()
+            assert reopened.get(keys[2]) is None
+
     def test_torn_header_starts_fresh(self, tmp_path):
         path = tmp_path / "j.jsonl"
         path.write_text('{"v": 1, "format": "repro-jou')   # torn header
@@ -217,14 +241,12 @@ class TestSimCacheLRU:
         assert len(cache) == 0
 
     def test_file_journal_keeps_every_entry(self, tmp_path):
-        # The bound would make compact() drop records: it applies to the
-        # path-less store only.
+        # The bound applies to the path-less store only.
         keys, outs = _outcomes(3, n_samples=40)
         with Journal(tmp_path / "j.jsonl", max_entries=1) as j:
             for k, o in zip(keys, outs):
                 j.append(k, o)
             assert len(j) == 3 and j.stats()["max_entries"] is None
-            assert j.compact() == 0
         assert len(Journal(tmp_path / "j.jsonl")) == 3
 
 

@@ -7,8 +7,8 @@ import pytest
 
 from repro.core.dtype import DType
 from repro.refine import Design, FlowConfig, RefinementFlow
-from repro.robust.faults import (BitFlip, ChannelDrop, FaultCampaign,
-                                 InputScale, NanInject, SeedPerturb, StuckAt,
+from repro.robust.faults import (BitFlip, FaultCampaign, InputScale,
+                                 NanInject, SeedPerturb, StuckAt,
                                  standard_faults)
 from repro.signal import Sig
 
@@ -104,10 +104,11 @@ class TestCampaignBasics:
         assert out.outcomes[0].sqnr_db != out.outcomes[1].sqnr_db
 
     def test_abort_on_bad_fault_is_an_outcome(self, campaign):
-        out = campaign.run([ChannelDrop("no_such_channel")])
+        # install() raises on a signal the design does not have.
+        out = campaign.run([StuckAt("no_such_signal", 0.0)])
         o = out.outcomes[0]
         assert not o.completed
-        assert "channel" in o.error
+        assert "no signal named 'no_such_signal'" in o.error
 
     def test_bitflip_validates_bit_position(self, campaign):
         out = campaign.run([BitFlip("y", bit=99, at=0)])

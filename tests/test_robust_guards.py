@@ -1,4 +1,4 @@
-"""Tests for the guard layer: non-finite policies, watchdogs, stalls."""
+"""Tests for the guard layer: non-finite policies and watchdogs."""
 
 import math
 import time
@@ -6,12 +6,10 @@ import time
 import pytest
 
 from repro.core.dtype import DType
-from repro.core.errors import (DeadlockError, DesignError, NonFiniteError,
-                               SimulationError, WatchdogTimeout)
+from repro.core.errors import DesignError, NonFiniteError, WatchdogTimeout
 from repro.core.quantize import quantize_array, quantize_info
 from repro.robust.guards import GuardPolicy, Watchdog, guard_summary
 from repro.signal import DesignContext, Sig
-from repro.sim import DROP, Channel, Engine, FuncProcessor, Processor
 
 T8 = DType("T8", 8, 6, "tc", "saturate", "round")
 
@@ -203,111 +201,3 @@ class TestWatchdog:
             wd.check(5)
         wd.start()
         wd.check(4)     # does not raise after re-arm
-
-
-class _IdleConsumer(Processor):
-    """Polls its input channel forever (never finishes by itself)."""
-
-    def build(self, ctx):
-        self.got = []
-
-    def behavior(self):
-        ch = self.inputs["x"]
-        while True:
-            v = ch.try_get()
-            if v is not None:
-                self.got.append(v)
-            yield
-
-
-class _FiniteProducer(Processor):
-    def __init__(self, name, n):
-        super().__init__(name)
-        self.n = n
-
-    def behavior(self):
-        ch = self.outputs["y"]
-        for i in range(self.n):
-            ch.put(float(i))
-            yield
-
-
-def _pipeline(n=20):
-    ctx = DesignContext("stall")
-    eng = Engine(ctx)
-    prod = eng.add(_FiniteProducer("prod", n))
-    cons = eng.add(_IdleConsumer("cons"))
-    eng.connect(prod, "y", cons, "x")
-    return ctx, eng, cons
-
-
-class TestEngineStall:
-    def test_deadlock_detected(self):
-        _, eng, _ = _pipeline()
-        with pytest.raises(DeadlockError) as exc:
-            eng.run(cycles=500, stall_limit=5)
-        assert "cons" in exc.value.processors
-        assert "prod" not in exc.value.processors
-
-    def test_engine_level_stall_limit(self):
-        ctx = DesignContext("stall2")
-        eng = Engine(ctx, stall_limit=4)
-        prod = eng.add(_FiniteProducer("prod", 10))
-        cons = eng.add(_IdleConsumer("cons"))
-        eng.connect(prod, "y", cons, "x")
-        with pytest.raises(DeadlockError):
-            eng.run(cycles=500)
-
-    def test_data_flows_before_deadlock(self):
-        _, eng, cons = _pipeline(n=20)
-        with pytest.raises(DeadlockError):
-            eng.run(cycles=500, stall_limit=5)
-        assert cons.got == [float(i) for i in range(20)]
-
-    def test_until_done_drains_without_raising(self):
-        _, eng, cons = _pipeline(n=10)
-        eng.run(cycles=500, until_done=True, stall_limit=5)
-        assert len(cons.got) == 10
-
-    def test_no_stall_limit_runs_to_cycle_bound(self):
-        _, eng, _ = _pipeline(n=5)
-        assert eng.run(cycles=50) == 50
-
-    def test_watchdog_bounds_run(self):
-        ctx = DesignContext("wd-eng")
-        eng = Engine(ctx)
-        eng.add(FuncProcessor("free", lambda p: None))
-        with pytest.raises(WatchdogTimeout):
-            eng.run(watchdog=Watchdog(max_cycles=30))
-        assert ctx.cycle == 30
-
-    def test_unbounded_run_rejected(self):
-        ctx = DesignContext("nobound")
-        eng = Engine(ctx)
-        eng.add(FuncProcessor("free", lambda p: None))
-        with pytest.raises(SimulationError):
-            eng.run()
-
-
-class TestChannelFaults:
-    def test_drop_sentinel(self):
-        ch = Channel("c")
-        ch.set_fault(lambda v: DROP if v < 0 else v)
-        ch.extend([1.0, -2.0, 3.0])
-        assert ch.n_dropped == 1
-        assert ch.n_put == 2
-        assert [ch.get(), ch.get()] == [1.0, 3.0]
-
-    def test_rewrite(self):
-        ch = Channel("c")
-        ch.set_fault(lambda v: v * 2.0)
-        ch.put(1.5)
-        assert ch.get() == 3.0
-
-    def test_clear(self):
-        ch = Channel("c")
-        ch.set_fault(lambda v: DROP)
-        ch.put(1.0)
-        ch.set_fault(None)
-        ch.put(2.0)
-        assert len(ch) == 1
